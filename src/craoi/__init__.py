@@ -62,17 +62,13 @@ from .sim import (
     split_seed,
 )
 from .solver import (
-    AoiState,
     ConstrainedSolution,
     SolvedPolicy,
     TruncatedModel,
-    collision_cost,
     extract_threshold,
     lambda_bisection,
     policy_cost_evaluate,
-    reward,
     rvi_solve,
-    transition_kernel,
 )
 
 __version__ = "0.1.0"

@@ -98,7 +98,13 @@ def convert_collision_budget(rates: PuRates, value: float, direction: str) -> fl
         raise ValueError(f"budget must be in [0, 1], got {value}")
     cycle = expected_cycle_length(rates)
     if direction == "pu_to_siot":
-        return value / cycle
+        out = value / cycle
+        if out > 1.0:
+            raise ValueError(
+                f"per-cycle budget {value} implies per-slot budget {out} > 1; "
+                "the mean PU cycle is shorter than one slot for these rates"
+            )
+        return out
     if direction == "siot_to_pu":
         out = value * cycle
         if out > 1.0:

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .analysis import SystemParams, age_optimal_policy
 from .channel import PuRates
 from .experiments import DEFAULT_SEED, PRESETS, run_preset, write_csv
 from .policies import BernoulliAccessPolicy, RandomizedThresholdPolicy, ThresholdPolicy
 from .sim import SimConfig, run_config
-from .solver import TruncatedModel, lambda_bisection
+from .solver import TruncatedModel, TruncationError, lambda_bisection, mixed_transmit_probs
 
 
 def _parse_policy(text: str, parser: argparse.ArgumentParser):
@@ -60,19 +63,27 @@ def _cmd_solve(args, parser) -> int:
     print(f"psi_p {pol.psi_s * (1.0 / args.alpha + 1.0 / args.beta):.10g}")
     print(f"constraint_binds {int(pol.constraint_binds)}")
     if args.verify:
-        model = TruncatedModel(params=params, delta_max=args.delta_max)
-        sol = lambda_bisection(model)
-        ok = (
-            sol.gamma1 == pol.gamma1
-            and sol.gamma2 == pol.gamma2
-            and abs(sol.mu - pol.mu) <= 1e-6
+        delta_max = args.delta_max
+        while True:
+            try:
+                sol = lambda_bisection(TruncatedModel(params=params, delta_max=delta_max))
+                break
+            except TruncationError:
+                delta_max *= 2
+        # (gamma1, gamma2, mu) labels are not unique: (5, 6, mu=0) and
+        # (6, 7, mu=1) are both the threshold-6 policy.  Compare the policies.
+        ok = np.allclose(
+            sol.mixed_transmit_probs(delta_max),
+            mixed_transmit_probs(pol.gamma1, pol.mu, delta_max),
+            rtol=0.0,
+            atol=1e-6,
         )
         print(
             f"rvi_agreement {'ok' if ok else 'MISMATCH'} "
             f"(rvi gamma1={sol.gamma1} gamma2={sol.gamma2} mu={sol.mu:.10g})"
         )
         if not ok:
-            raise RuntimeError("RVI solution disagrees with the closed form")
+            raise RuntimeError("CMDP solution disagrees with the closed form")
     if args.out:
         write_csv(
             Path(args.out),
@@ -149,7 +160,13 @@ def _cmd_experiment(args, parser) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    In-process callers run ``main`` many times, and building the parser costs
+    about a millisecond, as much as a whole small ``solve --verify``.
+    """
     parser = argparse.ArgumentParser(
         prog="craoi",
         description="Age-optimal opportunistic spectrum access: solver, analysis, simulator",
@@ -158,8 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="compute the age-optimal policy for one instance")
     _add_system_flags(p_solve)
-    p_solve.add_argument("--verify", action="store_true", help="cross-check against RVI")
-    p_solve.add_argument("--delta-max", type=int, default=200, help="RVI age truncation")
+    p_solve.add_argument(
+        "--verify", action="store_true", help="cross-check against the CMDP solver"
+    )
+    p_solve.add_argument(
+        "--delta-max",
+        type=int,
+        default=200,
+        help="starting solver age truncation; doubled until the threshold is at most half of it",
+    )
     p_solve.add_argument("--out", help="optional CSV output path")
     p_solve.set_defaults(func=_cmd_solve)
 

@@ -54,7 +54,7 @@ def _rates_for_idle_prob(alpha: float, p_idle: float) -> PuRates:
 
 
 def run_fig3(out_dir: Path, seed: int = DEFAULT_SEED) -> Path:
-    """Policy structure from RVI for eta_s in {0.0005, 0.001}, delta_max = 200."""
+    """Policy structure from the CMDP solver for eta_s in {0.0005, 0.001}, delta_max = 200."""
     rates = PuRates(0.02, 0.4)
     rows = []
     for eta_s in (0.0005, 0.001):

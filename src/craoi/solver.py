@@ -1,31 +1,29 @@
-"""Truncated CMDP solver: relative value iteration plus multiplier search.
+"""Truncated CMDP solver: structured policy iteration plus multiplier search.
 
 The constrained problem (minimize average age subject to a per-slot collision
 budget) is relaxed with a multiplier on the collision cost.  For each fixed
-multiplier the unconstrained average-cost problem is solved by relative value
-iteration on a truncated age grid; the greedy policies are threshold-shaped,
-so a deterministic bisection on the multiplier brackets the budget with two
-consecutive thresholds, and a boundary randomization closes the gap exactly.
+multiplier the unconstrained average-cost problem is solved by Howard policy
+iteration on a truncated age grid (Puterman 1994, *Markov Decision
+Processes*, section 8.6).  The age either goes up by one or resets to
+(1, idle), so evaluating a policy and finding its stationary distribution are
+each one recursion over per-age 2x2 occupancy blocks instead of a dense
+solve.  The greedy policies are threshold-shaped, so a deterministic
+bisection on the multiplier brackets the budget with two consecutive
+thresholds, and a boundary randomization closes the gap exactly (Beutler &
+Ross 1985).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .analysis import SystemParams
-from .channel import BUSY, IDLE, slot_transition_matrix
-
-NO_TRANSMIT = 0
-TRANSMIT = 1
-
-
-class RviConvergenceError(RuntimeError):
-    def __init__(self, span: float, max_iter: int):
-        super().__init__(f"RVI span {span:.3e} after {max_iter} iterations")
-        self.span = span
+from .channel import slot_transition_matrix
 
 
 class ThresholdStructureError(ValueError):
@@ -38,49 +36,42 @@ class BisectionError(RuntimeError):
     pass
 
 
+class TruncationError(BisectionError):
+    """A greedy threshold lies past delta_max/2, too close to the truncation to trust."""
+
+
 @dataclass(frozen=True)
-class AoiState:
-    delta: int
-    occupancy: int
+class _Kernel:
+    """One-step dynamics of the truncated chain.
 
-    def __post_init__(self):
-        if self.delta < 1:
-            raise ValueError(f"age must be >= 1, got {self.delta}")
-        if self.occupancy not in (IDLE, BUSY):
-            raise ValueError(f"occupancy must be IDLE or BUSY, got {self.occupancy}")
+    From (d, idle) with transmit probability p the age resets to (1, idle)
+    with mass ``p * ok``; otherwise it moves to min(d + 1, delta_max) through
+    the occupancy block [[p_II - p * ok, p_IB], [p_BI, p_BB]].  Busy-sensed
+    slots never transmit.  A transmission collides with probability
+    ``collision``.  Policy evaluation, the stationary recursion and policy
+    improvement all read the dynamics from here.
+    """
 
+    p_II: float
+    p_IB: float
+    p_BI: float
+    p_BB: float
+    ok: float
+    collision: float
 
-def reward(state: AoiState, action: int) -> float:
-    """Per-slot age penalty; independent of the action."""
-    return float(state.delta)
+    def blocks(self, p_tx: np.ndarray) -> tuple[list[float], list[float]]:
+        """Per idle age: (idle-to-idle mass without reset, reset mass)."""
+        reset = p_tx * self.ok
+        return (self.p_II - reset).tolist(), reset.tolist()
 
+    def clamp_inverse(self, reset: float) -> tuple[float, float, float, float]:
+        """(I - M)^-1 for the clamp block M; requires reset > 0.
 
-def collision_cost(state: AoiState, action: int, params: SystemParams) -> float:
-    """Expected collisions caused by the action in this state."""
-    if action == NO_TRANSMIT:
-        return 0.0
-    if state.occupancy == BUSY:
-        return 1.0
-    return 1.0 - math.exp(-params.rates.alpha)
-
-
-def transition_kernel(
-    state: AoiState, action: int, params: SystemParams, delta_max: int
-) -> dict[AoiState, float]:
-    """One-step distribution over successor states, age clamped at delta_max."""
-    if action == TRANSMIT and state.occupancy == BUSY:
-        raise ValueError("transmit is not allowed from a busy-sensed state")
-    sig = slot_transition_matrix(params.rates)
-    nxt = min(state.delta + 1, delta_max)
-    if action == NO_TRANSMIT:
-        row = (sig.p_II, sig.p_IB) if state.occupancy == IDLE else (sig.p_BI, sig.p_BB)
-        return {AoiState(nxt, IDLE): row[0], AoiState(nxt, BUSY): row[1]}
-    ok = params.success_prob
-    return {
-        AoiState(1, IDLE): ok,
-        AoiState(nxt, IDLE): sig.p_II - ok,
-        AoiState(nxt, BUSY): sig.p_IB,
-    }
+        det(I - M) = p_BI * reset exactly, since both rows of the occupancy
+        matrix sum to one; forming it by products would cancel.
+        """
+        det = self.p_BI * reset
+        return self.p_BI / det, self.p_IB / det, self.p_BI / det, (self.p_IB + reset) / det
 
 
 @dataclass(frozen=True)
@@ -98,81 +89,108 @@ class TruncatedModel:
     def deltas(self) -> np.ndarray:
         return np.arange(1, self.delta_max + 1)
 
+    @cached_property
+    def kernel(self) -> _Kernel:
+        sig = slot_transition_matrix(self.params.rates)
+        return _Kernel(
+            p_II=sig.p_II,
+            p_IB=sig.p_IB,
+            p_BI=sig.p_BI,
+            p_BB=sig.p_BB,
+            ok=self.params.success_prob,
+            collision=1.0 - math.exp(-self.params.rates.alpha),
+        )
+
+
+def poisson_solve(
+    probs: np.ndarray, model: TruncatedModel, lam: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Gain and bias of a fixed policy under cost age + lam * collisions.
+
+    Solves h + g = c + P h with reference h(1, idle) = 0 by one backward
+    recursion over ages.  The reset term drops out because its target is the
+    reference, so h = a + x * b with one unknown x, fixed by the reference.
+    If the policy transmits at delta_max, x is the gain and the clamp pair
+    solves a nonsingular 2x2 system.  Otherwise the clamp pair absorbs: the
+    gain is delta_max, h is constant on the pair, and x is that constant.
+    """
+    k = model.kernel
+    dmax = model.delta_max
+    stay, reset = k.blocks(probs)
+    c_idle = (model.deltas + lam * k.collision * probs).tolist()
+    if reset[-1] > 0.0:
+        g0, g1 = 0.0, 1.0
+        m_ii, m_ib, m_bi, m_bb = k.clamp_inverse(reset[-1])
+        ai, ab = m_ii * c_idle[-1] + m_ib * dmax, m_bi * c_idle[-1] + m_bb * dmax
+        bi, bb = -(m_ii + m_ib), -(m_bi + m_bb)
+    else:
+        g0, g1 = float(dmax), 0.0
+        ai, ab, bi, bb = 0.0, 0.0, 1.0, 1.0
+    p_ib, p_bi, p_bb = k.p_IB, k.p_BI, k.p_BB
+    a_idle, a_busy, b_idle, b_busy = [ai], [ab], [bi], [bb]
+    for d in range(dmax - 1, 0, -1):
+        s = stay[d - 1]
+        ai, ab = c_idle[d - 1] - g0 + s * ai + p_ib * ab, d - g0 + p_bi * ai + p_bb * ab
+        bi, bb = s * bi + p_ib * bb - g1, p_bi * bi + p_bb * bb - g1
+        a_idle.append(ai)
+        a_busy.append(ab)
+        b_idle.append(bi)
+        b_busy.append(bb)
+    x = -ai / bi
+    bias_idle = np.array(a_idle[::-1]) + x * np.array(b_idle[::-1])
+    bias_busy = np.array(a_busy[::-1]) + x * np.array(b_busy[::-1])
+    bias_idle[0] = 0.0
+    return g0 + x * g1, bias_idle, bias_busy
+
 
 @dataclass(frozen=True)
 class SolvedPolicy:
-    """RVI output: average Lagrangian reward, bias values, greedy decisions."""
+    """Policy-iteration output: average Lagrangian cost, bias values, greedy decisions."""
 
     gain: float
     bias_idle: np.ndarray
     bias_busy: np.ndarray
     transmit: np.ndarray  # bool per idle age 1..delta_max
     lam: float
-    iterations: int
+    iterations: int  # improvement steps
 
 
-def rvi_solve(
-    model: TruncatedModel,
-    lam: float,
-    span_tol: float = 1e-10,
-    max_iter: int = 100_000,
-    h_init: tuple[np.ndarray, np.ndarray] | None = None,
-    damping: float = 0.5,
-) -> SolvedPolicy:
-    """Relative value iteration on age + lam * collision cost, minimizing.
+def rvi_solve(model: TruncatedModel, lam: float, init=None) -> SolvedPolicy:
+    """Howard policy iteration on age + lam * collision cost, minimizing.
 
-    Reference state is (age 1, idle).  Greedy ties break toward no-transmit,
-    which is the conservative choice for the collision constraint.  The
-    iterate is damped by the aperiodicity transformation
-    h <- (1 - damping) h + damping T(h): the renewal chain induced by a
-    threshold policy is nearly periodic, and the undamped span contracts
-    orders of magnitude more slowly.  The fixed point is unchanged; the gain
-    is rescaled back before returning.
+    Starts from ``init`` (transmit decisions per idle age; by default
+    transmit everywhere, the optimum at lam = 0), so a multiplier search can
+    warm-start from the previous multiplier's policy.  Each step evaluates
+    the policy exactly and switches an age's action only when the other
+    action is better by more than rounding, which also ends the iteration.
     """
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    if span_tol <= 0:
-        raise ValueError("span_tol must be positive")
-    if not (0.0 < damping <= 1.0):
-        raise ValueError(f"damping must be in (0, 1], got {damping}")
-    sig = slot_transition_matrix(model.params.rates)
-    ok = model.params.success_prob
     dmax = model.delta_max
-    deltas = np.arange(1, dmax + 1, dtype=float)
-    nxt = np.minimum(np.arange(1, dmax + 1), dmax - 1)  # 0-based row of age+1, clamped
-    tx_cost = lam * (1.0 - math.exp(-model.params.rates.alpha))
-
-    if h_init is not None:
-        h0 = np.array(h_init[0], dtype=float)
-        h1 = np.array(h_init[1], dtype=float)
-    else:
-        h0 = np.zeros(dmax)
-        h1 = np.zeros(dmax)
-
-    span = math.inf
-    for it in range(1, max_iter + 1):
-        q_no_idle = deltas + sig.p_II * h0[nxt] + sig.p_IB * h1[nxt]
-        q_no_busy = deltas + sig.p_BI * h0[nxt] + sig.p_BB * h1[nxt]
-        q_tx = deltas + tx_cost + ok * h0[0] + (sig.p_II - ok) * h0[nxt] + sig.p_IB * h1[nxt]
-        new0 = (1.0 - damping) * h0 + damping * np.minimum(q_no_idle, q_tx)
-        new1 = (1.0 - damping) * h1 + damping * q_no_busy
-        gain = new0[0]
-        new0 -= gain
-        new1 -= gain
-        diff = np.concatenate((new0 - h0, new1 - h1))
-        span = float(diff.max() - diff.min())
-        h0, h1 = new0, new1
-        if span < span_tol:
-            transmit = q_tx < q_no_idle
+    transmit = np.ones(dmax, dtype=bool) if init is None else np.array(init, dtype=bool)
+    if transmit.shape != (dmax,):
+        raise ValueError(f"expected {dmax} initial decisions, got {transmit.shape}")
+    k = model.kernel
+    tx_cost = lam * k.collision
+    nxt = np.minimum(np.arange(1, dmax + 1), dmax - 1)  # 0-based row of age + 1, clamped
+    for it in itertools.count(1):
+        gain, h_idle, h_busy = poisson_solve(transmit.astype(float), model, lam)
+        # A transmission pays tx_cost and, with mass ok, swaps the move to
+        # (d + 1, idle) for the reset to (1, idle), whose bias is 0.
+        value = k.ok * h_idle[nxt]
+        advantage = value - tx_cost
+        tie = np.abs(advantage) <= 1e-12 * (tx_cost + np.abs(value))
+        improved = np.where(tie, transmit, advantage > 0.0)
+        if np.array_equal(improved, transmit):
             return SolvedPolicy(
-                gain=float(gain) / damping,
-                bias_idle=h0,
-                bias_busy=h1,
+                gain=gain,
+                bias_idle=h_idle,
+                bias_busy=h_busy,
                 transmit=transmit,
                 lam=lam,
                 iterations=it,
             )
-    raise RviConvergenceError(span, max_iter)
+        transmit = improved
 
 
 def extract_threshold(policy: SolvedPolicy) -> int:
@@ -209,42 +227,41 @@ def policy_cost_evaluate(policy, model: TruncatedModel) -> PolicyMetrics:
     """Stationary average age and collision cost of a (possibly randomized) policy.
 
     ``policy`` is a SolvedPolicy or an array of transmit probabilities per
-    idle age.  A policy that never transmits has no age renewal; under the
-    clamp its age sits at delta_max, reported as a divergent-age result.
+    idle age.  The stationary distribution is one forward recursion from the
+    reset state (1, idle), normalized at the end.  A policy that does not
+    transmit at delta_max has no age renewal in the long run: the clamp pair
+    absorbs and its age sits at delta_max, reported as a divergent-age result.
     """
     p_tx = _transmit_probs(policy)
     if p_tx.shape != (model.delta_max,):
         raise ValueError(f"expected {model.delta_max} transmit probabilities, got {p_tx.shape}")
-    if not p_tx.any():
+    if p_tx[-1] == 0.0:
         return PolicyMetrics(avg_aoi=math.inf, avg_cost=0.0, divergent=True)
-    sig = slot_transition_matrix(model.params.rates)
-    ok = model.params.success_prob
-    dmax = model.delta_max
-    n = 2 * dmax
-    P = np.zeros((n, n))
-    for i, d in enumerate(range(1, dmax + 1)):
-        dn = min(d + 1, dmax) - 1
-        s_idle, s_busy = 2 * i, 2 * i + 1
-        p = p_tx[i]
-        P[s_idle, 0] += p * ok
-        P[s_idle, 2 * dn] += p * (sig.p_II - ok) + (1.0 - p) * sig.p_II
-        P[s_idle, 2 * dn + 1] += sig.p_IB
-        P[s_busy, 2 * dn] += sig.p_BI
-        P[s_busy, 2 * dn + 1] += sig.p_BB
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    dist = np.linalg.solve(A, rhs)
-    dist = np.where(np.abs(dist) < 1e-15, 0.0, dist)
-    if dist.min() < -1e-10 or abs(dist.sum() - 1.0) > 1e-12:
-        raise RuntimeError("stationary solve produced an invalid distribution")
-    idle = dist[0::2]
-    busy = dist[1::2]
-    deltas = np.arange(1, dmax + 1)
-    avg_aoi = float((deltas * (idle + busy)).sum())
-    avg_cost = float((idle * p_tx).sum() * (1.0 - math.exp(-model.params.rates.alpha)))
+    k = model.kernel
+    stay, reset = k.blocks(p_tx)
+    p_ib, p_bi, p_bb = k.p_IB, k.p_BI, k.p_BB
+    xi, xb = 1.0, 0.0  # unnormalized mass at age 1; (1, busy) is never entered
+    idle, busy = [xi], [xb]
+    for d in range(1, model.delta_max):
+        xi, xb = xi * stay[d - 1] + xb * p_bi, xi * p_ib + xb * p_bb
+        idle.append(xi)
+        busy.append(xb)
+    # The clamp pair also feeds itself: x (I - M) = inflow.
+    m_ii, m_ib, m_bi, m_bb = k.clamp_inverse(reset[-1])
+    idle[-1], busy[-1] = xi * m_ii + xb * m_bi, xi * m_ib + xb * m_bb
+    idle_arr, busy_arr = np.array(idle), np.array(busy)
+    total = idle_arr.sum() + busy_arr.sum()
+    avg_aoi = float((model.deltas * (idle_arr + busy_arr)).sum() / total)
+    avg_cost = float((idle_arr * p_tx).sum() * k.collision / total)
     return PolicyMetrics(avg_aoi=avg_aoi, avg_cost=avg_cost)
+
+
+def mixed_transmit_probs(gamma1: int, mu: float, delta_max: int) -> np.ndarray:
+    """Per idle age 1..delta_max: mu at gamma1, 1 above it, 0 below."""
+    p = np.zeros(delta_max)
+    p[gamma1 - 1] = mu
+    p[gamma1:] = 1.0
+    return p
 
 
 @dataclass(frozen=True)
@@ -262,16 +279,12 @@ class ConstrainedSolution:
     achieved_aoi: float
 
     def mixed_transmit_probs(self, delta_max: int) -> np.ndarray:
-        p = np.zeros(delta_max)
-        p[self.gamma1 - 1] = self.mu
-        p[self.gamma1:] = 1.0
-        return p
+        return mixed_transmit_probs(self.gamma1, self.mu, delta_max)
 
 
 def lambda_bisection(
     model: TruncatedModel,
     eta_s: float | None = None,
-    span_tol: float = 1e-10,
     max_expand: int = 60,
     max_bisect: int = 200,
 ) -> ConstrainedSolution:
@@ -280,29 +293,26 @@ def lambda_bisection(
     Bisects the multiplier until the two bracketing greedy policies have
     consecutive (or equal) thresholds, then sets the boundary randomization so
     the stationary collision cost of the mixed policy equals the budget (the
-    reciprocal cost is linear in the mixing probability).  Warm-starts each
-    RVI from the previous bias to keep the search cheap.
+    reciprocal cost is linear in the mixing probability).  Each policy
+    iteration starts from the previous multiplier's policy.
     """
     if eta_s is None:
         eta_s = model.params.eta_s
     if not (0.0 < eta_s < 1.0):
         raise ValueError(f"eta_s must be in (0, 1), got {eta_s}")
 
-    def solve(lam, warm):
-        pol = rvi_solve(model, lam, span_tol=span_tol, h_init=warm)
+    def solve(lam, init):
+        pol = rvi_solve(model, lam, init)
         gamma = extract_threshold(pol)
         if gamma <= model.delta_max and gamma > model.delta_max // 2:
-            raise BisectionError(
+            raise TruncationError(
                 f"threshold {gamma} exceeds delta_max/2 = {model.delta_max // 2}; "
                 "increase delta_max for a trustworthy truncation"
             )
-        cost = policy_cost_evaluate(pol, model).avg_cost if gamma <= model.delta_max else 0.0
-        return pol, gamma, cost
+        return pol, gamma, policy_cost_evaluate(pol, model)
 
-    pol0, gamma0, cost0 = solve(0.0, None)
-    warm = (pol0.bias_idle, pol0.bias_busy)
-    if cost0 <= eta_s:
-        metrics = policy_cost_evaluate(pol0, model)
+    pol0, gamma0, metrics0 = solve(0.0, None)
+    if metrics0.avg_cost <= eta_s:
         return ConstrainedSolution(
             lambda_low=0.0,
             lambda_high=0.0,
@@ -311,16 +321,17 @@ def lambda_bisection(
             gamma1=gamma0,
             gamma2=gamma0,
             mu=1.0,
-            achieved_cost=metrics.avg_cost,
-            achieved_aoi=metrics.avg_aoi,
+            achieved_cost=metrics0.avg_cost,
+            achieved_aoi=metrics0.avg_aoi,
         )
 
-    lam_lo, pol_lo, gamma_lo, cost_lo = 0.0, pol0, gamma0, cost0
+    lam_lo, pol_lo, gamma_lo, cost_lo = 0.0, pol0, gamma0, metrics0.avg_cost
     lam_hi = 1.0
-    pol_hi = gamma_hi = cost_hi = None
+    warm = pol0.transmit
     for _ in range(max_expand):
-        pol_hi, gamma_hi, cost_hi = solve(lam_hi, warm)
-        warm = (pol_hi.bias_idle, pol_hi.bias_busy)
+        pol_hi, gamma_hi, metrics = solve(lam_hi, warm)
+        cost_hi = metrics.avg_cost
+        warm = pol_hi.transmit
         if cost_hi <= eta_s:
             break
         lam_lo, pol_lo, gamma_lo, cost_lo = lam_hi, pol_hi, gamma_hi, cost_hi
@@ -332,12 +343,12 @@ def lambda_bisection(
         if gamma_hi - gamma_lo <= 1:
             break
         mid = 0.5 * (lam_lo + lam_hi)
-        pol_m, gamma_m, cost_m = solve(mid, warm)
-        warm = (pol_m.bias_idle, pol_m.bias_busy)
-        if cost_m > eta_s:
-            lam_lo, pol_lo, gamma_lo, cost_lo = mid, pol_m, gamma_m, cost_m
+        pol_m, gamma_m, metrics = solve(mid, warm)
+        warm = pol_m.transmit
+        if metrics.avg_cost > eta_s:
+            lam_lo, pol_lo, gamma_lo, cost_lo = mid, pol_m, gamma_m, metrics.avg_cost
         else:
-            lam_hi, pol_hi, gamma_hi, cost_hi = mid, pol_m, gamma_m, cost_m
+            lam_hi, pol_hi, gamma_hi, cost_hi = mid, pol_m, gamma_m, metrics.avg_cost
     else:
         raise BisectionError(
             f"bracket did not shrink to consecutive thresholds within {max_bisect} bisections"
@@ -352,10 +363,7 @@ def lambda_bisection(
             mu = 1.0
         else:
             mu = (1.0 / eta_s - 1.0 / cost_hi) / (1.0 / cost_lo - 1.0 / cost_hi)
-    probs = np.zeros(model.delta_max)
-    probs[gamma1 - 1] = mu
-    probs[gamma1:] = 1.0
-    mixed = policy_cost_evaluate(probs, model)
+    mixed = policy_cost_evaluate(mixed_transmit_probs(gamma1, mu, model.delta_max), model)
     return ConstrainedSolution(
         lambda_low=lam_lo,
         lambda_high=lam_hi,

@@ -123,7 +123,7 @@ def test_criterion_3_rvi_structure():
     ok &= results[0.001][1] < results[0.0005][1]
     check(
         ok,
-        "criterion 3 (policy structure): RVI thresholds consecutive, equal to "
+        "criterion 3 (policy structure): solver thresholds consecutive, equal to "
         f"closed form, and ordered across budgets {dict((k, v[:2]) for k, v in results.items())}",
     )
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from craoi import (
@@ -136,6 +136,9 @@ class TestBudgetConversion:
     @settings(deadline=None)
     @given(rates_st, st.floats(min_value=0.0, max_value=1.0))
     def test_round_trip(self, rates, eta_p):
+        # Only budgets whose per-slot form is a probability convert; the
+        # others are rejected (test_per_slot_overflow_rejected).
+        assume(eta_p <= expected_cycle_length(rates))
         eta_s = convert_collision_budget(rates, eta_p, "pu_to_siot")
         back = convert_collision_budget(rates, eta_s, "siot_to_pu")
         assert back == pytest.approx(eta_p, abs=1e-14)
@@ -143,6 +146,11 @@ class TestBudgetConversion:
     def test_overflow_rejected(self):
         with pytest.raises(ValueError):
             convert_collision_budget(PuRates(0.002, 0.006), 0.9, "siot_to_pu")
+
+    def test_per_slot_overflow_rejected(self):
+        # mean cycle 1/2 + 1/3 < 1 slot: a per-cycle budget of 1 is 1.2 per slot
+        with pytest.raises(ValueError):
+            convert_collision_budget(PuRates(2.0, 3.0), 1.0, "pu_to_siot")
 
     def test_bad_direction_rejected(self):
         with pytest.raises(ValueError):

@@ -72,6 +72,27 @@ class TestSolve:
         assert res.returncode == 0
         assert "rvi_agreement ok" in res.stdout
 
+    def test_verify_agrees_at_integer_threshold(self):
+        # eta_s = psi_s(6): the closed form names the threshold-6 policy
+        # (5, 6, mu=0) and the solver may name it (6, 7, mu=1).
+        res = run_cli(
+            "solve",
+            "--alpha", "0.1", "--beta", "0.9", "--phi-s", "0.2",
+            "--eta-s", "0.019593510606146523", "--verify",
+        )
+        assert res.returncode == 0
+        assert "rvi_agreement ok" in res.stdout
+
+    def test_verify_sizes_truncation(self):
+        # threshold 138 is past delta_max/2 = 100 of the default truncation
+        res = run_cli(
+            "solve",
+            "--alpha", "0.002", "--beta", "0.006", "--phi-s", "0.2",
+            "--eta-p", "0.01", "--verify",
+        )
+        assert res.returncode == 0
+        assert "rvi_agreement ok (rvi gamma1=138 gamma2=139" in res.stdout
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "solve.csv"
         res = run_cli(

@@ -1,4 +1,4 @@
-"""CMDP solver tests: RVI structure, evaluation, and multiplier search."""
+"""CMDP solver tests: policy iteration, evaluation, and multiplier search."""
 
 import math
 
@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from craoi import (
-    AoiState,
     PuRates,
     SystemParams,
     TruncatedModel,
-    collision_cost,
     collision_probability,
     average_aoi_series,
     extract_threshold,
@@ -18,75 +16,118 @@ from craoi import (
     optimal_thresholds,
     randomization_mu,
     policy_cost_evaluate,
-    reward,
     rvi_solve,
-    transition_kernel,
+    slot_transition_matrix,
 )
 from craoi.channel import BUSY, IDLE
 from craoi.solver import (
-    NO_TRANSMIT,
-    TRANSMIT,
     BisectionError,
     SolvedPolicy,
     ThresholdStructureError,
+    poisson_solve,
 )
 
-from .conftest import BINDING_GRID, binding_instance
+from .conftest import (
+    BINDING_GRID,
+    binding_instance,
+    build_chain,
+    mixed_probs,
+    oracle_metrics,
+    threshold_probs,
+)
 
 CANON = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.0005)
 MODEL = TruncatedModel(params=CANON)
 
 
+def lagrangian_costs(params, probs, lam) -> np.ndarray:
+    """Per-state cost age + lam * collisions, in the oracle chain's state order."""
+    deltas = np.arange(1, probs.size + 1, dtype=float)
+    costs = np.empty(2 * probs.size)
+    costs[0::2] = deltas + lam * probs * (1.0 - math.exp(-params.rates.alpha))
+    costs[1::2] = deltas
+    return costs
+
+
+def kernel_row(model, delta, occ, p) -> np.ndarray:
+    """One row of the truncated chain, assembled from ``model.kernel``.
+
+    The row leaves state (delta, occ) with idle transmit probability p, in
+    the oracle chain's state order 2 * (delta - 1) + occupancy.
+    """
+    k = model.kernel
+    nxt = 2 * (min(delta + 1, model.delta_max) - 1)
+    row = np.zeros(2 * model.delta_max)
+    if occ == BUSY:
+        row[nxt + IDLE] += k.p_BI
+        row[nxt + BUSY] += k.p_BB
+        return row
+    stay, reset = k.blocks(np.array([float(p)]))
+    row[0] += reset[0]
+    row[nxt + IDLE] += stay[0]
+    row[nxt + BUSY] += k.p_IB
+    return row
+
+
 class TestPrimitives:
     def test_reward_is_age(self):
-        assert reward(AoiState(7, IDLE), TRANSMIT) == 7.0
-        assert reward(AoiState(1, IDLE), NO_TRANSMIT) == 1.0
-        assert reward(AoiState(200, BUSY), NO_TRANSMIT) == 200.0
+        # Without a multiplier the gain is the average age alone.
+        model = TruncatedModel(params=CANON, delta_max=60)
+        for probs in (threshold_probs(1, 60), mixed_probs(9, 0.4, 60)):
+            gain, _, _ = poisson_solve(probs, model, 0.0)
+            assert gain == pytest.approx(policy_cost_evaluate(probs, model).avg_aoi, rel=1e-10)
+        gain, _, _ = poisson_solve(np.zeros(60), model, 0.0)
+        assert gain == 60.0
 
     def test_collision_cost(self):
-        assert collision_cost(AoiState(5, IDLE), TRANSMIT, CANON) == pytest.approx(
-            1.0 - math.exp(-0.02), rel=1e-12
-        )
-        assert collision_cost(AoiState(5, BUSY), NO_TRANSMIT, CANON) == 0.0
-        assert collision_cost(AoiState(5, BUSY), TRANSMIT, CANON) == 1.0
-
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            AoiState(0, IDLE)
-        with pytest.raises(ValueError):
-            AoiState(3, 2)
+        assert MODEL.kernel.collision == pytest.approx(1.0 - math.exp(-0.02), rel=1e-12)
+        # The multiplier is charged once per collision, on idle transmissions only.
+        model = TruncatedModel(params=CANON, delta_max=60)
+        probs = mixed_probs(9, 0.4, 60)
+        g0, _, _ = poisson_solve(probs, model, 0.0)
+        g1, _, _ = poisson_solve(probs, model, 1e4)
+        avg_cost = policy_cost_evaluate(probs, model).avg_cost
+        assert g1 - g0 == pytest.approx(1e4 * avg_cost, rel=1e-9)
+        g_never, _, _ = poisson_solve(np.zeros(60), model, 1e4)
+        assert g_never == 60.0
 
 
 class TestTransitionKernel:
     def test_transmit_reset_probability(self):
-        dist = transition_kernel(AoiState(5, IDLE), TRANSMIT, CANON, 200)
-        assert dist[AoiState(1, IDLE)] == pytest.approx(0.8 * math.exp(-0.02), rel=1e-12)
+        row = kernel_row(MODEL, 5, IDLE, 1.0)
+        assert row[0] == pytest.approx(0.8 * math.exp(-0.02), rel=1e-12)
 
     def test_no_transmit_from_busy(self):
-        from craoi import slot_transition_matrix
-
         sig = slot_transition_matrix(CANON.rates)
-        dist = transition_kernel(AoiState(5, BUSY), NO_TRANSMIT, CANON, 200)
-        assert dist[AoiState(6, IDLE)] == pytest.approx(sig.p_BI, rel=1e-12)
-        assert dist[AoiState(6, BUSY)] == pytest.approx(sig.p_BB, rel=1e-12)
-
-    def test_transmit_from_busy_rejected(self):
-        with pytest.raises(ValueError):
-            transition_kernel(AoiState(5, BUSY), TRANSMIT, CANON, 200)
+        row = kernel_row(MODEL, 5, BUSY, 0.0)
+        assert row[2 * 5 + IDLE] == pytest.approx(sig.p_BI, rel=1e-12)
+        assert row[2 * 5 + BUSY] == pytest.approx(sig.p_BB, rel=1e-12)
+        assert row[0] == 0.0
 
     @pytest.mark.parametrize("delta,occ,action", [
-        (1, IDLE, NO_TRANSMIT),
-        (1, IDLE, TRANSMIT),
-        (199, BUSY, NO_TRANSMIT),
-        (200, IDLE, TRANSMIT),
-    ])
+        (1, IDLE, 0),
+        (1, IDLE, 1),
+        (199, BUSY, 0),
+        (200, IDLE, 1),
+    ])  # fmt: skip
     def test_probabilities_sum_to_one(self, delta, occ, action):
-        dist = transition_kernel(AoiState(delta, occ), action, CANON, 200)
-        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+        row = kernel_row(MODEL, delta, occ, action)
+        assert row.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (row >= 0.0).all()
+        oracle = build_chain(CANON, np.full(MODEL.delta_max, float(action)), MODEL.delta_max)
+        np.testing.assert_allclose(row, oracle.getrow(2 * (delta - 1) + occ).toarray().ravel(),
+                                   rtol=0, atol=1e-12)  # fmt: skip
 
     def test_age_clamps(self):
-        dist = transition_kernel(AoiState(200, IDLE), NO_TRANSMIT, CANON, 200)
-        assert AoiState(200, IDLE) in dist
+        clamp = 2 * (MODEL.delta_max - 1)
+        row = kernel_row(MODEL, MODEL.delta_max, IDLE, 0.0)
+        assert row[clamp + IDLE] + row[clamp + BUSY] == pytest.approx(1.0, abs=1e-12)
+        # The clamp pair feeds itself: clamp_inverse inverts I - M for its block M.
+        k = MODEL.kernel
+        reset = 0.5 * k.ok
+        m = np.array([[k.p_II - reset, k.p_IB], [k.p_BI, k.p_BB]])
+        inv = np.array(k.clamp_inverse(reset)).reshape(2, 2)
+        np.testing.assert_allclose((np.eye(2) - m) @ inv, np.eye(2), rtol=0, atol=1e-9)
 
 
 class TestRvi:
@@ -94,35 +135,76 @@ class TestRvi:
         pol = rvi_solve(MODEL, 0.0)
         assert extract_threshold(pol) == 1
 
+    @pytest.mark.parametrize("lam,gamma", [
+        (0.0, 1), (1e2, 2), (1e3, 7), (1e4, 22), (1e5, 71), (3e5, 123),
+    ])  # fmt: skip
+    def test_canonical_thresholds(self, lam, gamma):
+        assert extract_threshold(rvi_solve(MODEL, lam)) == gamma
+
     def test_threshold_nondecreasing_in_lambda(self):
         thresholds = []
         warm = None
         for lam in (0.0, 100.0, 1000.0, 5000.0, 20000.0):
-            pol = rvi_solve(MODEL, lam, h_init=warm)
-            warm = (pol.bias_idle, pol.bias_busy)
+            pol = rvi_solve(MODEL, lam, warm)
+            warm = pol.transmit
             thresholds.append(extract_threshold(pol))
         assert thresholds == sorted(thresholds)
         assert thresholds[-1] > thresholds[0]
+
+    def test_warm_start_reaches_same_policy(self):
+        cold = rvi_solve(MODEL, 5000.0)
+        for init in (np.zeros(200, dtype=bool), rvi_solve(MODEL, 300.0).transmit):
+            warm = rvi_solve(MODEL, 5000.0, init)
+            np.testing.assert_array_equal(warm.transmit, cold.transmit)
+            assert warm.gain == pytest.approx(cold.gain, rel=1e-12)
 
     def test_gain_matches_policy_evaluation(self):
         lam = 1000.0
         pol = rvi_solve(MODEL, lam)
         metrics = policy_cost_evaluate(pol, MODEL)
-        assert pol.gain == pytest.approx(metrics.avg_aoi + lam * metrics.avg_cost, rel=1e-8)
+        assert pol.gain == pytest.approx(metrics.avg_aoi + lam * metrics.avg_cost, rel=1e-10)
 
-    def test_damping_does_not_change_solution(self):
-        a = rvi_solve(MODEL, 500.0, damping=0.5)
-        b = rvi_solve(MODEL, 500.0, damping=1.0)
-        assert extract_threshold(a) == extract_threshold(b)
-        assert a.gain == pytest.approx(b.gain, rel=1e-8)
+    @pytest.mark.parametrize("init", [None, np.zeros(20, dtype=bool)])
+    def test_short_truncation_through_absorbing_policy(self, init):
+        # From never-transmit the clamp pair absorbs (gain delta_max = 20);
+        # the iteration must evaluate that policy, not stop at it.
+        pol = rvi_solve(TruncatedModel(params=CANON, delta_max=20), 1e3, init)
+        assert extract_threshold(pol) == 7
+        assert pol.gain == pytest.approx(7.715979, abs=1e-6)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             rvi_solve(MODEL, -1.0)
         with pytest.raises(ValueError):
-            rvi_solve(MODEL, 1.0, span_tol=0.0)
-        with pytest.raises(ValueError):
-            rvi_solve(MODEL, 1.0, damping=0.0)
+            rvi_solve(MODEL, 1.0, np.ones(17, dtype=bool))
+
+
+def silent_clamp(probs: np.ndarray) -> np.ndarray:
+    """The same policy, except that it never transmits at delta_max."""
+    probs = probs.copy()
+    probs[-1] = 0.0
+    return probs
+
+
+class TestPoissonEquation:
+    @pytest.mark.parametrize("probs", [
+        mixed_probs(7, 0.3, 40),
+        mixed_probs(1, 0.6, 40),
+        threshold_probs(40, 40),
+        np.zeros(40),
+        silent_clamp(threshold_probs(30, 40)),
+    ], ids=["mixed", "mixed-at-one", "clamp-only", "never", "silent-clamp"])  # fmt: skip
+    def test_gain_and_bias_solve_oracle_chain(self, probs):
+        lam = 700.0
+        model = TruncatedModel(params=CANON, delta_max=40)
+        gain, bias_idle, bias_busy = poisson_solve(probs, model, lam)
+        h = np.empty(80)
+        h[0::2], h[1::2] = bias_idle, bias_busy
+        rhs = lagrangian_costs(CANON, probs, lam) + build_chain(CANON, probs, 40).toarray() @ h
+        np.testing.assert_allclose(h + gain, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
+        assert h[0] == 0.0
+        if probs[-1] == 0.0:  # the clamp pair absorbs
+            assert gain == 40.0
 
 
 class TestExtractThreshold:
@@ -169,6 +251,22 @@ class TestPolicyEvaluation:
         assert metrics.divergent
         assert metrics.avg_cost == 0.0
         assert math.isinf(metrics.avg_aoi)
+
+    def test_silent_clamp_diverges(self):
+        assert policy_cost_evaluate(silent_clamp(threshold_probs(10, 200)), MODEL).divergent
+
+    @pytest.mark.parametrize("probs", [
+        threshold_probs(1, 60),
+        threshold_probs(12, 60),
+        mixed_probs(9, 0.4, 60),
+        threshold_probs(60, 60),
+    ], ids=["always", "threshold", "mixed", "clamp-only"])  # fmt: skip
+    def test_matches_oracle_chain(self, probs):
+        model = TruncatedModel(params=CANON, delta_max=60)
+        metrics = policy_cost_evaluate(probs, model)
+        aoi, psi = oracle_metrics(CANON, probs, 60)
+        assert metrics.avg_aoi == pytest.approx(aoi, rel=1e-9)
+        assert metrics.avg_cost == pytest.approx(psi, rel=1e-9)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
