@@ -11,7 +11,6 @@ from .analysis import (
     AgeOptimalPolicy,
     SpectralConstants,
     SystemParams,
-    ThresholdAnalysis,
     age_optimal_policy,
     average_aoi_closed_form,
     average_aoi_series,
@@ -23,10 +22,8 @@ from .analysis import (
     randomization_mu,
     steady_state,
     theta_1_0,
-    threshold_analysis,
 )
 from .baseline import (
-    BernoulliPolicy,
     average_aoi_bernoulli,
     bernoulli_steady_state,
     optimal_transmit_probability,
@@ -40,7 +37,6 @@ from .channel import (
     convert_collision_budget,
     expected_cycle_length,
     idle_probability,
-    sample_sojourn,
     slot_transition_matrix,
     transition_matrix_power,
 )

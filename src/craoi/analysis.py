@@ -8,6 +8,11 @@ threshold the pair (theta_idle, theta_busy) follows a two-term geometric
 recursion whose constants come from the eigendecomposition of the modified
 transition matrix.  Everything here is exact up to floating point: geometric
 tails are summed in closed form, never truncated.
+
+The randomized policy transmits with probability mu at the boundary age
+Gamma1 and always past it; a threshold policy is the randomized one at
+mu = 1.  One normalizer, one stationary-state routine and one metrics
+routine serve both, so the two can never disagree by rounding.
 """
 
 from __future__ import annotations
@@ -123,18 +128,26 @@ def _check_gamma(gamma: int) -> int:
     return int(gamma)
 
 
-def theta_1_0(gamma: int, params: SystemParams) -> float:
-    """Stationary probability of the post-success state (age 1, channel idle)."""
-    gamma = _check_gamma(gamma)
+def _normalizer(params: SystemParams, gamma1: int, mu: float) -> float:
+    """1 / theta_(1,0) of the policy transmitting w.p. mu at (gamma1, idle), always past gamma1.
+
+    With N(G) = G - 1 + s/(beta*success) + alpha(1 - e^(-s(G-1)))/((1 - e^-s)beta)
+    for the threshold G, it is affine in mu like the boundary vector:
+    N(gamma1 + 1) at mu = 0 and N(gamma1) at mu = 1.
+    """
     al, be = params.rates.alpha, params.rates.beta
     s = al + be
-    denom = (
-        gamma
-        - 1.0
+    upper = (
+        gamma1
         + s / (be * params.success_prob)
-        + al / ((1.0 - math.exp(-s)) * be) * (1.0 - math.exp(-s * (gamma - 1.0)))
+        + al / ((1.0 - math.exp(-s)) * be) * (1.0 - math.exp(-s * gamma1))
     )
-    return 1.0 / denom
+    return upper - mu * (1.0 + al * math.exp(-s * (gamma1 - 1.0)) / be)
+
+
+def theta_1_0(gamma: int, params: SystemParams) -> float:
+    """Stationary probability of the post-success state (age 1, channel idle)."""
+    return 1.0 / _normalizer(params, _check_gamma(gamma), 1.0)
 
 
 def _below_threshold_state(params: SystemParams, t10: float, delta: int) -> tuple[float, float]:
@@ -145,17 +158,56 @@ def _below_threshold_state(params: SystemParams, t10: float, delta: int) -> tupl
     return t10 * (be + al * e) / s, t10 * (al - al * e) / s
 
 
-def steady_state(gamma: int, params: SystemParams, delta: int) -> tuple[float, float]:
-    """Stationary (theta_idle, theta_busy) at the given age under threshold gamma."""
-    gamma = _check_gamma(gamma)
+def _stationary(params: SystemParams, gamma1: int, mu: float):
+    """theta_(1,0), and the tail: spectral constants and the boundary vector at age gamma1+1.
+
+    The boundary vector is per unit theta_(1,0).  The tail mass it implies
+    must agree with the explicit normalizer; a disagreement beyond 1e-9 is
+    an internal inconsistency (digits lost in the spectral constants).
+    """
+    gamma1 = _check_gamma(gamma1)
+    if not (0.0 <= mu <= 1.0):
+        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    # occupancy mixing to age gamma1 + 1, less the resets at (gamma1, idle)
+    t0, t1 = _below_threshold_state(params, 1.0, gamma1 + 1)
+    t0 -= mu * params.success_prob * _below_threshold_state(params, 1.0, gamma1)[0]
+    spec = SpectralConstants.for_reset_prob(params.rates, params.success_prob)
+    t10 = 1.0 / _normalizer(params, gamma1, mu)
+    # each age level up to gamma1 carries total mass t10
+    mass = t10 * (gamma1 + spec.tail_mass(t0, t1))
+    if abs(mass - 1.0) > 1e-9:
+        raise ValueError(f"stationary distribution normalizes to {mass}, not 1")
+    return t10, spec, t0, t1
+
+
+def mixed_policy_steady_state(
+    params: SystemParams, gamma1: int, mu: float, delta: int
+) -> tuple[float, float]:
+    """Stationary (theta_idle, theta_busy) under the boundary-randomized policy.
+
+    Transmit with probability mu at (gamma1, idle), always at ages > gamma1.
+    mu=1 is the pure threshold gamma1, mu=0 the threshold gamma1+1.
+    """
     if delta < 1:
         raise ValueError(f"age must be >= 1, got {delta}")
-    t10 = theta_1_0(gamma, params)
-    if delta <= gamma:
+    t10, spec, t0, t1 = _stationary(params, gamma1, mu)
+    if delta <= gamma1:
         return _below_threshold_state(params, t10, delta)
-    spec = SpectralConstants.for_reset_prob(params.rates, params.success_prob)
-    tg0, tg1 = _below_threshold_state(params, t10, gamma)
-    return spec.state_at(tg0, tg1, delta - gamma)
+    th0, th1 = spec.state_at(t0, t1, delta - gamma1 - 1)
+    return t10 * th0, t10 * th1
+
+
+def mixed_policy_metrics(params: SystemParams, gamma1: int, mu: float) -> tuple[float, float]:
+    """(average age, per-slot collision probability) of the randomized policy."""
+    t10, spec, t0, t1 = _stationary(params, gamma1, mu)
+    aoi = t10 * (gamma1 * (gamma1 + 1.0) / 2.0 + spec.tail_age_sum(t0, t1, gamma1 + 1))
+    psi = t10 * (1.0 - math.exp(-params.rates.alpha)) / params.success_prob
+    return aoi, psi
+
+
+def steady_state(gamma: int, params: SystemParams, delta: int) -> tuple[float, float]:
+    """Stationary (theta_idle, theta_busy) at the given age under threshold gamma."""
+    return mixed_policy_steady_state(params, gamma, 1.0, delta)
 
 
 def collision_probability(gamma: int, params: SystemParams) -> float:
@@ -164,24 +216,9 @@ def collision_probability(gamma: int, params: SystemParams) -> float:
     return theta_1_0(gamma, params) * (1.0 - math.exp(-al)) / params.success_prob
 
 
-def average_aoi_series(gamma: int, params: SystemParams, tail_tol: float = 1e-9) -> float:
-    """Average age from the stationary distribution, geometric tail in closed form.
-
-    ``tail_tol`` bounds the acceptable normalization defect of the assembled
-    distribution; exceeding it signals an internal inconsistency.
-    """
-    gamma = _check_gamma(gamma)
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
-    t10 = theta_1_0(gamma, params)
-    spec = SpectralConstants.for_reset_prob(params.rates, params.success_prob)
-    tg0, tg1 = _below_threshold_state(params, t10, gamma)
-    # each age level below the threshold carries total mass t10
-    mass = (gamma - 1.0) * t10 + spec.tail_mass(tg0, tg1)
-    if abs(mass - 1.0) > tail_tol:
-        raise ValueError(f"stationary distribution normalizes to {mass}, not 1")
-    low = t10 * gamma * (gamma - 1.0) / 2.0
-    return low + spec.tail_age_sum(tg0, tg1, gamma)
+def average_aoi_series(gamma: int, params: SystemParams) -> float:
+    """Average age from the stationary distribution, geometric tail in closed form."""
+    return mixed_policy_metrics(params, gamma, 1.0)[0]
 
 
 def average_aoi_closed_form(gamma: int, params: SystemParams) -> float:
@@ -191,8 +228,8 @@ def average_aoi_closed_form(gamma: int, params: SystemParams) -> float:
     sign (exp(-alpha+beta) where the derivation yields exp(-(alpha+beta)))
     or by dropping the alpha in exp(alpha) inside the constant term.  The
     version below was frozen after matching :func:`average_aoi_series` to
-    better than 1e-9 relative on a 20-point parameter grid (see tests).  A
-    self-check against the series remains active at 1e-6 relative.
+    better than 1e-9 relative on a 20-point parameter grid, which the tests
+    keep checking.
     """
     gamma = _check_gamma(gamma)
     al, be = params.rates.alpha, params.rates.beta
@@ -221,13 +258,7 @@ def average_aoi_closed_form(gamma: int, params: SystemParams) -> float:
         + s / (be * math.exp(-al) * (1.0 - phi))
         + al / ((1.0 - E) * be) * (1.0 - math.exp(-s * (gamma - 1.0)))
     )
-    value = gamma - num / den
-    reference = average_aoi_series(gamma, params)
-    if abs(value - reference) > 1e-6 * max(1.0, abs(reference)):
-        raise ValueError(
-            f"closed-form average age {value} disagrees with series value {reference}"
-        )
-    return value
+    return gamma - num / den
 
 
 _INV_E = math.exp(-1.0)
@@ -295,90 +326,21 @@ def randomization_mu(params: SystemParams, gamma1: int) -> float:
 
     The reciprocal collision probability of the boundary-randomized policy is
     linear in mu, so the binding value interpolates 1/psi_s between the two
-    consecutive thresholds.  An equivalent fully expanded single expression
-    exists and is cross-checked in the tests.
+    consecutive thresholds: exactly 1 at eta_s = psi_s(gamma1) and exactly
+    +0 at eta_s = psi_s(gamma1 + 1).  An equivalent fully expanded single
+    expression exists and is cross-checked in the tests.
     """
     gamma1 = _check_gamma(gamma1)
     eta = params.eta_s
     psi1 = collision_probability(gamma1, params)
     psi2 = collision_probability(gamma1 + 1, params)
-    if psi1 == eta:
-        return 1.0
-    mu = (1.0 / eta - 1.0 / psi2) / (1.0 / psi1 - 1.0 / psi2)
+    mu = (1.0 / psi2 - 1.0 / eta) / (1.0 / psi2 - 1.0 / psi1)
     if not (0.0 <= mu <= 1.0):
         raise ValueError(
             f"mixing probability {mu} outside [0, 1]; eta_s={eta} does not lie "
             f"between psi_s({gamma1})={psi1} and psi_s({gamma1 + 1})={psi2}"
         )
     return mu
-
-
-def _mixed_unnormalized(params: SystemParams, gamma1: int, mu: float):
-    """Boundary vector at age gamma1+1 and normalizer, taking theta_(1,0) = 1."""
-    al, be = params.rates.alpha, params.rates.beta
-    s = al + be
-    gamma2 = gamma1 + 1
-    e_g1 = math.exp(-s * gamma1)
-    tg2_0 = (be + al * e_g1) / s - mu * params.success_prob * (
-        be + al * math.exp(-s * (gamma1 - 1.0))
-    ) / s
-    tg2_1 = (al - al * e_g1) / s
-    spec = SpectralConstants.for_reset_prob(params.rates, params.success_prob)
-    normalizer = gamma1 + spec.tail_mass(tg2_0, tg2_1)
-    return spec, tg2_0, tg2_1, normalizer, gamma2
-
-
-def mixed_policy_steady_state(
-    params: SystemParams, gamma1: int, mu: float, delta: int
-) -> tuple[float, float]:
-    """Stationary (theta_idle, theta_busy) under the boundary-randomized policy.
-
-    Transmit with probability mu at (gamma1, idle), always at ages > gamma1.
-    mu=1 reduces to the pure threshold gamma1, mu=0 to threshold gamma1+1.
-    """
-    gamma1 = _check_gamma(gamma1)
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
-    if delta < 1:
-        raise ValueError(f"age must be >= 1, got {delta}")
-    spec, tg2_0, tg2_1, normalizer, gamma2 = _mixed_unnormalized(params, gamma1, mu)
-    t10 = 1.0 / normalizer
-    if delta <= gamma1:
-        return _below_threshold_state(params, t10, delta)
-    th0, th1 = spec.state_at(tg2_0, tg2_1, delta - gamma2)
-    return t10 * th0, t10 * th1
-
-
-def mixed_policy_metrics(params: SystemParams, gamma1: int, mu: float) -> tuple[float, float]:
-    """(average age, per-slot collision probability) of the randomized policy."""
-    gamma1 = _check_gamma(gamma1)
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
-    spec, tg2_0, tg2_1, normalizer, gamma2 = _mixed_unnormalized(params, gamma1, mu)
-    t10 = 1.0 / normalizer
-    aoi = t10 * (gamma1 * (gamma1 + 1.0) / 2.0 + spec.tail_age_sum(tg2_0, tg2_1, gamma2))
-    al = params.rates.alpha
-    psi = t10 * (1.0 - math.exp(-al)) / params.success_prob
-    return aoi, psi
-
-
-@dataclass(frozen=True)
-class ThresholdAnalysis:
-    """Summary of one deterministic threshold policy."""
-
-    gamma: int
-    theta_1_0: float
-    psi_s: float
-    avg_aoi: float
-
-
-def threshold_analysis(gamma: int, params: SystemParams) -> ThresholdAnalysis:
-    return ThresholdAnalysis(
-        gamma=_check_gamma(gamma),
-        theta_1_0=theta_1_0(gamma, params),
-        psi_s=collision_probability(gamma, params),
-        avg_aoi=average_aoi_series(gamma, params),
-    )
 
 
 @dataclass(frozen=True)
@@ -394,28 +356,13 @@ class AgeOptimalPolicy:
 
 
 def age_optimal_policy(params: SystemParams) -> AgeOptimalPolicy:
-    """Compute the age-optimal randomized threshold policy for the instance."""
+    """Compute the age-optimal randomized threshold policy for the instance.
+
+    A single bracketing threshold (the budget is slack at threshold 1, or met
+    exactly) is the mixed policy at mu = 1.
+    """
     g1, g2 = optimal_thresholds(params)
-    if g1 == g2:
-        binds = math.isclose(collision_probability(g1, params), params.eta_s, rel_tol=1e-12)
-        if g1 == 1 and collision_probability(1, params) < params.eta_s:
-            # constraint slack: transmit at every idle slot
-            return AgeOptimalPolicy(
-                gamma1=1,
-                gamma2=1,
-                mu=1.0,
-                avg_aoi=average_aoi_series(1, params),
-                psi_s=collision_probability(1, params),
-                constraint_binds=False,
-            )
-        return AgeOptimalPolicy(
-            gamma1=g1,
-            gamma2=g1,
-            mu=1.0,
-            avg_aoi=average_aoi_series(g1, params),
-            psi_s=collision_probability(g1, params),
-            constraint_binds=binds,
-        )
-    mu = randomization_mu(params, g1)
+    mu = 1.0 if g1 == g2 else randomization_mu(params, g1)
     aoi, psi = mixed_policy_metrics(params, g1, mu)
-    return AgeOptimalPolicy(gamma1=g1, gamma2=g2, mu=mu, avg_aoi=aoi, psi_s=psi, constraint_binds=True)
+    binds = g1 != g2 or math.isclose(psi, params.eta_s, rel_tol=1e-12)
+    return AgeOptimalPolicy(gamma1=g1, gamma2=g2, mu=mu, avg_aoi=aoi, psi_s=psi, constraint_binds=binds)

@@ -9,34 +9,22 @@ a threshold policy, valid from age 1, with the reset probability scaled by p0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .analysis import SpectralConstants, SystemParams
 from .channel import idle_probability
+from .policies import BernoulliAccessPolicy
 
 
-@dataclass(frozen=True)
-class BernoulliPolicy:
-    p0: float
-    constraint_slack: bool = False
-
-    def __post_init__(self):
-        if not (0.0 < self.p0 <= 1.0):
-            raise ValueError(f"p0 must be in (0, 1], got {self.p0}")
-
-
-def optimal_transmit_probability(params: SystemParams) -> BernoulliPolicy:
+def optimal_transmit_probability(params: SystemParams) -> BernoulliAccessPolicy:
     """Largest access probability meeting the per-slot collision budget.
 
     If the budget cannot be saturated even at p0 = 1, the policy clamps to
-    always-transmit-when-idle and is flagged as slack.
+    always-transmit-when-idle; the constraint is then slack.
     """
     al = params.rates.alpha
     p_i = idle_probability(params.rates)
     p0 = params.eta_s / (p_i * (1.0 - math.exp(-al)))
-    if p0 >= 1.0:
-        return BernoulliPolicy(p0=1.0, constraint_slack=p0 > 1.0)
-    return BernoulliPolicy(p0=p0)
+    return BernoulliAccessPolicy(p0=min(p0, 1.0))
 
 
 def throughput(params: SystemParams, p0: float) -> float:

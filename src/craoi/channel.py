@@ -115,13 +115,3 @@ def convert_collision_budget(rates: PuRates, value: float, direction: str) -> fl
         return out
     raise ValueError(f"direction must be 'pu_to_siot' or 'siot_to_pu', got {direction!r}")
 
-
-def sojourn_from_uniform(rates: PuRates, occupancy: int, u: float) -> float:
-    """Inverse-CDF exponential sojourn from a uniform draw u in [0, 1)."""
-    rate = rates.alpha if occupancy == IDLE else rates.beta
-    return -math.log1p(-u) / rate
-
-
-def sample_sojourn(rates: PuRates, occupancy: int, rng: np.random.Generator) -> float:
-    """Draw one exponential sojourn for the given occupancy (IDLE or BUSY)."""
-    return sojourn_from_uniform(rates, occupancy, rng.random())

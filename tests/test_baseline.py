@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from craoi import (
+    BernoulliAccessPolicy,
     PuRates,
     SystemParams,
     age_optimal_policy,
@@ -26,22 +27,23 @@ class TestOptimalTransmitProbability:
     def test_direct_evaluation(self):
         pol = optimal_transmit_probability(CANON)
         expected = 0.0005 / ((0.4 / 0.42) * (1.0 - math.exp(-0.02)))
+        assert isinstance(pol, BernoulliAccessPolicy)
         assert pol.p0 == pytest.approx(expected, rel=1e-12)
-        assert not pol.constraint_slack
+        assert collision_probability_bernoulli(CANON, 1.0) > CANON.eta_s
 
     def test_budget_boundary_gives_one(self):
         rates = PuRates(0.02, 0.4)
         eta = idle_probability(rates) * (1.0 - math.exp(-0.02))
-        pol = optimal_transmit_probability(SystemParams(rates=rates, phi_s=0.2, eta_s=eta))
+        params = SystemParams(rates=rates, phi_s=0.2, eta_s=eta)
+        pol = optimal_transmit_probability(params)
         assert pol.p0 == 1.0
-        assert not pol.constraint_slack
+        assert not collision_probability_bernoulli(params, 1.0) < eta
 
     def test_slack_clamps(self):
-        pol = optimal_transmit_probability(
-            SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.5)
-        )
+        params = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.5)
+        pol = optimal_transmit_probability(params)
         assert pol.p0 == 1.0
-        assert pol.constraint_slack
+        assert collision_probability_bernoulli(params, 1.0) < params.eta_s
 
     def test_collision_probability_binds(self):
         pol = optimal_transmit_probability(CANON)

@@ -8,17 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from craoi import (
-    BUSY,
-    IDLE,
     PuRates,
     convert_collision_budget,
     expected_cycle_length,
     idle_probability,
-    sample_sojourn,
     slot_transition_matrix,
     transition_matrix_power,
 )
-from craoi.channel import sojourn_from_uniform
 
 from .conftest import expm_transition
 
@@ -156,16 +152,3 @@ class TestBudgetConversion:
         with pytest.raises(ValueError):
             convert_collision_budget(PuRates(0.02, 0.4), 0.1, "sideways")
 
-
-class TestSojourns:
-    def test_inverse_cdf_at_median(self):
-        got = sojourn_from_uniform(PuRates(0.02, 0.4), IDLE, 0.5)
-        assert got == pytest.approx(-math.log(0.5) / 0.02, rel=1e-12)
-
-    def test_empirical_means(self):
-        rates = PuRates(0.02, 0.4)
-        rng = np.random.Generator(np.random.PCG64(12345))
-        idle = np.array([sample_sojourn(rates, IDLE, rng) for _ in range(100_000)])
-        busy = np.array([sample_sojourn(rates, BUSY, rng) for _ in range(100_000)])
-        assert idle.mean() == pytest.approx(50.0, abs=0.5)
-        assert busy.mean() == pytest.approx(2.5, abs=0.05)

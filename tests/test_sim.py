@@ -57,6 +57,10 @@ class TestTrajectory:
         a = generate_pu_trajectory(CANON.rates, 100, seed=9)
         b = generate_pu_trajectory(CANON.rates, 100, seed=9)
         assert np.array_equal(a.durations, b.durations)
+        # inverse-CDF sojourns of the seed's uniform stream, idle first
+        u = np.random.Generator(np.random.PCG64(9)).random(2)
+        assert a.durations[0] == pytest.approx(-math.log1p(-u[0]) / 0.02, rel=1e-12)
+        assert a.durations[1] == pytest.approx(-math.log1p(-u[1]) / 0.4, rel=1e-12)
 
     def test_segment_count_and_positivity(self):
         traj = generate_pu_trajectory(CANON.rates, 123, seed=5)
@@ -69,10 +73,11 @@ class TestTrajectory:
         assert [traj.occupancy_of_segment(k) for k in range(4)] == [BUSY, IDLE, BUSY, IDLE]
 
     def test_empirical_idle_mean(self):
+        # idle sojourns (even segments) have mean 1/alpha, busy ones 1/beta
         traj = generate_pu_trajectory(CANON.rates, 100_000, seed=20)
-        idle = traj.durations[0::2]
-        se = idle.std(ddof=1) / math.sqrt(len(idle))
-        assert abs(idle.mean() - 50.0) <= 3 * se
+        for segments, mean in ((traj.durations[0::2], 50.0), (traj.durations[1::2], 2.5)):
+            se = segments.std(ddof=1) / math.sqrt(len(segments))
+            assert abs(segments.mean() - mean) <= 3 * se
 
     def test_validation(self):
         with pytest.raises(ValueError):
