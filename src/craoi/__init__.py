@@ -9,7 +9,6 @@ a deterministic Monte-Carlo simulator.
 
 from .analysis import (
     AgeOptimalPolicy,
-    SpectralConstants,
     SystemParams,
     age_optimal_policy,
     average_aoi_closed_form,

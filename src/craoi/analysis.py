@@ -4,10 +4,10 @@ Under a threshold policy the device transmits whenever the channel is sensed
 idle and the current age is at least Gamma.  The induced age/occupancy chain
 has a stationary distribution with an explicit form: below the threshold the
 occupancy simply mixes under the slot transition matrix, and at/above the
-threshold the pair (theta_idle, theta_busy) follows a two-term geometric
-recursion whose constants come from the eigendecomposition of the modified
-transition matrix.  Everything here is exact up to floating point: geometric
-tails are summed in closed form, never truncated.
+threshold the pair (theta_idle, theta_busy) moves by one 2x2 block M of the
+transition matrix less the resets, so every tail sum is read off the
+resolvent (I - M)^-1.  Everything here is exact up to floating point:
+geometric tails are summed in closed form, never truncated.
 
 The randomized policy transmits with probability mu at the boundary age
 Gamma1 and always past it; a threshold policy is the randomized one at
@@ -20,11 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import (
     PuRates,
     convert_collision_budget,
     expected_cycle_length,
     slot_transition_matrix,
+    transition_matrix_power,
 )
 
 
@@ -56,70 +59,10 @@ class SystemParams:
         """Probability a transmission from an idle-sensed slot succeeds."""
         return (1.0 - self.phi_s) * math.exp(-self.rates.alpha)
 
-
-@dataclass(frozen=True)
-class SpectralConstants:
-    """Eigendecomposition constants of the transmit-region transition matrix.
-
-    For ages where transmission happens with per-slot reset probability
-    ``reset_prob``, the row vector (theta_idle, theta_busy) is propagated by
-    M = [[A, p_IB], [p_BI, p_BB]] with A = p_II - reset_prob.  Its eigenvalues
-    are b and d, both inside the unit disc whenever reset_prob > 0, which is
-    what makes the stationary tail geometric.
-    """
-
-    A: float
-    m: float
-    a: float
-    b: float
-    c: float
-    d: float
-    p_BI: float
-
-    @classmethod
-    def for_reset_prob(cls, rates: PuRates, reset_prob: float) -> "SpectralConstants":
-        sig = slot_transition_matrix(rates)
-        A = sig.p_II - reset_prob
-        p_BI, p_IB = sig.p_BI, sig.p_IB
-        m = math.sqrt((A + p_BI) * (A + p_BI - 2.0) + 1.0 + 4.0 * p_BI * p_IB)
-        a = (A + p_BI + m - 1.0) / (2.0 * p_BI)
-        b = (A - p_BI + m + 1.0) / 2.0
-        c = (A + p_BI - m - 1.0) / (2.0 * p_BI)
-        d = (A - p_BI - m + 1.0) / 2.0
-        if not (abs(b) < 1.0 and abs(d) < 1.0):
-            raise ValueError(
-                f"geometric tail does not converge: eigenvalues b={b}, d={d} "
-                f"(reset probability {reset_prob})"
-            )
-        return cls(A=A, m=m, a=a, b=b, c=c, d=d, p_BI=p_BI)
-
-    def state_at(self, t0: float, t1: float, k: int) -> tuple[float, float]:
-        """(theta_idle, theta_busy) k slots past the boundary vector (t0, t1)."""
-        f = self.p_BI / self.m
-        bk, dk = self.b**k, self.d**k
-        th0 = f * (t0 * (self.a * bk - self.c * dk) + t1 * (bk - dk))
-        th1 = f * (t0 * self.a * self.c * (dk - bk) + t1 * (self.a * dk - self.c * bk))
-        return th0, th1
-
-    def geometric_coefficients(self, t0: float, t1: float) -> tuple[float, float]:
-        """Coefficients (Cb, Cd) with theta_idle + theta_busy = Cb*b^k + Cd*d^k."""
-        f = self.p_BI / self.m
-        cb = f * (t0 * self.a * (1.0 - self.c) + t1 * (1.0 - self.c))
-        cd = f * (t0 * self.c * (self.a - 1.0) + t1 * (self.a - 1.0))
-        return cb, cd
-
-    def tail_mass(self, t0: float, t1: float) -> float:
-        """Sum over k >= 0 of theta_idle(k) + theta_busy(k)."""
-        cb, cd = self.geometric_coefficients(t0, t1)
-        return cb / (1.0 - self.b) + cd / (1.0 - self.d)
-
-    def tail_age_sum(self, t0: float, t1: float, base_age: int) -> float:
-        """Sum over k >= 0 of (base_age + k) * (theta_idle(k) + theta_busy(k))."""
-        cb, cd = self.geometric_coefficients(t0, t1)
-        b, d = self.b, self.d
-        return cb * (base_age / (1.0 - b) + b / (1.0 - b) ** 2) + cd * (
-            base_age / (1.0 - d) + d / (1.0 - d) ** 2
-        )
+    @property
+    def collision_prob(self) -> float:
+        """Probability a transmission from an idle-sensed slot collides with the PU's return."""
+        return 1.0 - math.exp(-self.rates.alpha)
 
 
 def _check_gamma(gamma: int) -> int:
@@ -137,10 +80,11 @@ def _normalizer(params: SystemParams, gamma1: int, mu: float) -> float:
     """
     al, be = params.rates.alpha, params.rates.beta
     s = al + be
+    # (1 - e^(-s gamma1)) / (1 - e^-s) by expm1: no cancellation for slow PUs
     upper = (
         gamma1
         + s / (be * params.success_prob)
-        + al / ((1.0 - math.exp(-s)) * be) * (1.0 - math.exp(-s * gamma1))
+        + al / be * (math.expm1(-s * gamma1) / math.expm1(-s))
     )
     return upper - mu * (1.0 + al * math.exp(-s * (gamma1 - 1.0)) / be)
 
@@ -152,32 +96,33 @@ def theta_1_0(gamma: int, params: SystemParams) -> float:
 
 def _below_threshold_state(params: SystemParams, t10: float, delta: int) -> tuple[float, float]:
     # occupancy mixes for delta - 1 slots starting from (t10, 0)
-    al, be = params.rates.alpha, params.rates.beta
-    s = al + be
-    e = math.exp(-s * (delta - 1.0))
-    return t10 * (be + al * e) / s, t10 * (al - al * e) / s
+    sig = transition_matrix_power(params.rates, delta - 1.0)
+    return t10 * sig.p_II, t10 * sig.p_IB
 
 
 def _stationary(params: SystemParams, gamma1: int, mu: float):
-    """theta_(1,0), and the tail: spectral constants and the boundary vector at age gamma1+1.
+    """theta_(1,0), the boundary vector at age gamma1+1 and its geometric tail sums.
 
-    The boundary vector is per unit theta_(1,0).  The tail mass it implies
-    must agree with the explicit normalizer; a disagreement beyond 1e-9 is
-    an internal inconsistency (digits lost in the spectral constants).
+    The boundary vector is per unit theta_(1,0); past it the state moves by
+    the transmit block M, so the tail sums come from the resolvent
+    (I - M)^-1.  The tail mass must agree with the explicit normalizer; a
+    disagreement beyond 1e-9 is an internal inconsistency.
     """
     gamma1 = _check_gamma(gamma1)
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"mu must be in [0, 1], got {mu}")
-    # occupancy mixing to age gamma1 + 1, less the resets at (gamma1, idle)
-    t0, t1 = _below_threshold_state(params, 1.0, gamma1 + 1)
-    t0 -= mu * params.success_prob * _below_threshold_state(params, 1.0, gamma1)[0]
-    spec = SpectralConstants.for_reset_prob(params.rates, params.success_prob)
+    # occupancy mixing to age gamma1, then one slot with resets w.p. mu at (gamma1, idle)
+    y0, y1 = _below_threshold_state(params, 1.0, gamma1)
+    sig = slot_transition_matrix(params.rates)
+    t0 = y0 * (sig.p_II - mu * params.success_prob) + y1 * sig.p_BI
+    t1 = y0 * sig.p_IB + y1 * sig.p_BB
+    tail_mass, tail_weighted = sig.geometric_tail(params.success_prob, t0, t1)
     t10 = 1.0 / _normalizer(params, gamma1, mu)
     # each age level up to gamma1 carries total mass t10
-    mass = t10 * (gamma1 + spec.tail_mass(t0, t1))
+    mass = t10 * (gamma1 + tail_mass)
     if abs(mass - 1.0) > 1e-9:
         raise ValueError(f"stationary distribution normalizes to {mass}, not 1")
-    return t10, spec, t0, t1
+    return t10, (t0, t1), tail_mass, tail_weighted
 
 
 def mixed_policy_steady_state(
@@ -190,18 +135,20 @@ def mixed_policy_steady_state(
     """
     if delta < 1:
         raise ValueError(f"age must be >= 1, got {delta}")
-    t10, spec, t0, t1 = _stationary(params, gamma1, mu)
+    t10, boundary, _, _ = _stationary(params, gamma1, mu)
     if delta <= gamma1:
         return _below_threshold_state(params, t10, delta)
-    th0, th1 = spec.state_at(t0, t1, delta - gamma1 - 1)
-    return t10 * th0, t10 * th1
+    block = slot_transition_matrix(params.rates).transmit_block(params.success_prob)
+    th0, th1 = np.array(boundary) @ np.linalg.matrix_power(block, delta - gamma1 - 1)
+    return t10 * float(th0), t10 * float(th1)
 
 
 def mixed_policy_metrics(params: SystemParams, gamma1: int, mu: float) -> tuple[float, float]:
     """(average age, per-slot collision probability) of the randomized policy."""
-    t10, spec, t0, t1 = _stationary(params, gamma1, mu)
-    aoi = t10 * (gamma1 * (gamma1 + 1.0) / 2.0 + spec.tail_age_sum(t0, t1, gamma1 + 1))
-    psi = t10 * (1.0 - math.exp(-params.rates.alpha)) / params.success_prob
+    t10, _, tail_mass, tail_weighted = _stationary(params, gamma1, mu)
+    # the tail starts at age gamma1 + 1
+    aoi = t10 * (gamma1 * (gamma1 + 1.0) / 2.0 + tail_weighted + gamma1 * tail_mass)
+    psi = t10 * params.collision_prob / params.success_prob
     return aoi, psi
 
 
@@ -212,8 +159,7 @@ def steady_state(gamma: int, params: SystemParams, delta: int) -> tuple[float, f
 
 def collision_probability(gamma: int, params: SystemParams) -> float:
     """Per-slot collision probability psi_s of the threshold policy."""
-    al = params.rates.alpha
-    return theta_1_0(gamma, params) * (1.0 - math.exp(-al)) / params.success_prob
+    return theta_1_0(gamma, params) * params.collision_prob / params.success_prob
 
 
 def average_aoi_series(gamma: int, params: SystemParams) -> float:
@@ -290,6 +236,24 @@ def lambert_w0(x: float) -> float:
     return w
 
 
+def _lambert_w0_exp(z: float) -> float:
+    """W(e^z), without forming e^z when z is large.
+
+    For z > 1 this is the Wright omega function, the root of w + log(w) = z
+    (Corless et al. 1996).  Newton's method on that concave function,
+    started at z - log(z) where it is negative, climbs to the root.
+    """
+    if z <= 1.0:
+        return lambert_w0(math.exp(z))
+    w = z - math.log(z)
+    for _ in range(100):
+        step = (w + math.log(w) - z) * w / (w + 1.0)
+        w -= step
+        if abs(step) <= 1e-15 * w:
+            break
+    return w
+
+
 def optimal_thresholds(params: SystemParams) -> tuple[int, int]:
     """Consecutive thresholds bracketing the collision budget.
 
@@ -305,11 +269,12 @@ def optimal_thresholds(params: SystemParams) -> tuple[int, int]:
         return 1, 1
     al, be = params.rates.alpha, params.rates.beta
     s = al + be
-    k = al / (be * (1.0 - math.exp(-s)))
+    k = al / (be * -math.expm1(-s))
     b_term = s / (be * params.success_prob)
-    tau = eta * params.success_prob / (1.0 - math.exp(-al))  # theta_(1,0) at the budget
+    tau = eta * params.success_prob / params.collision_prob  # theta_(1,0) at the budget
     r = 1.0 / tau - b_term - k
-    g_real = 1.0 + r + lambert_w0(s * k * math.exp(-s * r)) / s
+    # W(s k e^(-s r)) in log space: e^(-s r) overflows when alpha >> beta and eta is small
+    g_real = 1.0 + r + _lambert_w0_exp(math.log(s * k) - s * r) / s
     g1, g2 = int(math.floor(g_real)), int(math.ceil(g_real))
     g1 = max(g1, 1)
     g2 = max(g2, g1)

@@ -2,16 +2,18 @@
 
 The throughput maximizer under the same collision budget transmits with a
 fixed probability p0 whenever the channel is sensed idle.  Its stationary age
-distribution has the same two-term geometric shape as the transmit region of
-a threshold policy, valid from age 1, with the reset probability scaled by p0.
+distribution has the same geometric shape as the transmit region of a
+threshold policy, valid from age 1, with the reset probability scaled by p0.
 """
 
 from __future__ import annotations
 
 import math
 
-from .analysis import SpectralConstants, SystemParams
-from .channel import idle_probability
+import numpy as np
+
+from .analysis import SystemParams
+from .channel import idle_probability, slot_transition_matrix
 from .policies import BernoulliAccessPolicy
 
 
@@ -21,9 +23,7 @@ def optimal_transmit_probability(params: SystemParams) -> BernoulliAccessPolicy:
     If the budget cannot be saturated even at p0 = 1, the policy clamps to
     always-transmit-when-idle; the constraint is then slack.
     """
-    al = params.rates.alpha
-    p_i = idle_probability(params.rates)
-    p0 = params.eta_s / (p_i * (1.0 - math.exp(-al)))
+    p0 = params.eta_s / (idle_probability(params.rates) * params.collision_prob)
     return BernoulliAccessPolicy(p0=min(p0, 1.0))
 
 
@@ -34,39 +34,41 @@ def throughput(params: SystemParams, p0: float) -> float:
 
 def collision_probability_bernoulli(params: SystemParams, p0: float) -> float:
     """Per-slot collision probability under Bernoulli access."""
-    al = params.rates.alpha
-    return p0 * idle_probability(params.rates) * (1.0 - math.exp(-al))
+    return p0 * idle_probability(params.rates) * params.collision_prob
+
+
+def _check_p0(p0: float) -> None:
+    if not (0.0 < p0 <= 1.0):
+        raise ValueError(f"p0 must be in (0, 1], got {p0}")
 
 
 def average_aoi_bernoulli(params: SystemParams, p0: float) -> float:
     """Closed-form average age under Bernoulli access with probability p0."""
-    if not (0.0 < p0 <= 1.0):
-        raise ValueError(f"p0 must be in (0, 1], got {p0}")
+    _check_p0(p0)
     al, be = params.rates.alpha, params.rates.beta
     s = al + be
-    es = math.exp(s)
-    return (s * math.exp(al)) / (be * (1.0 - params.phi_s) * p0) + al * es / (be * (es - 1.0))
-
-
-def _bernoulli_spectral(params: SystemParams, p0: float) -> tuple[SpectralConstants, float]:
-    spec = SpectralConstants.for_reset_prob(params.rates, p0 * params.success_prob)
-    # normalizer with theta_(1,0) = 1; boundary vector at age 1 is (1, 0)
-    theta_1_0 = 1.0 / spec.tail_mass(1.0, 0.0)
-    return spec, theta_1_0
+    # al e^s / (be (e^s - 1)) written with expm1: no cancellation for small s
+    return (s * math.exp(al)) / (be * (1.0 - params.phi_s) * p0) + al / (be * -math.expm1(-s))
 
 
 def bernoulli_steady_state(params: SystemParams, p0: float, delta: int) -> tuple[float, float]:
     """Stationary (theta_idle, theta_busy) at the given age under Bernoulli access."""
-    if not (0.0 < p0 <= 1.0):
-        raise ValueError(f"p0 must be in (0, 1], got {p0}")
+    _check_p0(p0)
     if delta < 1:
         raise ValueError(f"age must be >= 1, got {delta}")
-    spec, t10 = _bernoulli_spectral(params, p0)
-    th0, th1 = spec.state_at(1.0, 0.0, delta - 1)
-    return t10 * th0, t10 * th1
+    sig = slot_transition_matrix(params.rates)
+    reset = p0 * params.success_prob
+    # boundary vector (1, 0) at age 1, normalized by its tail mass
+    t10 = 1.0 / sig.geometric_tail(reset, 1.0, 0.0)[0]
+    th0, th1 = np.linalg.matrix_power(sig.transmit_block(reset), delta - 1)[0]
+    return t10 * float(th0), t10 * float(th1)
 
 
 def average_aoi_bernoulli_series(params: SystemParams, p0: float) -> float:
     """Average age summed from the stationary distribution (closed geometric tail)."""
-    spec, t10 = _bernoulli_spectral(params, p0)
-    return t10 * spec.tail_age_sum(1.0, 0.0, 1)
+    _check_p0(p0)
+    mass, weighted = slot_transition_matrix(params.rates).geometric_tail(
+        p0 * params.success_prob, 1.0, 0.0
+    )
+    # the tail starts at age 1, so its age sum is the weighted sum alone
+    return weighted / mass

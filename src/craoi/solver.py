@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .analysis import SystemParams
-from .channel import slot_transition_matrix
+from .channel import ChannelTransition, slot_transition_matrix
 
 
 class ThresholdStructureError(ValueError):
@@ -46,32 +46,20 @@ class _Kernel:
 
     From (d, idle) with transmit probability p the age resets to (1, idle)
     with mass ``p * ok``; otherwise it moves to min(d + 1, delta_max) through
-    the occupancy block [[p_II - p * ok, p_IB], [p_BI, p_BB]].  Busy-sensed
-    slots never transmit.  A transmission collides with probability
-    ``collision``.  Policy evaluation, the stationary recursion and policy
-    improvement all read the dynamics from here.
+    the occupancy block [[p_II - p * ok, p_IB], [p_BI, p_BB]] of ``channel``.
+    Busy-sensed slots never transmit.  A transmission collides with
+    probability ``collision``.  Policy evaluation, the stationary recursion
+    and policy improvement all read the dynamics from here.
     """
 
-    p_II: float
-    p_IB: float
-    p_BI: float
-    p_BB: float
+    channel: ChannelTransition
     ok: float
     collision: float
 
     def blocks(self, p_tx: np.ndarray) -> tuple[list[float], list[float]]:
         """Per idle age: (idle-to-idle mass without reset, reset mass)."""
         reset = p_tx * self.ok
-        return (self.p_II - reset).tolist(), reset.tolist()
-
-    def clamp_inverse(self, reset: float) -> tuple[float, float, float, float]:
-        """(I - M)^-1 for the clamp block M; requires reset > 0.
-
-        det(I - M) = p_BI * reset exactly, since both rows of the occupancy
-        matrix sum to one; forming it by products would cancel.
-        """
-        det = self.p_BI * reset
-        return self.p_BI / det, self.p_IB / det, self.p_BI / det, (self.p_IB + reset) / det
+        return (self.channel.p_II - reset).tolist(), reset.tolist()
 
 
 @dataclass(frozen=True)
@@ -91,14 +79,10 @@ class TruncatedModel:
 
     @cached_property
     def kernel(self) -> _Kernel:
-        sig = slot_transition_matrix(self.params.rates)
         return _Kernel(
-            p_II=sig.p_II,
-            p_IB=sig.p_IB,
-            p_BI=sig.p_BI,
-            p_BB=sig.p_BB,
+            channel=slot_transition_matrix(self.params.rates),
             ok=self.params.success_prob,
-            collision=1.0 - math.exp(-self.params.rates.alpha),
+            collision=self.params.collision_prob,
         )
 
 
@@ -120,13 +104,13 @@ def poisson_solve(
     c_idle = (model.deltas + lam * k.collision * probs).tolist()
     if reset[-1] > 0.0:
         g0, g1 = 0.0, 1.0
-        m_ii, m_ib, m_bi, m_bb = k.clamp_inverse(reset[-1])
+        m_ii, m_ib, m_bi, m_bb = k.channel.resolvent(reset[-1])
         ai, ab = m_ii * c_idle[-1] + m_ib * dmax, m_bi * c_idle[-1] + m_bb * dmax
         bi, bb = -(m_ii + m_ib), -(m_bi + m_bb)
     else:
         g0, g1 = float(dmax), 0.0
         ai, ab, bi, bb = 0.0, 0.0, 1.0, 1.0
-    p_ib, p_bi, p_bb = k.p_IB, k.p_BI, k.p_BB
+    p_ib, p_bi, p_bb = k.channel.p_IB, k.channel.p_BI, k.channel.p_BB
     a_idle, a_busy, b_idle, b_busy = [ai], [ab], [bi], [bb]
     for d in range(dmax - 1, 0, -1):
         s = stay[d - 1]
@@ -239,7 +223,7 @@ def policy_cost_evaluate(policy, model: TruncatedModel) -> PolicyMetrics:
         return PolicyMetrics(avg_aoi=math.inf, avg_cost=0.0, divergent=True)
     k = model.kernel
     stay, reset = k.blocks(p_tx)
-    p_ib, p_bi, p_bb = k.p_IB, k.p_BI, k.p_BB
+    p_ib, p_bi, p_bb = k.channel.p_IB, k.channel.p_BI, k.channel.p_BB
     xi, xb = 1.0, 0.0  # unnormalized mass at age 1; (1, busy) is never entered
     idle, busy = [xi], [xb]
     for d in range(1, model.delta_max):
@@ -247,7 +231,7 @@ def policy_cost_evaluate(policy, model: TruncatedModel) -> PolicyMetrics:
         idle.append(xi)
         busy.append(xb)
     # The clamp pair also feeds itself: x (I - M) = inflow.
-    m_ii, m_ib, m_bi, m_bb = k.clamp_inverse(reset[-1])
+    m_ii, m_ib, m_bi, m_bb = k.channel.resolvent(reset[-1])
     idle[-1], busy[-1] = xi * m_ii + xb * m_bi, xi * m_ib + xb * m_bb
     idle_arr, busy_arr = np.array(idle), np.array(busy)
     total = idle_arr.sum() + busy_arr.sum()

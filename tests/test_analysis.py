@@ -12,6 +12,7 @@ from craoi import (
     PuRates,
     SystemParams,
     age_optimal_policy,
+    average_aoi_bernoulli,
     average_aoi_closed_form,
     average_aoi_series,
     collision_probability,
@@ -20,6 +21,7 @@ from craoi import (
     mixed_policy_metrics,
     mixed_policy_steady_state,
     optimal_thresholds,
+    optimal_transmit_probability,
     randomization_mu,
     steady_state,
     theta_1_0,
@@ -204,6 +206,20 @@ class TestOptimalThresholds:
         assert collision_probability(g1, CANON) >= CANON.eta_s
         assert collision_probability(g2, CANON) <= CANON.eta_s
 
+    @pytest.mark.parametrize(
+        "alpha,beta,phi_s,eta_s",
+        [
+            # alpha >> beta with a small budget: the Lambert W argument
+            # s k e^(-s r) overflows a float unless it stays in log space
+            (0.8224312935741871, 0.0001391646358783078, 0.03579947073681242, 6.291582891241104e-05),
+            (2.580476065864596, 0.00019518629189881724, 0.34039696758479243, 6.895546652086945e-05),
+        ],
+    )
+    def test_huge_lambert_argument(self, alpha, beta, phi_s, eta_s):
+        params = make_params(alpha, beta, phi_s, eta_s=eta_s)
+        scan = brute_threshold_scan(params, lambda g: collision_probability(g, params))
+        assert optimal_thresholds(params) == scan
+
 
 class TestRandomizationMu:
     def test_binding_psi(self):
@@ -314,6 +330,28 @@ class TestAgeOptimalPolicy:
     def test_budget_met_at_rounding_level(self, alpha, beta, phi_s, eta_s):
         pol = age_optimal_policy(make_params(alpha, beta, phi_s, eta_s=eta_s))
         assert pol.psi_s <= eta_s * (1 + 1e-12)
+
+    @settings(deadline=None)
+    @given(
+        alpha=st.floats(math.log(1e-4), math.log(3.0)).map(math.exp),
+        beta=st.floats(math.log(1e-4), math.log(10.0)).map(math.exp),
+        phi_s=st.floats(0.0, 0.99),
+        eta_s=st.floats(math.log(1e-7), math.log(0.98)).map(math.exp),
+    )
+    def test_whole_domain(self, alpha, beta, phi_s, eta_s):
+        # every instance of the fuzz domain yields a policy within budget that
+        # is no worse than the throughput-optimal baseline, up to rounding
+        params = make_params(alpha, beta, phi_s, eta_s=eta_s)
+        pol = age_optimal_policy(params)
+        assert pol.psi_s <= eta_s * (1 + 1e-12)
+        assert pol.gamma2 - pol.gamma1 in (0, 1)
+        assert 0.0 <= pol.mu <= 1.0
+        p0 = optimal_transmit_probability(params).p0
+        assert pol.avg_aoi <= average_aoi_bernoulli(params, p0) * (1 + 1e-12)
+        if pol.gamma2 <= 1000:
+            # a slack budget (no threshold with psi_s >= eta_s) gives (1, 1)
+            g1, g2 = brute_threshold_scan(params, lambda g: collision_probability(g, params))
+            assert (pol.gamma1, pol.gamma2) == (g1 or 1, g2)
 
 
 class TestMonotonicity:

@@ -73,13 +73,15 @@ class TestAverageAoi:
             (0.05, 0.5, 0.3, 0.1),
             (0.005, 0.1, 0.2, 0.8),
             (0.1, 0.9, 0.1, 1.0),
+            # slow PU (s ~ 2.6e-4): 1 - e^-s and the tail sums are prone to cancellation
+            (0.0001266113133359864, 0.00012913024209356403, 0.3991286534942948, 1.0),
         ],
     )
     def test_closed_form_matches_series(self, alpha, beta, phi_s, p0):
         params = SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=0.01)
         closed = average_aoi_bernoulli(params, p0)
         series = average_aoi_bernoulli_series(params, p0)
-        assert closed == pytest.approx(series, rel=1e-9)
+        assert closed == pytest.approx(series, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -113,3 +115,19 @@ class TestDominance:
             params = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=eta_s)
             bern = optimal_transmit_probability(params)
             assert age_optimal_policy(params).avg_aoi < average_aoi_bernoulli(params, bern.p0)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,phi_s,eta_s",
+        [
+            # slow PUs with a slack budget, where threshold 1 and p0 = 1 are
+            # one policy: cancellation can split its two average ages by
+            # 1e-9 relative or fail the 1e-9 normalization check (last two)
+            (0.0001266113133359864, 0.00012913024209356403, 0.3991286534942948, 0.00017315027847359987),
+            (0.00011340421467459935, 0.00011432027669334298, 0.9220792259361144, 0.0004535409655358373),
+            (0.00020204873565311698, 0.00011078357983567298, 0.8697983144155494, 0.021577799878653107),
+        ],
+    )
+    def test_threshold_one_is_full_access(self, alpha, beta, phi_s, eta_s):
+        params = SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=eta_s)
+        pol = age_optimal_policy(params)
+        assert pol.avg_aoi == pytest.approx(average_aoi_bernoulli(params, 1.0), rel=1e-13)

@@ -104,6 +104,27 @@ class TestTransitionMatrixPower:
             transition_matrix_power(PuRates(0.02, 0.4), -1.0)
 
 
+class TestResolvent:
+    def test_inverts_transmit_block(self):
+        sig = slot_transition_matrix(PuRates(0.02, 0.4))
+        m = expm_transition(PuRates(0.02, 0.4)) - np.array([[0.3, 0.0], [0.0, 0.0]])
+        np.testing.assert_allclose(sig.transmit_block(0.3), m, rtol=0, atol=1e-15)
+        inv = np.array(sig.resolvent(0.3)).reshape(2, 2)
+        np.testing.assert_allclose((np.eye(2) - m) @ inv, np.eye(2), rtol=0, atol=1e-12)
+
+    def test_geometric_tail_matches_truncated_series(self):
+        rates, reset, x = PuRates(0.05, 0.5), 0.2, np.array([0.3, 0.7])
+        m = expm_transition(rates) - np.array([[reset, 0.0], [0.0, 0.0]])
+        mass = weighted = 0.0
+        row = x.copy()
+        for k in range(2000):
+            mass += row.sum()
+            weighted += (k + 1) * row.sum()
+            row = row @ m
+        got = slot_transition_matrix(rates).geometric_tail(reset, *x)
+        assert got == pytest.approx((mass, weighted), rel=1e-12)
+
+
 class TestScalars:
     def test_idle_probability(self):
         assert idle_probability(PuRates(0.02, 0.4)) == pytest.approx(0.4 / 0.42)

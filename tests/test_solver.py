@@ -59,13 +59,13 @@ def kernel_row(model, delta, occ, p) -> np.ndarray:
     nxt = 2 * (min(delta + 1, model.delta_max) - 1)
     row = np.zeros(2 * model.delta_max)
     if occ == BUSY:
-        row[nxt + IDLE] += k.p_BI
-        row[nxt + BUSY] += k.p_BB
+        row[nxt + IDLE] += k.channel.p_BI
+        row[nxt + BUSY] += k.channel.p_BB
         return row
     stay, reset = k.blocks(np.array([float(p)]))
     row[0] += reset[0]
     row[nxt + IDLE] += stay[0]
-    row[nxt + BUSY] += k.p_IB
+    row[nxt + BUSY] += k.channel.p_IB
     return row
 
 
@@ -122,11 +122,12 @@ class TestTransitionKernel:
         clamp = 2 * (MODEL.delta_max - 1)
         row = kernel_row(MODEL, MODEL.delta_max, IDLE, 0.0)
         assert row[clamp + IDLE] + row[clamp + BUSY] == pytest.approx(1.0, abs=1e-12)
-        # The clamp pair feeds itself: clamp_inverse inverts I - M for its block M.
+        # The clamp pair feeds itself: the channel's resolvent inverts I - M for its block M.
         k = MODEL.kernel
         reset = 0.5 * k.ok
-        m = np.array([[k.p_II - reset, k.p_IB], [k.p_BI, k.p_BB]])
-        inv = np.array(k.clamp_inverse(reset)).reshape(2, 2)
+        sig = k.channel
+        m = np.array([[sig.p_II - reset, sig.p_IB], [sig.p_BI, sig.p_BB]])
+        inv = np.array(k.channel.resolvent(reset)).reshape(2, 2)
         np.testing.assert_allclose((np.eye(2) - m) @ inv, np.eye(2), rtol=0, atol=1e-9)
 
 
