@@ -30,7 +30,7 @@ def main(argv=None) -> int:
     for name in args.presets:
         start = time.perf_counter()
         path = run_preset(name, out_dir, seed=args.seed)
-        print(f"{name}: wrote {path} in {time.perf_counter() - start:.1f}s")
+        print(f"{name}: wrote {path} in {time.perf_counter() - start:.3f}s")
     return 0
 
 

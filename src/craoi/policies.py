@@ -1,12 +1,14 @@
 """Transmission policies the simulator can replay.
 
 Each policy maps the current age to a transmit probability, applied only when
-the channel is sensed idle; busy-sensed slots never transmit.
+the channel is sensed idle; busy-sensed slots never transmit.  Its
+``tail_age`` is an age from which that probability no longer changes, so the
+simulator reads ages 1..tail_age and treats every older age as tail_age.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +22,10 @@ class ThresholdPolicy:
     def __post_init__(self):
         if self.gamma < 1:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+
+    @property
+    def tail_age(self) -> int:
+        return self.gamma
 
     def transmit_probability(self, delta: int) -> float:
         return 1.0 if delta >= self.gamma else 0.0
@@ -38,6 +44,10 @@ class RandomizedThresholdPolicy:
         if not (0.0 <= self.mu <= 1.0):
             raise ValueError(f"mu must be in [0, 1], got {self.mu}")
 
+    @property
+    def tail_age(self) -> int:
+        return self.gamma1 + 1
+
     def transmit_probability(self, delta: int) -> float:
         if delta > self.gamma1:
             return 1.0
@@ -53,6 +63,10 @@ class BernoulliAccessPolicy:
     def __post_init__(self):
         if not (0.0 < self.p0 <= 1.0):
             raise ValueError(f"p0 must be in (0, 1], got {self.p0}")
+
+    @property
+    def tail_age(self) -> int:
+        return 1
 
     def transmit_probability(self, delta: int) -> float:
         return self.p0
@@ -73,6 +87,10 @@ class TabularPolicy:
     @classmethod
     def from_array(cls, probs: np.ndarray) -> "TabularPolicy":
         return cls(probs=tuple(float(p) for p in probs))
+
+    @property
+    def tail_age(self) -> int:
+        return len(self.probs)
 
     def transmit_probability(self, delta: int) -> float:
         return self.probs[min(delta, len(self.probs)) - 1]

@@ -1,7 +1,7 @@
 """Discrete-event Monte-Carlo ground truth for any access policy.
 
 The PU trajectory is generated in continuous time (exponential sojourns), the
-device is replayed slot by slot on top of it: sense at the slot start, decide
+device is replayed in unit slots on top of it: sense at the slot start, decide
 from (age, sensed occupancy), collide iff the PU enters busy strictly inside a
 transmitting slot, succeed iff the PU stays idle for the whole slot and an
 independent outage draw clears.  Everything is deterministic given the seed.
@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,8 +51,9 @@ class PuTrajectory:
     def occupancy_of_segment(self, k: int) -> int:
         return (self.initial_occupancy + k) % 2
 
-    @property
+    @cached_property
     def boundaries(self) -> np.ndarray:
+        """Segment right ends in continuous time, computed once per trajectory."""
         return np.cumsum(self.durations)
 
 
@@ -94,20 +96,57 @@ class SimResult:
 
 
 def _slot_arrays(trajectory: PuTrajectory, n_slots: int):
+    """Idle-sensed and collision-prone flags per slot, and busy entries before n_slots.
+
+    Segment k holds the slots that start in [b[k-1], b[k]), which are slots
+    ceil(b[k-1]) .. ceil(b[k]) - 1.  A busy entry e (the right end of an idle
+    segment) strictly inside (n, n+1) makes slot n collision-prone; an entry
+    on a slot start makes that slot sensed busy and no slot prone.
+    """
     bounds = trajectory.boundaries
-    starts = np.arange(n_slots, dtype=float)
-    seg = np.searchsorted(bounds, starts, side="right")
-    sensed = (trajectory.initial_occupancy + seg) % 2
-    # busy-entry instants are the right ends of idle segments
-    n_seg = len(trajectory.durations)
-    seg_occ = (trajectory.initial_occupancy + np.arange(n_seg)) % 2
+    seg_occ = (trajectory.initial_occupancy + np.arange(len(bounds))) % 2
+    seg_ends = np.minimum(np.ceil(bounds), n_slots).astype(np.int64)
+    idle = np.repeat(seg_occ == IDLE, np.diff(seg_ends, prepend=0))
     entries = bounds[seg_occ == IDLE]
-    # a busy entry strictly inside (n, n+1) makes the slot collision-prone
-    lo = np.searchsorted(entries, starts, side="right")
-    hi = np.searchsorted(entries, starts + 1.0, side="left")
-    collision_prone = hi > lo
-    cycles_walked = int(np.searchsorted(entries, float(n_slots)))
-    return sensed, collision_prone, cycles_walked
+    inside = entries[(entries < n_slots) & (entries != np.floor(entries))]
+    prone = np.zeros(n_slots, dtype=bool)
+    prone[np.floor(inside).astype(np.int64)] = True
+    return idle, prone, int(np.searchsorted(entries, float(n_slots)))
+
+
+def _transmits(p, policy_u: np.ndarray) -> np.ndarray:
+    """The per-slot decision rule at transmit probability p (scalar or per slot)."""
+    return (p > 0.0) & ((p >= 1.0) | (policy_u < p))
+
+
+def _success_slots(clear: np.ndarray, policy_u: np.ndarray, probs: list[float]) -> np.ndarray:
+    """Slots where the replay succeeds, by jumping from renewal to renewal.
+
+    A transmission succeeds in the ``clear`` slots.  A renewal begins at age 1
+    in slot 0 or right after a success, so a renewal begun at slot r is at
+    age a in slot r + a - 1, and from age len(probs) = tail_age on it decides
+    with the tail probability.  h[r] is the success slot of that renewal: the
+    first tail success at or after slot r + tail_age - 1, unless a head age
+    a < tail_age succeeds first.  h[n] = n marks "no success within the horizon".
+    """
+    n, tail = len(clear), len(probs)
+    succeeds = clear & _transmits(probs[-1], policy_u)
+    # nxt[m]: the first slot at or after m where a tail-age transmission succeeds
+    nxt = np.append(np.where(succeeds, np.arange(n), n), n)
+    nxt = np.minimum.accumulate(nxt[::-1])[::-1]
+    h = nxt[np.minimum(np.arange(n + 1) + (tail - 1), n)]
+    for age in range(tail - 1, 0, -1):  # the youngest succeeding age wins
+        if probs[age - 1] > 0.0:
+            succeeds = clear & _transmits(probs[age - 1], policy_u)
+            starts = np.flatnonzero(succeeds[age - 1 :])
+            h[starts] = starts + (age - 1)
+    slots: list[int] = []
+    append, hops = slots.append, memoryview(h)
+    r = hops[0]
+    while r < n:
+        append(r)
+        r = hops[r + 1]
+    return np.array(slots, dtype=np.int64)
 
 
 def run_policy(
@@ -118,11 +157,15 @@ def run_policy(
     max_slots: int | None = None,
     age_ceiling: int = 10**7,
 ) -> SimResult:
-    """Replay the policy over the trajectory, one unit slot at a time.
+    """Replay the policy over the trajectory in unit slots.
 
     The trailing partial slot is discarded; metrics divide by whole slots.
     Randomized policy decisions and outage draws use child seeds derived from
-    ``seed`` (indices 1 and 2 of the splitting rule).
+    ``seed`` (indices 1 and 2 of the splitting rule); slot n draws element n
+    of each stream.  The replay is event-skipping: the age restarts at 1
+    after each success and the decision depends on the age only below
+    ``policy.tail_age``, so the successes follow from a precomputed renewal
+    map and everything else from vectorized masks over the slots.
     """
     total_time = float(trajectory.boundaries[-1])
     n_slots = int(math.floor(total_time))
@@ -133,59 +176,37 @@ def run_policy(
     if n_slots < 1:
         raise ValueError("trajectory is shorter than one slot")
 
-    sensed, collision_prone, cycles = _slot_arrays(trajectory, n_slots)
+    idle, prone, cycles = _slot_arrays(trajectory, n_slots)
     cycles = max(cycles, 1)  # busy-idle cycles begun within the walked span
     policy_u = np.random.Generator(np.random.PCG64(split_seed(seed, 1))).random(n_slots)
     outage_u = np.random.Generator(np.random.PCG64(split_seed(seed, 2))).random(n_slots)
 
-    phi_s = params.phi_s
-    p_of = policy.transmit_probability
-    age = 1
-    age_sum = 0
-    transmit_count = 0
-    success_count = 0
-    idle_count = 0
-    collisions: list[int] = []
-    divergent = False
-    sensed_l = sensed.tolist()
-    prone_l = collision_prone.tolist()
-    policy_l = policy_u.tolist()
-    outage_l = outage_u.tolist()
-    for n in range(n_slots):
-        age_sum += age
-        if age > age_ceiling:
-            divergent = True
-        if sensed_l[n] == IDLE:
-            idle_count += 1
-            p = p_of(age)
-            if p > 0.0 and (p >= 1.0 or policy_l[n] < p):
-                transmit_count += 1
-                if prone_l[n]:
-                    collisions.append(n)
-                    age += 1
-                elif outage_l[n] >= phi_s:
-                    success_count += 1
-                    age = 1
-                    continue
-                else:
-                    age += 1
-            else:
-                age += 1
-        else:
-            age += 1
+    clear = idle & ~prone & (outage_u >= params.phi_s)
+    # ages past n_slots never occur, so the table can stop there
+    tail_age = min(policy.tail_age, n_slots)
+    probs = [policy.transmit_probability(a) for a in range(1, tail_age + 1)]
+    successes = _success_slots(clear, policy_u, probs)
+
+    # renewal i covers slots edges[i] .. edges[i+1] - 1; the last one is unfinished
+    edges = np.concatenate(([0], successes + 1, [n_slots]))
+    lengths = np.diff(edges)
+    age = np.arange(1, n_slots + 1) - np.repeat(edges[:-1], lengths)
+    p_slot = np.asarray(probs)[np.minimum(age, len(probs)) - 1]
+    transmit = idle & _transmits(p_slot, policy_u)
+    collisions = np.flatnonzero(transmit & prone).tolist()
 
     n_coll = len(collisions)
     return SimResult(
-        avg_aoi=age_sum / n_slots,
+        avg_aoi=int(age.sum()) / n_slots,
         psi_s_hat=n_coll / n_slots,
         psi_p_hat=n_coll / cycles,
-        success_count=success_count,
-        transmit_count=transmit_count,
+        success_count=len(successes),
+        transmit_count=int(np.count_nonzero(transmit)),
         collision_count=n_coll,
         slots=n_slots,
         cycles=cycles,
-        idle_sensed_count=idle_count,
-        aoi_divergence_flag=divergent,
+        idle_sensed_count=int(np.count_nonzero(idle)),
+        aoi_divergence_flag=int(lengths.max()) > age_ceiling,
         collision_slots=tuple(collisions),
     )
 

@@ -3,7 +3,8 @@
 The oracles here are deliberately independent of the package internals: the
 slot transition matrix comes from a matrix exponential, stationary
 distributions come from power iteration on an explicitly assembled sparse
-chain, and thresholds come from brute-force scans.  Closed forms in the
+chain, thresholds come from brute-force scans, and simulator replays come
+from a slot-by-slot loop.  Closed forms and the event-skipping replay in the
 package are correct exactly when they agree with these.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from craoi import PuRates, SystemParams
+from craoi import IDLE, PuRates, SimResult, SystemParams, split_seed
 
 
 def expm_transition(rates: PuRates, t: float = 1.0) -> np.ndarray:
@@ -117,6 +118,74 @@ def brute_threshold_scan(params: SystemParams, psi_of_gamma, g_max: int = 10_000
         if g1 is not None and g2 is not None and g > g2:
             break
     return g1, g2
+
+
+def oracle_run_policy(
+    trajectory, params: SystemParams, policy, seed: int, max_slots=None, age_ceiling=10**7
+) -> SimResult:
+    """Replay a policy one slot at a time: the reference for ``craoi.run_policy``.
+
+    Slots are located by binary search on the segment boundaries and every
+    slot draws its decision from ``policy.transmit_probability(age)``, with
+    the same child-seed streams, errors and result fields as the package.
+    """
+    bounds = np.cumsum(trajectory.durations)
+    n_slots = int(math.floor(float(bounds[-1])))
+    if max_slots is not None:
+        if n_slots < max_slots:
+            raise ValueError(f"trajectory covers only {n_slots} slots, need {max_slots}")
+        n_slots = max_slots
+    if n_slots < 1:
+        raise ValueError("trajectory is shorter than one slot")
+
+    starts = np.arange(n_slots, dtype=float)
+    seg = np.searchsorted(bounds, starts, side="right")
+    sensed = ((trajectory.initial_occupancy + seg) % 2).tolist()
+    seg_occ = (trajectory.initial_occupancy + np.arange(len(bounds))) % 2
+    entries = bounds[seg_occ == IDLE]
+    # a busy entry strictly inside (n, n+1) makes slot n collision-prone
+    lo = np.searchsorted(entries, starts, side="right")
+    hi = np.searchsorted(entries, starts + 1.0, side="left")
+    prone = (hi > lo).tolist()
+    cycles = max(int(np.searchsorted(entries, float(n_slots))), 1)
+    policy_u = np.random.Generator(np.random.PCG64(split_seed(seed, 1))).random(n_slots)
+    outage_u = np.random.Generator(np.random.PCG64(split_seed(seed, 2))).random(n_slots)
+    policy_u, outage_u = policy_u.tolist(), outage_u.tolist()
+
+    age, age_sum = 1, 0
+    transmits = successes = idle = 0
+    collisions = []
+    divergent = False
+    for n in range(n_slots):
+        age_sum += age
+        if age > age_ceiling:
+            divergent = True
+        if sensed[n] == IDLE:
+            idle += 1
+            p = policy.transmit_probability(age)
+            if p > 0.0 and (p >= 1.0 or policy_u[n] < p):
+                transmits += 1
+                if prone[n]:
+                    collisions.append(n)
+                elif outage_u[n] >= params.phi_s:
+                    successes += 1
+                    age = 1
+                    continue
+        age += 1
+
+    return SimResult(
+        avg_aoi=age_sum / n_slots,
+        psi_s_hat=len(collisions) / n_slots,
+        psi_p_hat=len(collisions) / cycles,
+        success_count=successes,
+        transmit_count=transmits,
+        collision_count=len(collisions),
+        slots=n_slots,
+        cycles=cycles,
+        idle_sensed_count=idle,
+        aoi_divergence_flag=divergent,
+        collision_slots=tuple(collisions),
+    )
 
 
 # (alpha, beta, phi_s, gamma): grid for steady-state oracle comparisons

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from craoi import (
     BUSY,
@@ -25,6 +27,9 @@ from craoi import (
     split_seed,
     throughput,
 )
+from craoi.experiments import FIG4_SIM_GAMMAS
+
+from .conftest import oracle_run_policy
 
 CANON = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.0005)
 
@@ -133,6 +138,102 @@ class TestHandBuiltReplay:
         assert res.collision_count == 1
         assert res.collision_slots == (2,)
         assert res.success_count == 1
+
+
+class TestIntegerBoundaries:
+    """A busy entry exactly at a slot start: that slot is sensed busy, none is prone.
+
+    Idle on [0, 2), busy from 2.0 for 1.0 or 0.5, idle to 6.0: slots 0, 1 and
+    3..5 are clean idle, slot 2 is busy-sensed, and slot 1 ends exactly as the
+    PU enters busy, so it does not collide.
+    """
+
+    @pytest.mark.parametrize("durations", [(2.0, 1.0, 3.0), (2.0, 0.5, 3.5)])
+    def test_greedy_no_outage(self, durations):
+        traj = PuTrajectory(
+            initial_occupancy=IDLE, durations=np.array(durations), total_cycles=1
+        )
+        params = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.0, eta_s=0.5)
+        res = run_policy(traj, params, ThresholdPolicy(1), seed=0)
+        assert res.slots == 6
+        assert res.success_count == 5
+        assert res.transmit_count == 5
+        assert res.collision_count == 0
+        assert res.collision_slots == ()
+        assert res.idle_sensed_count == 5
+        # ages per slot: 1, 1, 1, 2, 1, 1
+        assert res.avg_aoi == pytest.approx(7.0 / 6.0)
+
+
+ORACLE_POLICIES = (
+    [ThresholdPolicy(g) for g in FIG4_SIM_GAMMAS]
+    + [RandomizedThresholdPolicy(gamma1=5, mu=mu) for mu in (0.0, 0.3, 1.0)]
+    + [BernoulliAccessPolicy(p0) for p0 in (1.0, 0.5, 0.01)]
+    + [TabularPolicy((0.0, 0.7, 1.0, 0.2, 0.0))]
+)
+
+
+class TestOracleEquivalence:
+    """The event-skipping replay equals the slot-by-slot oracle, field for field."""
+
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=repr)
+    @pytest.mark.parametrize("horizon", [7, 20_000, None], ids=["7", "20000", "cycles"])
+    def test_matches_oracle(self, policy, horizon):
+        traj = generate_pu_trajectory(CANON.rates, 600, seed=8)
+        args = (traj, CANON, policy, 17, horizon)
+        for age_ceiling in (5, 10**7):
+            res = run_policy(*args, age_ceiling=age_ceiling)
+            assert res == oracle_run_policy(*args, age_ceiling=age_ceiling)
+
+    @pytest.mark.parametrize(
+        "durations,max_slots,message",
+        [((0.5,), None, "shorter than one slot"), ((3.0, 1.0, 2.5), 7, "need 7")],
+    )
+    def test_short_trajectory_rejected_alike(self, durations, max_slots, message):
+        traj = PuTrajectory(initial_occupancy=IDLE, durations=np.array(durations), total_cycles=1)
+        for replay in (run_policy, oracle_run_policy):
+            with pytest.raises(ValueError, match=message):
+                replay(traj, CANON, ThresholdPolicy(3), 1, max_slots=max_slots)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        alpha=st.floats(min_value=0.01, max_value=3.0),
+        beta=st.floats(min_value=0.01, max_value=3.0),
+        phi_s=st.floats(min_value=0.0, max_value=0.95),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        initial=st.sampled_from([IDLE, BUSY]),
+        head=st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]), min_size=1, max_size=12),
+        slots=st.integers(min_value=1, max_value=3_000),
+        age_ceiling=st.integers(min_value=1, max_value=50),
+    )
+    def test_random_tabular_policies(
+        self, alpha, beta, phi_s, seed, initial, head, slots, age_ceiling
+    ):
+        params = SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=0.5)
+        n_cycles = int(1.5 * slots / (1.0 / alpha + 1.0 / beta)) + 8
+        traj = generate_pu_trajectory(params.rates, n_cycles, seed, initial_occupancy=initial)
+        # a slot horizon when the trajectory covers it, else the whole trajectory
+        max_slots = slots if math.floor(traj.boundaries[-1]) >= slots else None
+        args = (traj, params, TabularPolicy(tuple(head)), seed)
+        kwargs = {"max_slots": max_slots, "age_ceiling": age_ceiling}
+        assert run_policy(*args, **kwargs) == oracle_run_policy(*args, **kwargs)
+
+
+class TestTailAge:
+    @pytest.mark.parametrize(
+        "policy,tail_age",
+        [
+            (ThresholdPolicy(7), 7),
+            (RandomizedThresholdPolicy(gamma1=7, mu=0.4), 8),
+            (BernoulliAccessPolicy(0.3), 1),
+            (TabularPolicy((0.0, 0.5, 1.0, 0.25)), 4),
+        ],
+    )
+    def test_constant_from_tail_age(self, policy, tail_age):
+        assert policy.tail_age == tail_age
+        p_tail = policy.transmit_probability(tail_age)
+        ages = range(tail_age, tail_age + 100)
+        assert all(policy.transmit_probability(a) == p_tail for a in ages)
 
 
 class TestRunConfig:
