@@ -11,7 +11,6 @@ from .analysis import (
     AgeOptimalPolicy,
     SystemParams,
     age_optimal_policy,
-    average_aoi_closed_form,
     average_aoi_series,
     collision_probability,
     lambert_w0,
@@ -26,7 +25,6 @@ from .baseline import (
     average_aoi_bernoulli,
     bernoulli_steady_state,
     optimal_transmit_probability,
-    throughput,
 )
 from .channel import (
     BUSY,

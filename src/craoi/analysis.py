@@ -167,47 +167,6 @@ def average_aoi_series(gamma: int, params: SystemParams) -> float:
     return mixed_policy_metrics(params, gamma, 1.0)[0]
 
 
-def average_aoi_closed_form(gamma: int, params: SystemParams) -> float:
-    """Single-expression average age of the threshold policy.
-
-    Note on the form used here: this reduction is easy to get wrong by a
-    sign (exp(-alpha+beta) where the derivation yields exp(-(alpha+beta)))
-    or by dropping the alpha in exp(alpha) inside the constant term.  The
-    version below was frozen after matching :func:`average_aoi_series` on a
-    20-point parameter grid.  It writes 1 - e^-s and e^s - 1 with ``expm1``;
-    offsetting terms in ``xi`` still leave it about 1e-12 relative off the
-    series for slow PUs (s near 1e-4), which the tests bound at 1e-11.
-    """
-    gamma = _check_gamma(gamma)
-    al, be = params.rates.alpha, params.rates.beta
-    phi = params.phi_s
-    s = al + be
-    one_minus_E = -math.expm1(-s)
-    es_minus_1 = math.expm1(s)
-    ea = math.exp(al)
-    xi = (
-        (s * ea + al * (1.0 - phi)) ** 2 / (be**2 * (1.0 - phi) ** 2)
-        - s * ea / (be * (1.0 - phi))
-        + (2.0 * al * s * (ea + 1.0 - phi) / (be**2 * (1.0 - phi)) - al / be) / es_minus_1
-        + al * s / (be**2 * es_minus_1**2)
-    )
-    num = (
-        gamma * (gamma - 1.0) / 2.0
-        - (1.0 - s / (be * one_minus_E) - s / (be * math.exp(-al) * (1.0 - phi)))
-        * al
-        * math.exp(-s * (gamma - 1.0))
-        / (be * one_minus_E)
-        - xi
-    )
-    den = (
-        gamma
-        - 1.0
-        + s / (be * math.exp(-al) * (1.0 - phi))
-        + al / (one_minus_E * be) * -math.expm1(-s * (gamma - 1.0))
-    )
-    return gamma - num / den
-
-
 _INV_E = math.exp(-1.0)
 
 

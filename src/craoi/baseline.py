@@ -27,11 +27,6 @@ def optimal_transmit_probability(params: SystemParams) -> BernoulliAccessPolicy:
     return BernoulliAccessPolicy(p0=min(p0, 1.0))
 
 
-def throughput(params: SystemParams, p0: float) -> float:
-    """Long-run fraction of slots with a transmission: p_I * p0."""
-    return idle_probability(params.rates) * p0
-
-
 def collision_probability_bernoulli(params: SystemParams, p0: float) -> float:
     """Per-slot collision probability under Bernoulli access."""
     return p0 * idle_probability(params.rates) * params.collision_prob
@@ -63,12 +58,3 @@ def bernoulli_steady_state(params: SystemParams, p0: float, delta: int) -> tuple
     th0, th1 = np.linalg.matrix_power(sig.transmit_block(reset), delta - 1)[0]
     return t10 * float(th0), t10 * float(th1)
 
-
-def average_aoi_bernoulli_series(params: SystemParams, p0: float) -> float:
-    """Average age summed from the stationary distribution (closed geometric tail)."""
-    _check_p0(p0)
-    mass, weighted = slot_transition_matrix(params.rates).geometric_tail(
-        p0 * params.success_prob, 1.0, 0.0
-    )
-    # the tail starts at age 1, so its age sum is the weighted sum alone
-    return weighted / mass

@@ -54,9 +54,6 @@ class ChannelTransition:
         if abs(self.p_II + self.p_IB - 1.0) > 1e-12 or abs(self.p_BI + self.p_BB - 1.0) > 1e-12:
             raise ValueError("transition rows must sum to 1")
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.p_II, self.p_IB], [self.p_BI, self.p_BB]])
-
     def transmit_block(self, reset: float) -> np.ndarray:
         """M = [[p_II - reset, p_IB], [p_BI, p_BB]]: one age step of (theta_idle, theta_busy).
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
@@ -83,10 +81,6 @@ class TabularPolicy:
             raise ValueError("probs must be non-empty")
         if any(not (0.0 <= p <= 1.0) for p in self.probs):
             raise ValueError("transmit probabilities must be in [0, 1]")
-
-    @classmethod
-    def from_array(cls, probs: np.ndarray) -> "TabularPolicy":
-        return cls(probs=tuple(float(p) for p in probs))
 
     @property
     def tail_age(self) -> int:

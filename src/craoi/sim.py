@@ -48,9 +48,6 @@ class PuTrajectory:
         if np.any(self.durations <= 0):
             raise ValueError("sojourn durations must be positive")
 
-    def occupancy_of_segment(self, k: int) -> int:
-        return (self.initial_occupancy + k) % 2
-
     @cached_property
     def boundaries(self) -> np.ndarray:
         """Segment right ends in continuous time, computed once per trajectory."""
@@ -131,6 +128,8 @@ def _success_slots(clear: np.ndarray, policy_u: np.ndarray, probs: list[float]) 
     """
     n, tail = len(clear), len(probs)
     succeeds = clear & _transmits(probs[-1], policy_u)
+    if tail == 1:  # every renewal is at its tail age, so every tail success is one
+        return np.flatnonzero(succeeds)
     # nxt[m]: the first slot at or after m where a tail-age transmission succeeds
     nxt = np.append(np.where(succeeds, np.arange(n), n), n)
     nxt = np.minimum.accumulate(nxt[::-1])[::-1]

@@ -1,16 +1,18 @@
-"""Truncated CMDP solver: structured policy iteration plus multiplier search.
+"""CMDP solver: structured policy iteration plus multiplier search.
 
 The constrained problem (minimize average age subject to a per-slot collision
 budget) is relaxed with a multiplier on the collision cost.  For each fixed
 multiplier the unconstrained average-cost problem is solved by Howard policy
-iteration on a truncated age grid (Puterman 1994, *Markov Decision
-Processes*, section 8.6).  The age either goes up by one or resets to
-(1, idle), so evaluating a policy and finding its stationary distribution are
-each one recursion over per-age 2x2 occupancy blocks instead of a dense
-solve.  The greedy policies are threshold-shaped, so a deterministic
-bisection on the multiplier brackets the budget with two consecutive
-thresholds, and a boundary randomization closes the gap exactly (Beutler &
-Ross 1985).
+iteration on an age grid 1..delta_max whose last age stands for every older
+one (Puterman 1994, *Markov Decision Processes*, section 8.6).  The age
+either goes up by one or resets to (1, idle), so evaluating a policy and
+finding its stationary distribution are each one recursion over per-age 2x2
+occupancy blocks instead of a dense solve.  Past the grid the action is held
+constant, so the resolvent of one block sums the tail exactly: the grid is a
+head plus an exact tail, not a truncation.  The greedy policies are
+threshold-shaped, so a deterministic bisection on the multiplier brackets the
+budget with two consecutive thresholds, and a boundary randomization closes
+the gap exactly (Beutler & Ross 1985).
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ class _Kernel:
     """One-step dynamics of the truncated chain.
 
     From (d, idle) with transmit probability p the age resets to (1, idle)
-    with mass ``p * ok``; otherwise it moves to min(d + 1, delta_max) through
-    the occupancy block [[p_II - p * ok, p_IB], [p_BI, p_BB]] of ``channel``.
+    with mass ``p * ok``; otherwise it moves to d + 1 through the occupancy
+    block [[p_II - p * ok, p_IB], [p_BI, p_BB]] of ``channel``.
     Busy-sensed slots never transmit.  A transmission collides with
     probability ``collision``.  Policy evaluation, the stationary recursion
     and policy improvement all read the dynamics from here.
@@ -64,7 +66,12 @@ class _Kernel:
 
 @dataclass(frozen=True)
 class TruncatedModel:
-    """Finite-age CMDP with self-clamping at delta_max."""
+    """CMDP on ages 1..delta_max as a head plus an exact tail.
+
+    Every age past delta_max takes the action of delta_max, so the tail is
+    summed in closed form by the channel's resolvent.  Only a policy that
+    never transmits at delta_max is truncated: its age pair delta_max absorbs.
+    """
 
     params: SystemParams
     delta_max: int = 200
@@ -94,9 +101,11 @@ def poisson_solve(
     Solves h + g = c + P h with reference h(1, idle) = 0 by one backward
     recursion over ages.  The reset term drops out because its target is the
     reference, so h = a + x * b with one unknown x, fixed by the reference.
-    If the policy transmits at delta_max, x is the gain and the clamp pair
-    solves a nonsingular 2x2 system.  Otherwise the clamp pair absorbs: the
-    gain is delta_max, h is constant on the pair, and x is that constant.
+    If the policy transmits at delta_max, x is the gain, and past delta_max
+    the bias is affine in age, h(d) = h(delta_max) + (d - delta_max) v with
+    v = (I - M)^-1 1, which makes the last age a nonsingular 2x2 system.
+    Otherwise the age pair delta_max absorbs: the gain is delta_max, h is
+    constant on the pair, and x is that constant.
     """
     k = model.kernel
     dmax = model.delta_max
@@ -105,8 +114,12 @@ def poisson_solve(
     if reset[-1] > 0.0:
         g0, g1 = 0.0, 1.0
         m_ii, m_ib, m_bi, m_bb = k.channel.resolvent(reset[-1])
-        ai, ab = m_ii * c_idle[-1] + m_ib * dmax, m_bi * c_idle[-1] + m_bb * dmax
-        bi, bb = -(m_ii + m_ib), -(m_bi + m_bb)
+        # h(delta_max) = (I - M)^-1 (c - x 1 + M v) and (I - M)^-1 M v = w - v
+        v_idle, w_idle = k.channel.geometric_tail(reset[-1], 1.0, 0.0)
+        v_busy, w_busy = k.channel.geometric_tail(reset[-1], 0.0, 1.0)
+        ai = m_ii * c_idle[-1] + m_ib * dmax + (w_idle - v_idle)
+        ab = m_bi * c_idle[-1] + m_bb * dmax + (w_busy - v_busy)
+        bi, bb = -v_idle, -v_busy
     else:
         g0, g1 = float(dmax), 0.0
         ai, ab, bi, bb = 0.0, 0.0, 1.0, 1.0
@@ -201,24 +214,21 @@ class PolicyMetrics:
     divergent: bool = False
 
 
-def _transmit_probs(policy) -> np.ndarray:
-    if isinstance(policy, SolvedPolicy):
-        return np.asarray(policy.transmit, dtype=float)
-    return np.asarray(policy, dtype=float)
+def policy_cost_evaluate(probs, model: TruncatedModel) -> PolicyMetrics:
+    """Exact stationary average age and collision cost of a tail-constant policy.
 
-
-def policy_cost_evaluate(policy, model: TruncatedModel) -> PolicyMetrics:
-    """Stationary average age and collision cost of a (possibly randomized) policy.
-
-    ``policy`` is a SolvedPolicy or an array of transmit probabilities per
-    idle age.  The stationary distribution is one forward recursion from the
-    reset state (1, idle), normalized at the end.  A policy that does not
-    transmit at delta_max has no age renewal in the long run: the clamp pair
-    absorbs and its age sits at delta_max, reported as a divergent-age result.
+    ``probs`` is a non-empty table of transmit probabilities per idle age
+    1..n; older ages reuse the last entry, as in ``TabularPolicy``.  So a
+    Bernoulli policy is ``[p0]``, a threshold or mixed policy is its table up
+    to its ``tail_age``, and n need not be ``delta_max``.  The head is one
+    forward recursion from the reset state (1, idle), normalized at the end.
+    From age n on the state moves by the transmit block M, so the tail holds
+    x (I - M)^-1 for the mass x entering age n.  A policy whose last entry is
+    0 has no age renewal in the long run and is reported as divergent.
     """
-    p_tx = _transmit_probs(policy)
-    if p_tx.shape != (model.delta_max,):
-        raise ValueError(f"expected {model.delta_max} transmit probabilities, got {p_tx.shape}")
+    p_tx = np.asarray(probs, dtype=float)
+    if p_tx.ndim != 1 or p_tx.size == 0:
+        raise ValueError(f"expected a non-empty 1-D probability table, got shape {p_tx.shape}")
     if p_tx[-1] == 0.0:
         return PolicyMetrics(avg_aoi=math.inf, avg_cost=0.0, divergent=True)
     k = model.kernel
@@ -226,23 +236,25 @@ def policy_cost_evaluate(policy, model: TruncatedModel) -> PolicyMetrics:
     p_ib, p_bi, p_bb = k.channel.p_IB, k.channel.p_BI, k.channel.p_BB
     xi, xb = 1.0, 0.0  # unnormalized mass at age 1; (1, busy) is never entered
     idle, busy = [xi], [xb]
-    for d in range(1, model.delta_max):
+    for d in range(1, p_tx.size):
         xi, xb = xi * stay[d - 1] + xb * p_bi, xi * p_ib + xb * p_bb
         idle.append(xi)
         busy.append(xb)
-    # The clamp pair also feeds itself: x (I - M) = inflow.
     m_ii, m_ib, m_bi, m_bb = k.channel.resolvent(reset[-1])
     idle[-1], busy[-1] = xi * m_ii + xb * m_bi, xi * m_ib + xb * m_bb
+    # the tail's age sum is x w + (n - 1) x v: n x v plus x w - x v
+    tail_mass, tail_weighted = k.channel.geometric_tail(reset[-1], xi, xb)
     idle_arr, busy_arr = np.array(idle), np.array(busy)
     total = idle_arr.sum() + busy_arr.sum()
-    avg_aoi = float((model.deltas * (idle_arr + busy_arr)).sum() / total)
+    age_sum = (np.arange(1, p_tx.size + 1) * (idle_arr + busy_arr)).sum()
+    avg_aoi = float((age_sum + (tail_weighted - tail_mass)) / total)
     avg_cost = float((idle_arr * p_tx).sum() * k.collision / total)
     return PolicyMetrics(avg_aoi=avg_aoi, avg_cost=avg_cost)
 
 
-def mixed_transmit_probs(gamma1: int, mu: float, delta_max: int) -> np.ndarray:
-    """Per idle age 1..delta_max: mu at gamma1, 1 above it, 0 below."""
-    p = np.zeros(delta_max)
+def mixed_transmit_probs(gamma1: int, mu: float, n: int) -> np.ndarray:
+    """Per idle age 1..n: mu at gamma1, 1 above it, 0 below."""
+    p = np.zeros(n)
     p[gamma1 - 1] = mu
     p[gamma1:] = 1.0
     return p
@@ -261,9 +273,6 @@ class ConstrainedSolution:
     mu: float
     achieved_cost: float
     achieved_aoi: float
-
-    def mixed_transmit_probs(self, delta_max: int) -> np.ndarray:
-        return mixed_transmit_probs(self.gamma1, self.mu, delta_max)
 
 
 def lambda_bisection(
@@ -293,7 +302,7 @@ def lambda_bisection(
                 f"threshold {gamma} exceeds delta_max/2 = {model.delta_max // 2}; "
                 "increase delta_max for a trustworthy truncation"
             )
-        return pol, gamma, policy_cost_evaluate(pol, model)
+        return pol, gamma, policy_cost_evaluate(pol.transmit, model)
 
     pol0, gamma0, metrics0 = solve(0.0, None)
     if metrics0.avg_cost <= eta_s:
@@ -347,7 +356,7 @@ def lambda_bisection(
             mu = 1.0
         else:
             mu = (1.0 / eta_s - 1.0 / cost_hi) / (1.0 / cost_lo - 1.0 / cost_hi)
-    mixed = policy_cost_evaluate(mixed_transmit_probs(gamma1, mu, model.delta_max), model)
+    mixed = policy_cost_evaluate(mixed_transmit_probs(gamma1, mu, gamma1 + 1), model)
     return ConstrainedSolution(
         lambda_low=lam_lo,
         lambda_high=lam_hi,

@@ -2,9 +2,10 @@
 
 The oracles here are deliberately independent of the package internals: the
 slot transition matrix comes from a matrix exponential, stationary
-distributions come from power iteration on an explicitly assembled sparse
-chain, thresholds come from brute-force scans, and simulator replays come
-from a slot-by-slot loop.  Closed forms and the event-skipping replay in the
+distributions and Poisson equations come from direct sparse solves on an
+explicitly assembled chain, the threshold policy's average age has the
+paper's single-expression form, thresholds come from brute-force scans, and
+simulator replays come from a slot-by-slot loop.  Closed forms and the event-skipping replay in the
 package are correct exactly when they agree with these.
 """
 
@@ -15,6 +16,7 @@ import math
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from craoi import IDLE, PuRates, SimResult, SystemParams, split_seed
 
@@ -29,8 +31,9 @@ def build_chain(params: SystemParams, tx_probs, delta_max: int) -> scipy.sparse.
     """Assemble the age/occupancy chain for per-age idle transmit probabilities.
 
     States are indexed 2*(delta-1) + occupancy for delta = 1..delta_max; the
-    age self-clamps at delta_max.  Built from first principles (matrix
-    exponential plus the literal one-step dynamics), not from package code.
+    age self-clamps at delta_max, and ages past the table reuse its last
+    entry.  Built from first principles (matrix exponential plus the literal
+    one-step dynamics), not from package code.
     """
     sig = expm_transition(params.rates)
     succ = (1.0 - params.phi_s) * math.exp(-params.rates.alpha)
@@ -41,7 +44,7 @@ def build_chain(params: SystemParams, tx_probs, delta_max: int) -> scipy.sparse.
 
     for d in range(1, delta_max + 1):
         dn = min(d + 1, delta_max)
-        p = float(tx_probs[d - 1]) if d - 1 < len(tx_probs) else float(tx_probs[-1])
+        p = float(tx_probs[min(d, len(tx_probs)) - 1])
         # idle-sensed slot: transmit with probability p
         rows += [idx(d, 0)] * 3
         cols += [idx(1, 0), idx(dn, 0), idx(dn, 1)]
@@ -54,29 +57,27 @@ def build_chain(params: SystemParams, tx_probs, delta_max: int) -> scipy.sparse.
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def power_iteration(
-    P: scipy.sparse.csr_matrix, tol: float = 1e-13, max_iter: int = 500_000
-) -> np.ndarray:
-    """Stationary distribution by power iteration on the lazy chain (P + I) / 2.
+def stationary_solve(P: scipy.sparse.csr_matrix) -> np.ndarray:
+    """Stationary distribution of P by one direct sparse solve.
 
-    The lazy chain shares the stationary distribution of P and is aperiodic,
-    so the iteration converges even when P itself is nearly periodic.
+    The equations pi (P - I) = 0 sum to zero, so the first one is replaced
+    by pi_0 = 1 and the solution is then divided by its sum.  State 0 is
+    (1, idle), which every success enters, so it holds mass whenever the
+    policy transmits.  (A row of ones in its place would fill the sparse LU
+    factors in.)
     """
     n = P.shape[0]
-    v = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        v2 = 0.5 * (v @ P) + 0.5 * v
-        if np.abs(v2 - v).max() < tol:
-            v = v2
-            break
-        v = v2
-    v = np.asarray(v).ravel()
-    return v / v.sum()
+    eqs = (P - scipy.sparse.identity(n)).T.tocsr()[1:]
+    pin = scipy.sparse.csr_matrix(([1.0], ([0], [0])), shape=(1, n))
+    b = np.zeros(n)
+    b[0] = 1.0
+    pi = scipy.sparse.linalg.spsolve(scipy.sparse.vstack([pin, eqs], format="csc"), b)
+    return pi / pi.sum()
 
 
 def oracle_stationary(params: SystemParams, tx_probs, delta_max: int) -> np.ndarray:
     """Stationary distribution of the assembled chain, shape (delta_max, 2)."""
-    dist = power_iteration(build_chain(params, tx_probs, delta_max))
+    dist = stationary_solve(build_chain(params, tx_probs, delta_max))
     return dist.reshape(delta_max, 2)
 
 
@@ -90,6 +91,72 @@ def oracle_metrics(params: SystemParams, tx_probs, delta_max: int):
     aoi = float((deltas * dist.sum(axis=1)).sum())
     psi = float((dist[:, 0] * probs).sum() * (1.0 - math.exp(-params.rates.alpha)))
     return aoi, psi
+
+
+def oracle_poisson(params: SystemParams, tx_probs, lam: float, delta_max: int):
+    """Gain and per-age (idle, busy) bias of the assembled chain under cost age + lam * collisions.
+
+    Solves h + g = c + P h with h(1, idle) = 0 as one sparse linear system
+    in (h, g).
+    """
+    P = build_chain(params, tx_probs, delta_max)
+    n = P.shape[0]
+    deltas = np.arange(1, delta_max + 1, dtype=float)
+    probs = np.asarray(
+        [tx_probs[min(d, len(tx_probs)) - 1] for d in range(1, delta_max + 1)], dtype=float
+    )
+    costs = np.empty(n)
+    costs[0::2] = deltas + lam * probs * (1.0 - math.exp(-params.rates.alpha))
+    costs[1::2] = deltas
+    ref = np.zeros((1, n + 1))
+    ref[0, 0] = 1.0
+    a = scipy.sparse.vstack(
+        [scipy.sparse.hstack([scipy.sparse.identity(n) - P, np.ones((n, 1))]), ref],
+        format="csc",
+    )
+    sol = scipy.sparse.linalg.spsolve(a, np.append(costs, 0.0))
+    return sol[n], sol[0:n:2], sol[1:n:2]
+
+
+def average_aoi_closed_form(gamma: int, params: SystemParams) -> float:
+    """Single-expression average age of the threshold policy (the paper's form).
+
+    It shares no code with the package's resolvent tail sums, so it checks
+    them independently.  Note on the form used here: this reduction is easy to get wrong by a
+    sign (exp(-alpha+beta) where the derivation yields exp(-(alpha+beta)))
+    or by dropping the alpha in exp(alpha) inside the constant term.  The
+    version below was frozen after matching ``craoi.average_aoi_series`` on
+    a 20-point parameter grid.  It writes 1 - e^-s and e^s - 1 with ``expm1``;
+    offsetting terms in ``xi`` still leave it about 1e-12 relative off the
+    series for slow PUs (s near 1e-4), which the tests bound at 1e-11.
+    """
+    al, be = params.rates.alpha, params.rates.beta
+    phi = params.phi_s
+    s = al + be
+    one_minus_E = -math.expm1(-s)
+    es_minus_1 = math.expm1(s)
+    ea = math.exp(al)
+    xi = (
+        (s * ea + al * (1.0 - phi)) ** 2 / (be**2 * (1.0 - phi) ** 2)
+        - s * ea / (be * (1.0 - phi))
+        + (2.0 * al * s * (ea + 1.0 - phi) / (be**2 * (1.0 - phi)) - al / be) / es_minus_1
+        + al * s / (be**2 * es_minus_1**2)
+    )
+    num = (
+        gamma * (gamma - 1.0) / 2.0
+        - (1.0 - s / (be * one_minus_E) - s / (be * math.exp(-al) * (1.0 - phi)))
+        * al
+        * math.exp(-s * (gamma - 1.0))
+        / (be * one_minus_E)
+        - xi
+    )
+    den = (
+        gamma
+        - 1.0
+        + s / (be * math.exp(-al) * (1.0 - phi))
+        + al / (one_minus_E * be) * -math.expm1(-s * (gamma - 1.0))
+    )
+    return gamma - num / den
 
 
 def threshold_probs(gamma: int, delta_max: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from craoi import (
     TruncatedModel,
     age_optimal_policy,
     average_aoi_bernoulli,
-    average_aoi_closed_form,
     average_aoi_series,
     collision_probability,
     extract_threshold,
@@ -46,6 +45,7 @@ from craoi.experiments import (
 from .conftest import (
     BINDING_GRID,
     STEADY_STATE_GRID,
+    average_aoi_closed_form,
     binding_instance,
     mixed_probs,
     oracle_stationary,
@@ -206,7 +206,7 @@ def test_criterion_6_oracle_equivalence():
             closed = [steady_state(gamma, params, d) for d in range(1, dmax)]
         err = float(np.abs(np.asarray(closed) - dist[: len(closed)]).max())
         worst = max(worst, err)
-    steady_ok = worst <= 1e-8
+    steady_ok = worst <= 1e-14
 
     aoi_worst = 0.0
     for alpha, beta, phi_s, gamma in STEADY_STATE_GRID:
@@ -214,7 +214,7 @@ def test_criterion_6_oracle_equivalence():
         closed = average_aoi_closed_form(gamma, params)
         series = average_aoi_series(gamma, params)
         aoi_worst = max(aoi_worst, abs(closed - series) / max(1.0, abs(series)))
-    aoi_ok = aoi_worst <= 1e-6
+    aoi_ok = aoi_worst <= 1e-11
 
     lam_worst = 0.0
     for x in np.concatenate([np.linspace(-0.36, 2.0, 40), np.logspace(1, 8, 20)]):
@@ -225,7 +225,7 @@ def test_criterion_6_oracle_equivalence():
     check(
         steady_ok and aoi_ok and lam_ok,
         f"criterion 6 (oracle equivalence): {len(STEADY_STATE_GRID)} steady states "
-        f"within 1e-8 (worst {worst:.1e}), single-expression age within 1e-6 "
+        f"within 1e-14 (worst {worst:.1e}), single-expression age within 1e-11 "
         f"(worst {aoi_worst:.1e}), Lambert inverse within 1e-12 (worst {lam_worst:.1e})",
     )
 

@@ -1,4 +1,4 @@
-"""Closed-form analysis tests against power-iteration and brute-force oracles."""
+"""Closed-form analysis tests against direct-solve and brute-force oracles."""
 
 import math
 
@@ -13,7 +13,6 @@ from craoi import (
     SystemParams,
     age_optimal_policy,
     average_aoi_bernoulli,
-    average_aoi_closed_form,
     average_aoi_series,
     collision_probability,
     idle_probability,
@@ -29,6 +28,7 @@ from craoi import (
 
 from .conftest import (
     BINDING_GRID,
+    average_aoi_closed_form,
     binding_instance,
     brute_threshold_scan,
     mixed_probs,
@@ -68,7 +68,7 @@ class TestTheta10:
     def test_matches_power_iteration(self):
         got = theta_1_0(20, CANON)
         dist = oracle_stationary(CANON, threshold_probs(20, 2000), 2000)
-        assert got == pytest.approx(dist[0, 0], abs=1e-8)
+        assert got == pytest.approx(dist[0, 0], abs=1e-14)
 
     def test_vanishes_for_large_gamma(self):
         assert theta_1_0(10**9, CANON) < 1e-8
@@ -92,8 +92,8 @@ class TestSteadyState:
     def test_point_value_against_oracle(self):
         dist = oracle_stationary(CANON, threshold_probs(20, 2000), 2000)
         th0, th1 = steady_state(20, CANON, 35)
-        assert th0 == pytest.approx(dist[34, 0], abs=1e-10)
-        assert th1 == pytest.approx(dist[34, 1], abs=1e-10)
+        assert th0 == pytest.approx(dist[34, 0], abs=1e-14)
+        assert th1 == pytest.approx(dist[34, 1], abs=1e-14)
 
     @pytest.mark.parametrize(
         "alpha,beta,phi_s,gamma",
@@ -105,8 +105,8 @@ class TestSteadyState:
         dist = oracle_stationary(params, threshold_probs(gamma, dmax), dmax)
         for delta in range(1, gamma + 60):
             th0, th1 = steady_state(gamma, params, delta)
-            assert th0 == pytest.approx(dist[delta - 1, 0], abs=1e-8)
-            assert th1 == pytest.approx(dist[delta - 1, 1], abs=1e-8)
+            assert th0 == pytest.approx(dist[delta - 1, 0], abs=1e-14)
+            assert th1 == pytest.approx(dist[delta - 1, 1], abs=1e-14)
 
 
 class TestCollisionProbability:
@@ -129,7 +129,7 @@ class TestAverageAoi:
         aoi = average_aoi_series(20, CANON)
         dist = oracle_stationary(CANON, threshold_probs(20, 2000), 2000)
         oracle = float((np.arange(1, 2001) * dist.sum(axis=1)).sum())
-        assert aoi == pytest.approx(oracle, abs=1e-7)
+        assert aoi == pytest.approx(oracle, rel=1e-12)
 
     def test_degenerate_smoke(self):
         params = make_params(1e-8, 0.4, 0.0)
@@ -290,8 +290,8 @@ class TestMixedPolicy:
         dist = oracle_stationary(CANON, mixed_probs(g1, mu, dmax), dmax)
         for delta in (1, 5, 20, 21, 22, 50, 90):
             th0, th1 = mixed_policy_steady_state(CANON, g1, mu, delta)
-            assert th0 == pytest.approx(dist[delta - 1, 0], abs=1e-8)
-            assert th1 == pytest.approx(dist[delta - 1, 1], abs=1e-8)
+            assert th0 == pytest.approx(dist[delta - 1, 0], abs=1e-14)
+            assert th1 == pytest.approx(dist[delta - 1, 1], abs=1e-14)
 
 
 class TestAgeOptimalPolicy:

@@ -9,14 +9,15 @@ from craoi import (
     BernoulliAccessPolicy,
     PuRates,
     SystemParams,
+    TruncatedModel,
     age_optimal_policy,
     average_aoi_bernoulli,
     bernoulli_steady_state,
     idle_probability,
     optimal_transmit_probability,
-    throughput,
+    policy_cost_evaluate,
 )
-from craoi.baseline import average_aoi_bernoulli_series, collision_probability_bernoulli
+from craoi.baseline import collision_probability_bernoulli
 
 from .conftest import oracle_stationary
 
@@ -52,14 +53,6 @@ class TestOptimalTransmitProbability:
         )
 
 
-class TestThroughput:
-    def test_full_access_equals_idle_probability(self):
-        assert throughput(CANON, 1.0) == pytest.approx(0.4 / 0.42, rel=1e-12)
-
-    def test_linear_in_p0(self):
-        assert throughput(CANON, 0.5) == pytest.approx(0.5 * throughput(CANON, 1.0), rel=1e-12)
-
-
 class TestAverageAoi:
     def test_strictly_decreasing_in_p0(self):
         values = [average_aoi_bernoulli(CANON, p0) for p0 in (0.01, 0.1, 0.5, 1.0)]
@@ -78,10 +71,12 @@ class TestAverageAoi:
         ],
     )
     def test_closed_form_matches_series(self, alpha, beta, phi_s, p0):
+        # the exact evaluator sums the stationary series; Bernoulli access is the table [p0]
         params = SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=0.01)
-        closed = average_aoi_bernoulli(params, p0)
-        series = average_aoi_bernoulli_series(params, p0)
-        assert closed == pytest.approx(series, rel=1e-14)
+        series = policy_cost_evaluate([p0], TruncatedModel(params=params))
+        assert average_aoi_bernoulli(params, p0) == pytest.approx(series.avg_aoi, rel=1e-14)
+        psi = collision_probability_bernoulli(params, p0)
+        assert psi == pytest.approx(series.avg_cost, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -98,8 +93,8 @@ class TestSteadyState:
         dist = oracle_stationary(CANON, np.full(dmax, p0), dmax)
         for delta in (1, 2, 5, 20, 80):
             th0, th1 = bernoulli_steady_state(CANON, p0, delta)
-            assert th0 == pytest.approx(dist[delta - 1, 0], abs=1e-8)
-            assert th1 == pytest.approx(dist[delta - 1, 1], abs=1e-8)
+            assert th0 == pytest.approx(dist[delta - 1, 0], abs=1e-14)
+            assert th1 == pytest.approx(dist[delta - 1, 1], abs=1e-14)
 
     def test_implied_aoi_matches_closed_form(self):
         p0 = 0.3

@@ -18,6 +18,12 @@ from craoi import (
 
 from .conftest import expm_transition
 
+
+def occupancy_matrix(sig) -> np.ndarray:
+    """The slot occupancy matrix: the transmit block with no resets."""
+    return sig.transmit_block(0.0)
+
+
 rates_st = st.tuples(
     st.floats(min_value=1e-3, max_value=2.0),
     st.floats(min_value=1e-3, max_value=5.0),
@@ -58,7 +64,7 @@ class TestSlotTransitionMatrix:
     @settings(deadline=None)
     @given(rates_st)
     def test_matches_matrix_exponential(self, rates):
-        sig = slot_transition_matrix(rates).as_matrix()
+        sig = occupancy_matrix(slot_transition_matrix(rates))
         np.testing.assert_allclose(sig, expm_transition(rates), atol=1e-12)
 
 
@@ -66,22 +72,22 @@ class TestTransitionMatrixPower:
     def test_t_one_equals_slot_matrix(self):
         rates = PuRates(0.02, 0.4)
         np.testing.assert_allclose(
-            transition_matrix_power(rates, 1.0).as_matrix(),
-            slot_transition_matrix(rates).as_matrix(),
+            occupancy_matrix(transition_matrix_power(rates, 1.0)),
+            occupancy_matrix(slot_transition_matrix(rates)),
             atol=1e-14,
         )
 
     def test_long_horizon_reaches_stationarity(self):
         rates = PuRates(0.02, 0.4)
-        mat = transition_matrix_power(rates, 1e4).as_matrix()
+        mat = occupancy_matrix(transition_matrix_power(rates, 1e4))
         pi = np.array([idle_probability(rates), 1.0 - idle_probability(rates)])
         np.testing.assert_allclose(mat, np.vstack([pi, pi]), atol=1e-10)
 
     def test_integer_power_equals_repeated_product(self):
         rates = PuRates(0.05, 0.3)
-        one = slot_transition_matrix(rates).as_matrix()
+        one = occupancy_matrix(slot_transition_matrix(rates))
         np.testing.assert_allclose(
-            transition_matrix_power(rates, 5.0).as_matrix(),
+            occupancy_matrix(transition_matrix_power(rates, 5.0)),
             np.linalg.matrix_power(one, 5),
             atol=1e-12,
         )
@@ -93,10 +99,10 @@ class TestTransitionMatrixPower:
         st.floats(min_value=0.0, max_value=20.0),
     )
     def test_chapman_kolmogorov(self, rates, s, t):
-        lhs = transition_matrix_power(rates, s + t).as_matrix()
-        rhs = transition_matrix_power(rates, s).as_matrix() @ transition_matrix_power(
-            rates, t
-        ).as_matrix()
+        lhs = occupancy_matrix(transition_matrix_power(rates, s + t))
+        rhs = occupancy_matrix(transition_matrix_power(rates, s)) @ occupancy_matrix(
+            transition_matrix_power(rates, t)
+        )
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_negative_time_rejected(self):
@@ -133,7 +139,8 @@ class TestScalars:
     def test_idle_probability_is_stationary(self):
         rates = PuRates(0.07, 0.9)
         pi = np.array([idle_probability(rates), 1.0 - idle_probability(rates)])
-        np.testing.assert_allclose(pi @ slot_transition_matrix(rates).as_matrix(), pi, atol=1e-14)
+        sig = occupancy_matrix(slot_transition_matrix(rates))
+        np.testing.assert_allclose(pi @ sig, pi, atol=1e-14)
 
     def test_expected_cycle_length(self):
         assert expected_cycle_length(PuRates(0.002, 0.006)) == pytest.approx(500.0 + 1000.0 / 6.0)

@@ -1,10 +1,12 @@
 """End-to-end CLI tests through the installed console script."""
 
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
+import craoi.cli
 from craoi import PuRates, SystemParams, age_optimal_policy, average_aoi_series
 
 
@@ -92,6 +94,22 @@ class TestSolve:
         )
         assert res.returncode == 0
         assert "rvi_agreement ok (rvi gamma1=138 gamma2=139" in res.stdout
+
+    def test_verify_compares_metrics(self, monkeypatch, capsys):
+        # the same policy with an average age off by 1e-9 relative must not pass
+        solve = craoi.cli.lambda_bisection
+
+        def skewed(model):
+            sol = solve(model)
+            return dataclasses.replace(sol, achieved_aoi=sol.achieved_aoi * (1.0 + 1e-9))
+
+        monkeypatch.setattr(craoi.cli, "lambda_bisection", skewed)
+        rc = craoi.cli.main(
+            ["solve", "--alpha", "0.02", "--beta", "0.4", "--phi-s", "0.2",
+             "--eta-s", "0.002", "--verify"]
+        )  # fmt: skip
+        assert rc == 1
+        assert "rvi_agreement MISMATCH (rvi gamma1=" in capsys.readouterr().out
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "solve.csv"

@@ -18,14 +18,16 @@ from craoi import (
     SystemParams,
     TabularPolicy,
     ThresholdPolicy,
+    TruncatedModel,
     average_aoi_series,
     collision_probability,
     generate_pu_trajectory,
+    idle_probability,
+    policy_cost_evaluate,
     replicate,
     run_config,
     run_policy,
     split_seed,
-    throughput,
 )
 from craoi.experiments import FIG4_SIM_GAMMAS
 
@@ -75,7 +77,11 @@ class TestTrajectory:
 
     def test_occupancy_alternates(self):
         traj = generate_pu_trajectory(CANON.rates, 3, seed=5, initial_occupancy=BUSY)
-        assert [traj.occupancy_of_segment(k) for k in range(4)] == [BUSY, IDLE, BUSY, IDLE]
+        assert traj.initial_occupancy == BUSY
+        # busy first: the sojourns take the busy rate beta, then the idle rate alpha
+        u = np.random.Generator(np.random.PCG64(5)).random(2)
+        assert traj.durations[0] == pytest.approx(-math.log1p(-u[0]) / 0.4, rel=1e-12)
+        assert traj.durations[1] == pytest.approx(-math.log1p(-u[1]) / 0.02, rel=1e-12)
 
     def test_empirical_idle_mean(self):
         # idle sojourns (even segments) have mean 1/alpha, busy ones 1/beta
@@ -303,9 +309,25 @@ class TestStatisticalAgreement:
         p0 = 0.1
         cfg = SimConfig(params=CANON, policy=BernoulliAccessPolicy(p0), seed=55, slots=100_000)
         rep = replicate(cfg, n_reps=8)
-        assert abs(rep.mean["throughput_hat"] - throughput(CANON, p0)) <= 3 * max(
+        expected = idle_probability(CANON.rates) * p0
+        assert abs(rep.mean["throughput_hat"] - expected) <= 3 * max(
             rep.stderr["throughput_hat"], 1e-5
         )
+
+    @pytest.mark.parametrize("policy", [
+        BernoulliAccessPolicy(0.5),
+        BernoulliAccessPolicy(0.024),
+        TabularPolicy((0.0, 0.0, 0.7, 0.2, 1.0)),
+        TabularPolicy((0.3, 0.0, 0.0, 0.0, 0.0, 0.9, 0.05)),
+    ], ids=["bernoulli-0.5", "bernoulli-0.024", "tabular-rising", "tabular-dip"])  # fmt: skip
+    def test_matches_exact_evaluator(self, policy):
+        # the evaluator reads the same table as the replay: ages 1..tail_age
+        table = [policy.transmit_probability(a) for a in range(1, policy.tail_age + 1)]
+        exact = policy_cost_evaluate(table, TruncatedModel(params=CANON))
+        rep = replicate(SimConfig(params=CANON, policy=policy, seed=11, slots=100_000), n_reps=10)
+        assert rep.mean["avg_aoi"] == pytest.approx(exact.avg_aoi, rel=0.02)
+        se = max(rep.stderr["psi_s_hat"], 1e-12)
+        assert abs(rep.mean["psi_s_hat"] - exact.avg_cost) <= 3 * se
 
     def test_randomized_threshold_between_neighbors(self):
         pol = RandomizedThresholdPolicy(gamma1=20, mu=0.5)

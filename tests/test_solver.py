@@ -13,6 +13,7 @@ from craoi import (
     average_aoi_series,
     extract_threshold,
     lambda_bisection,
+    mixed_policy_metrics,
     optimal_thresholds,
     randomization_mu,
     policy_cost_evaluate,
@@ -24,6 +25,7 @@ from craoi.solver import (
     BisectionError,
     SolvedPolicy,
     ThresholdStructureError,
+    mixed_transmit_probs,
     poisson_solve,
 )
 
@@ -33,20 +35,12 @@ from .conftest import (
     build_chain,
     mixed_probs,
     oracle_metrics,
+    oracle_poisson,
     threshold_probs,
 )
 
 CANON = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.0005)
 MODEL = TruncatedModel(params=CANON)
-
-
-def lagrangian_costs(params, probs, lam) -> np.ndarray:
-    """Per-state cost age + lam * collisions, in the oracle chain's state order."""
-    deltas = np.arange(1, probs.size + 1, dtype=float)
-    costs = np.empty(2 * probs.size)
-    costs[0::2] = deltas + lam * probs * (1.0 - math.exp(-params.rates.alpha))
-    costs[1::2] = deltas
-    return costs
 
 
 def kernel_row(model, delta, occ, p) -> np.ndarray:
@@ -162,16 +156,19 @@ class TestRvi:
     def test_gain_matches_policy_evaluation(self):
         lam = 1000.0
         pol = rvi_solve(MODEL, lam)
-        metrics = policy_cost_evaluate(pol, MODEL)
+        metrics = policy_cost_evaluate(pol.transmit, MODEL)
         assert pol.gain == pytest.approx(metrics.avg_aoi + lam * metrics.avg_cost, rel=1e-10)
 
     @pytest.mark.parametrize("init", [None, np.zeros(20, dtype=bool)])
     def test_short_truncation_through_absorbing_policy(self, init):
-        # From never-transmit the clamp pair absorbs (gain delta_max = 20);
-        # the iteration must evaluate that policy, not stop at it.
-        pol = rvi_solve(TruncatedModel(params=CANON, delta_max=20), 1e3, init)
+        # From never-transmit the age pair 20 absorbs (gain delta_max = 20);
+        # the iteration must evaluate that policy, not stop at it.  The exact
+        # tail makes the gain of threshold 7 its closed form.
+        lam = 1e3
+        pol = rvi_solve(TruncatedModel(params=CANON, delta_max=20), lam, init)
         assert extract_threshold(pol) == 7
-        assert pol.gain == pytest.approx(7.715979, abs=1e-6)
+        expected = average_aoi_series(7, CANON) + lam * collision_probability(7, CANON)
+        assert pol.gain == pytest.approx(expected, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -188,23 +185,27 @@ def silent_clamp(probs: np.ndarray) -> np.ndarray:
 
 
 class TestPoissonEquation:
-    @pytest.mark.parametrize("probs", [
-        mixed_probs(7, 0.3, 40),
-        mixed_probs(1, 0.6, 40),
-        threshold_probs(40, 40),
-        np.zeros(40),
-        silent_clamp(threshold_probs(30, 40)),
+    # A policy that transmits at delta_max = 40 is checked against an oracle
+    # chain padded with its tail entry to 400 ages, where the clamp holds no
+    # mass; one that does not makes its age pair 40 absorbing in both.
+    @pytest.mark.parametrize("probs,length", [
+        (mixed_probs(7, 0.3, 40), 400),
+        (mixed_probs(1, 0.6, 40), 400),
+        (threshold_probs(40, 40), 400),
+        (np.zeros(40), 40),
+        (silent_clamp(threshold_probs(30, 40)), 40),
     ], ids=["mixed", "mixed-at-one", "clamp-only", "never", "silent-clamp"])  # fmt: skip
-    def test_gain_and_bias_solve_oracle_chain(self, probs):
+    def test_gain_and_bias_solve_oracle_chain(self, probs, length):
         lam = 700.0
         model = TruncatedModel(params=CANON, delta_max=40)
         gain, bias_idle, bias_busy = poisson_solve(probs, model, lam)
-        h = np.empty(80)
-        h[0::2], h[1::2] = bias_idle, bias_busy
-        rhs = lagrangian_costs(CANON, probs, lam) + build_chain(CANON, probs, 40).toarray() @ h
-        np.testing.assert_allclose(h + gain, rhs, rtol=0, atol=1e-12 * np.abs(rhs).max())
-        assert h[0] == 0.0
-        if probs[-1] == 0.0:  # the clamp pair absorbs
+        o_gain, o_idle, o_busy = oracle_poisson(CANON, probs, lam, length)
+        assert gain == pytest.approx(o_gain, rel=1e-12)
+        scale = np.abs(o_idle[:40]).max()
+        np.testing.assert_allclose(bias_idle, o_idle[:40], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(bias_busy, o_busy[:40], rtol=0, atol=1e-12 * scale)
+        assert bias_idle[0] == 0.0
+        if probs[-1] == 0.0:  # the age pair 40 absorbs
             assert gain == 40.0
 
 
@@ -236,16 +237,22 @@ class TestExtractThreshold:
 
 class TestPolicyEvaluation:
     def test_threshold_cost_matches_closed_form(self):
-        probs = np.zeros(200)
-        probs[19:] = 1.0
-        metrics = policy_cost_evaluate(probs, MODEL)
-        assert metrics.avg_cost == pytest.approx(collision_probability(20, CANON), abs=1e-6)
+        metrics = policy_cost_evaluate(threshold_probs(20, 200), MODEL)
+        assert metrics.avg_cost == pytest.approx(collision_probability(20, CANON), rel=1e-12)
 
     def test_threshold_aoi_matches_series(self):
-        probs = np.zeros(200)
-        probs[19:] = 1.0
-        metrics = policy_cost_evaluate(probs, MODEL)
-        assert metrics.avg_aoi == pytest.approx(average_aoi_series(20, CANON), rel=1e-3)
+        metrics = policy_cost_evaluate(threshold_probs(20, 200), MODEL)
+        assert metrics.avg_aoi == pytest.approx(average_aoi_series(20, CANON), rel=1e-12)
+
+    @pytest.mark.parametrize("gamma1,mu", [(1, 0.6), (9, 0.4), (20, 1.0), (150, 0.25), (250, 0.7)])
+    @pytest.mark.parametrize("length", ["tail-age", "padded"])
+    def test_mixed_matches_closed_form(self, gamma1, mu, length):
+        # the table may stop at the tail age or run past it, even past delta_max
+        n = gamma1 + 1 if length == "tail-age" else gamma1 + 60
+        metrics = policy_cost_evaluate(mixed_probs(gamma1, mu, n), MODEL)
+        aoi, psi = mixed_policy_metrics(CANON, gamma1, mu)
+        assert metrics.avg_aoi == pytest.approx(aoi, rel=1e-12)
+        assert metrics.avg_cost == pytest.approx(psi, rel=1e-12)
 
     def test_never_transmit_diverges(self):
         metrics = policy_cost_evaluate(np.zeros(200), MODEL)
@@ -261,17 +268,23 @@ class TestPolicyEvaluation:
         threshold_probs(12, 60),
         mixed_probs(9, 0.4, 60),
         threshold_probs(60, 60),
-    ], ids=["always", "threshold", "mixed", "clamp-only"])  # fmt: skip
+        np.array([0.35]),
+        np.array([0.3, 0.0, 0.0, 0.0, 0.0, 0.9, 0.05]),
+    ], ids=["always", "threshold", "mixed", "clamp-only", "bernoulli", "tabular"])  # fmt: skip
     def test_matches_oracle_chain(self, probs):
+        # the oracle pads the table with its last entry to 3000 ages, where
+        # even the slowest tail here (reset 0.05 * 0.78 per idle slot) holds
+        # no mass above rounding
         model = TruncatedModel(params=CANON, delta_max=60)
         metrics = policy_cost_evaluate(probs, model)
-        aoi, psi = oracle_metrics(CANON, probs, 60)
-        assert metrics.avg_aoi == pytest.approx(aoi, rel=1e-9)
-        assert metrics.avg_cost == pytest.approx(psi, rel=1e-9)
+        aoi, psi = oracle_metrics(CANON, probs, 3000)
+        assert metrics.avg_aoi == pytest.approx(aoi, rel=1e-12)
+        assert metrics.avg_cost == pytest.approx(psi, rel=1e-12)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            policy_cost_evaluate(np.ones(17), MODEL)
+        for probs in (np.array([]), np.ones((2, 3))):
+            with pytest.raises(ValueError):
+                policy_cost_evaluate(probs, MODEL)
 
 
 class TestLambdaBisection:
@@ -293,7 +306,7 @@ class TestLambdaBisection:
 
     def test_mixed_probs_layout(self):
         sol = lambda_bisection(MODEL)
-        probs = sol.mixed_transmit_probs(MODEL.delta_max)
+        probs = mixed_transmit_probs(sol.gamma1, sol.mu, MODEL.delta_max)
         assert probs[sol.gamma1 - 1] == pytest.approx(sol.mu)
         assert np.all(probs[sol.gamma1 :] == 1.0)
         assert np.all(probs[: sol.gamma1 - 1] == 0.0)
@@ -306,6 +319,16 @@ class TestLambdaBisection:
         assert (sol.gamma1, sol.gamma2) == (g1, g2)
         if g1 != g2:
             assert sol.mu == pytest.approx(randomization_mu(params, g1), abs=1e-6)
+
+    @pytest.mark.parametrize("alpha,beta", [(1e-4, 3e-4), (1e-3, 2e-3), (0.005, 0.01)])
+    def test_slow_pu_achieved_metrics_exact(self, alpha, beta):
+        # a slow PU keeps ages past delta_max = 200 likely, where a clamp
+        # would count them as 200
+        params = binding_instance(alpha, beta, 0.2, 0.5)
+        sol = lambda_bisection(TruncatedModel(params=params))
+        aoi, psi = mixed_policy_metrics(params, sol.gamma1, sol.mu)
+        assert sol.achieved_aoi == pytest.approx(aoi, rel=1e-12)
+        assert sol.achieved_cost == pytest.approx(psi, rel=1e-12)
 
     def test_truncation_guard(self):
         tight = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.0005)
