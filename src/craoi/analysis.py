@@ -31,6 +31,16 @@ from .channel import (
 )
 
 
+def _outcome_probs(phi_s: float, alpha: float) -> tuple[float, float]:
+    """(success, collision) probabilities of a transmission from an idle-sensed slot.
+
+    It succeeds if the PU stays idle through the slot and the device has no
+    outage; it collides if the PU returns within the slot.
+    """
+    stay_idle = math.exp(-alpha)
+    return (1.0 - phi_s) * stay_idle, 1.0 - stay_idle
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Full problem instance: PU rates, outage probability, per-slot collision budget."""
@@ -57,12 +67,12 @@ class SystemParams:
     @property
     def success_prob(self) -> float:
         """Probability a transmission from an idle-sensed slot succeeds."""
-        return (1.0 - self.phi_s) * math.exp(-self.rates.alpha)
+        return _outcome_probs(self.phi_s, self.rates.alpha)[0]
 
     @property
     def collision_prob(self) -> float:
         """Probability a transmission from an idle-sensed slot collides with the PU's return."""
-        return 1.0 - math.exp(-self.rates.alpha)
+        return _outcome_probs(self.phi_s, self.rates.alpha)[1]
 
 
 def _check_gamma(gamma: int) -> int:
@@ -71,36 +81,53 @@ def _check_gamma(gamma: int) -> int:
     return int(gamma)
 
 
-def _normalizer(params: SystemParams, gamma1: int, mu: float) -> float:
+def _scalars(params: SystemParams) -> tuple:
+    """The model scalars of one instance, formed once per public call.
+
+    (alpha, beta, s, success, collision, s/(beta*success), alpha/beta,
+    expm1(-s), rates) with s = alpha + beta.  A plain tuple that lives only
+    for that call: nothing is cached on the params, so a sweep that keeps
+    many instances alive holds no extra memory.
+    """
+    rates = params.rates
+    al, be = rates.alpha, rates.beta
+    s = al + be
+    success, collision = _outcome_probs(params.phi_s, al)
+    return al, be, s, success, collision, s / (be * success), al / be, math.expm1(-s), rates
+
+
+def _normalizer(m: tuple, gamma1: int, mu: float) -> float:
     """1 / theta_(1,0) of the policy transmitting w.p. mu at (gamma1, idle), always past gamma1.
 
     With N(G) = G - 1 + s/(beta*success) + alpha(1 - e^(-s(G-1)))/((1 - e^-s)beta)
     for the threshold G, it is affine in mu like the boundary vector:
     N(gamma1 + 1) at mu = 0 and N(gamma1) at mu = 1.
     """
-    al, be = params.rates.alpha, params.rates.beta
-    s = al + be
+    al, be, s, _, _, b_term, a_over_b, expm1_s, _ = m
     # (1 - e^(-s gamma1)) / (1 - e^-s) by expm1: no cancellation for slow PUs
-    upper = (
-        gamma1
-        + s / (be * params.success_prob)
-        + al / be * (math.expm1(-s * gamma1) / math.expm1(-s))
-    )
+    upper = gamma1 + b_term + a_over_b * (math.expm1(-s * gamma1) / expm1_s)
     return upper - mu * (1.0 + al * math.exp(-s * (gamma1 - 1.0)) / be)
+
+
+def _psi(m: tuple, gamma: int) -> float:
+    """Per-slot collision probability of the threshold gamma: theta_(1,0) * collision / success."""
+    _, _, _, success, collision, _, _, _, _ = m
+    return 1.0 / _normalizer(m, gamma, 1.0) * collision / success
 
 
 def theta_1_0(gamma: int, params: SystemParams) -> float:
     """Stationary probability of the post-success state (age 1, channel idle)."""
-    return 1.0 / _normalizer(params, _check_gamma(gamma), 1.0)
+    gamma = _check_gamma(gamma)
+    return 1.0 / _normalizer(_scalars(params), gamma, 1.0)
 
 
-def _below_threshold_state(params: SystemParams, t10: float, delta: int) -> tuple[float, float]:
+def _below_threshold_state(rates: PuRates, t10: float, delta: int) -> tuple[float, float]:
     # occupancy mixes for delta - 1 slots starting from (t10, 0)
-    sig = transition_matrix_power(params.rates, delta - 1.0)
+    sig = transition_matrix_power(rates, delta - 1.0)
     return t10 * sig.p_II, t10 * sig.p_IB
 
 
-def _stationary(params: SystemParams, gamma1: int, mu: float):
+def _stationary(m: tuple, gamma1: int, mu: float):
     """theta_(1,0), the boundary vector at age gamma1+1 and its geometric tail sums.
 
     The boundary vector is per unit theta_(1,0); past it the state moves by
@@ -111,13 +138,14 @@ def _stationary(params: SystemParams, gamma1: int, mu: float):
     gamma1 = _check_gamma(gamma1)
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"mu must be in [0, 1], got {mu}")
+    _, _, _, success, _, _, _, _, rates = m
     # occupancy mixing to age gamma1, then one slot with resets w.p. mu at (gamma1, idle)
-    y0, y1 = _below_threshold_state(params, 1.0, gamma1)
-    sig = slot_transition_matrix(params.rates)
-    t0 = y0 * (sig.p_II - mu * params.success_prob) + y1 * sig.p_BI
+    y0, y1 = _below_threshold_state(rates, 1.0, gamma1)
+    sig = slot_transition_matrix(rates)
+    t0 = y0 * (sig.p_II - mu * success) + y1 * sig.p_BI
     t1 = y0 * sig.p_IB + y1 * sig.p_BB
-    tail_mass, tail_weighted = sig.geometric_tail(params.success_prob, t0, t1)
-    t10 = 1.0 / _normalizer(params, gamma1, mu)
+    tail_mass, tail_weighted = sig.geometric_tail(success, t0, t1)
+    t10 = 1.0 / _normalizer(m, gamma1, mu)
     # each age level up to gamma1 carries total mass t10
     mass = t10 * (gamma1 + tail_mass)
     if abs(mass - 1.0) > 1e-9:
@@ -135,21 +163,28 @@ def mixed_policy_steady_state(
     """
     if delta < 1:
         raise ValueError(f"age must be >= 1, got {delta}")
-    t10, boundary, _, _ = _stationary(params, gamma1, mu)
+    m = _scalars(params)
+    t10, boundary, _, _ = _stationary(m, gamma1, mu)
+    _, _, _, success, _, _, _, _, rates = m
     if delta <= gamma1:
-        return _below_threshold_state(params, t10, delta)
-    block = slot_transition_matrix(params.rates).transmit_block(params.success_prob)
+        return _below_threshold_state(rates, t10, delta)
+    block = slot_transition_matrix(rates).transmit_block(success)
     th0, th1 = np.array(boundary) @ np.linalg.matrix_power(block, delta - gamma1 - 1)
     return t10 * float(th0), t10 * float(th1)
 
 
-def mixed_policy_metrics(params: SystemParams, gamma1: int, mu: float) -> tuple[float, float]:
-    """(average age, per-slot collision probability) of the randomized policy."""
-    t10, _, tail_mass, tail_weighted = _stationary(params, gamma1, mu)
+def _metrics(m: tuple, gamma1: int, mu: float) -> tuple[float, float]:
+    t10, _, tail_mass, tail_weighted = _stationary(m, gamma1, mu)
+    _, _, _, success, collision, _, _, _, _ = m
     # the tail starts at age gamma1 + 1
     aoi = t10 * (gamma1 * (gamma1 + 1.0) / 2.0 + tail_weighted + gamma1 * tail_mass)
-    psi = t10 * params.collision_prob / params.success_prob
+    psi = t10 * collision / success
     return aoi, psi
+
+
+def mixed_policy_metrics(params: SystemParams, gamma1: int, mu: float) -> tuple[float, float]:
+    """(average age, per-slot collision probability) of the randomized policy."""
+    return _metrics(_scalars(params), gamma1, mu)
 
 
 def steady_state(gamma: int, params: SystemParams, delta: int) -> tuple[float, float]:
@@ -159,7 +194,8 @@ def steady_state(gamma: int, params: SystemParams, delta: int) -> tuple[float, f
 
 def collision_probability(gamma: int, params: SystemParams) -> float:
     """Per-slot collision probability psi_s of the threshold policy."""
-    return theta_1_0(gamma, params) * params.collision_prob / params.success_prob
+    gamma = _check_gamma(gamma)
+    return _psi(_scalars(params), gamma)
 
 
 def average_aoi_series(gamma: int, params: SystemParams) -> float:
@@ -214,6 +250,34 @@ def _lambert_w0_exp(z: float) -> float:
     return w
 
 
+def _thresholds(m: tuple, eta: float) -> tuple[int, int, float, float]:
+    """(Gamma1, Gamma2, psi_s(Gamma1), psi_s(Gamma2)); see :func:`optimal_thresholds`.
+
+    The two collision probabilities verify the bracket and are returned, so
+    that mu is interpolated from them rather than from a second evaluation.
+    """
+    psi_one = _psi(m, 1)
+    if psi_one <= eta:
+        return 1, 1, psi_one, psi_one
+    al, be, s, success, collision, b_term, _, expm1_s, _ = m
+    k = al / (be * -expm1_s)
+    tau = eta * success / collision  # theta_(1,0) at the budget
+    r = 1.0 / tau - b_term - k
+    # W(s k e^(-s r)) in log space: e^(-s r) overflows when alpha >> beta and eta is small
+    g_real = 1.0 + r + _lambert_w0_exp(math.log(s * k) - s * r) / s
+    g1, g2 = int(math.floor(g_real)), int(math.ceil(g_real))
+    g1 = max(g1, 1)
+    g2 = max(g2, g1)
+    psi1 = _psi(m, g1)
+    psi2 = psi1 if g2 == g1 else _psi(m, g2)
+    if not (psi1 >= eta >= psi2):
+        raise ValueError(
+            f"threshold bracket verification failed at (G1, G2)=({g1}, {g2}); "
+            "Lambert W argument is numerically suspect for these parameters"
+        )
+    return g1, g2, psi1, psi2
+
+
 def optimal_thresholds(params: SystemParams) -> tuple[int, int]:
     """Consecutive thresholds bracketing the collision budget.
 
@@ -224,26 +288,19 @@ def optimal_thresholds(params: SystemParams) -> tuple[int, int]:
     evaluation; the floor/ceil pair is then re-verified against
     :func:`collision_probability`, which is the contract.
     """
-    eta = params.eta_s
-    if collision_probability(1, params) <= eta:
-        return 1, 1
-    al, be = params.rates.alpha, params.rates.beta
-    s = al + be
-    k = al / (be * -math.expm1(-s))
-    b_term = s / (be * params.success_prob)
-    tau = eta * params.success_prob / params.collision_prob  # theta_(1,0) at the budget
-    r = 1.0 / tau - b_term - k
-    # W(s k e^(-s r)) in log space: e^(-s r) overflows when alpha >> beta and eta is small
-    g_real = 1.0 + r + _lambert_w0_exp(math.log(s * k) - s * r) / s
-    g1, g2 = int(math.floor(g_real)), int(math.ceil(g_real))
-    g1 = max(g1, 1)
-    g2 = max(g2, g1)
-    if not (collision_probability(g1, params) >= eta >= collision_probability(g2, params)):
-        raise ValueError(
-            f"threshold bracket verification failed at (G1, G2)=({g1}, {g2}); "
-            "Lambert W argument is numerically suspect for these parameters"
-        )
+    g1, g2, _, _ = _thresholds(_scalars(params), params.eta_s)
     return g1, g2
+
+
+def _mu(eta: float, gamma1: int, psi1: float, psi2: float) -> float:
+    """Mixing probability at gamma1 from psi1 = psi_s(gamma1) and psi2 = psi_s(gamma1 + 1)."""
+    mu = (1.0 / psi2 - 1.0 / eta) / (1.0 / psi2 - 1.0 / psi1)
+    if not (0.0 <= mu <= 1.0):
+        raise ValueError(
+            f"mixing probability {mu} outside [0, 1]; eta_s={eta} does not lie "
+            f"between psi_s({gamma1})={psi1} and psi_s({gamma1 + 1})={psi2}"
+        )
+    return mu
 
 
 def randomization_mu(params: SystemParams, gamma1: int) -> float:
@@ -256,16 +313,8 @@ def randomization_mu(params: SystemParams, gamma1: int) -> float:
     expression exists and is cross-checked in the tests.
     """
     gamma1 = _check_gamma(gamma1)
-    eta = params.eta_s
-    psi1 = collision_probability(gamma1, params)
-    psi2 = collision_probability(gamma1 + 1, params)
-    mu = (1.0 / psi2 - 1.0 / eta) / (1.0 / psi2 - 1.0 / psi1)
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(
-            f"mixing probability {mu} outside [0, 1]; eta_s={eta} does not lie "
-            f"between psi_s({gamma1})={psi1} and psi_s({gamma1 + 1})={psi2}"
-        )
-    return mu
+    m = _scalars(params)
+    return _mu(params.eta_s, gamma1, _psi(m, gamma1), _psi(m, gamma1 + 1))
 
 
 @dataclass(frozen=True)
@@ -284,10 +333,13 @@ def age_optimal_policy(params: SystemParams) -> AgeOptimalPolicy:
     """Compute the age-optimal randomized threshold policy for the instance.
 
     A single bracketing threshold (the budget is slack at threshold 1, or met
-    exactly) is the mixed policy at mu = 1.
+    exactly) is the mixed policy at mu = 1.  The instance's scalars are formed
+    once, and mu comes from the two collision probabilities that verified
+    the bracket.
     """
-    g1, g2 = optimal_thresholds(params)
-    mu = 1.0 if g1 == g2 else randomization_mu(params, g1)
-    aoi, psi = mixed_policy_metrics(params, g1, mu)
+    m = _scalars(params)
+    g1, g2, psi1, psi2 = _thresholds(m, params.eta_s)
+    mu = 1.0 if g1 == g2 else _mu(params.eta_s, g1, psi1, psi2)
+    aoi, psi = _metrics(m, g1, mu)
     binds = g1 != g2 or math.isclose(psi, params.eta_s, rel_tol=1e-12)
     return AgeOptimalPolicy(gamma1=g1, gamma2=g2, mu=mu, avg_aoi=aoi, psi_s=psi, constraint_binds=binds)

@@ -47,10 +47,17 @@ class ChannelTransition:
     p_BB: float
 
     def __post_init__(self):
-        for name in ("p_II", "p_IB", "p_BI", "p_BB"):
-            p = getattr(self, name)
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"{name}={p} outside [0, 1]")
+        # one chain on the hot path; the loop only names the field that failed
+        if not (
+            0.0 <= self.p_II <= 1.0
+            and 0.0 <= self.p_IB <= 1.0
+            and 0.0 <= self.p_BI <= 1.0
+            and 0.0 <= self.p_BB <= 1.0
+        ):
+            for name in ("p_II", "p_IB", "p_BI", "p_BB"):
+                p = getattr(self, name)
+                if not (0.0 <= p <= 1.0):
+                    raise ValueError(f"{name}={p} outside [0, 1]")
         if abs(self.p_II + self.p_IB - 1.0) > 1e-12 or abs(self.p_BI + self.p_BB - 1.0) > 1e-12:
             raise ValueError("transition rows must sum to 1")
 

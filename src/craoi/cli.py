@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import SystemParams, age_optimal_policy
-from .channel import PuRates
+from .channel import PuRates, expected_cycle_length
 from .experiments import DEFAULT_SEED, PRESETS, run_preset, write_csv
 from .policies import BernoulliAccessPolicy, RandomizedThresholdPolicy, ThresholdPolicy
 from .sim import SimConfig, run_config
@@ -61,7 +61,7 @@ def _cmd_solve(args, parser) -> int:
     print(f"mu {pol.mu:.10g}")
     print(f"avg_aoi {pol.avg_aoi:.10g}")
     print(f"psi_s {pol.psi_s:.10g}")
-    print(f"psi_p {pol.psi_s * (1.0 / args.alpha + 1.0 / args.beta):.10g}")
+    print(f"psi_p {pol.psi_s * expected_cycle_length(params.rates):.10g}")
     print(f"constraint_binds {int(pol.constraint_binds)}")
     if args.verify:
         delta_max = args.delta_max

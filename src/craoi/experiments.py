@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .baseline import average_aoi_bernoulli, optimal_transmit_probability
 from .channel import PuRates
-from .policies import RandomizedThresholdPolicy, ThresholdPolicy
+from .policies import ThresholdPolicy
 from .sim import SimConfig, run_config
 from .solver import TruncatedModel, lambda_bisection
 

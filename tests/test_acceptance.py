@@ -10,7 +10,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from craoi import (
     PuRates,
@@ -26,9 +25,7 @@ from craoi import (
     extract_threshold,
     lambda_bisection,
     lambert_w0,
-    mixed_policy_metrics,
     optimal_thresholds,
-    randomization_mu,
     replicate,
     run_config,
 )

@@ -333,6 +333,45 @@ class TestAgeOptimalPolicy:
         pol = age_optimal_policy(make_params(alpha, beta, phi_s, eta_s=eta_s))
         assert pol.psi_s <= eta_s * (1 + 1e-12)
 
+    COMPOSITION_KINDS = ("slack", "at_psi", "slow_pu", "alpha_gg_beta")
+
+    @classmethod
+    def composition_instances(cls, kind: str, count: int = 25) -> list[SystemParams]:
+        """Seeded instances of one kind: slack, budget at psi_s(G), slow PU, alpha >> beta."""
+        rng = np.random.default_rng([20201, cls.COMPOSITION_KINDS.index(kind)])
+        out = []
+        for _ in range(count):
+            alpha = math.exp(rng.uniform(math.log(1e-4), math.log(3.0)))
+            beta = math.exp(rng.uniform(math.log(1e-4), math.log(10.0)))
+            phi_s = rng.uniform(0.0, 0.99)
+            if kind == "slow_pu":
+                alpha, beta = rng.uniform(1e-4, 3e-4, 2)
+            elif kind == "alpha_gg_beta":
+                beta = math.exp(rng.uniform(math.log(1e-4), math.log(1e-2)))
+                alpha = min(3.0, beta * math.exp(rng.uniform(math.log(1e2), math.log(1e4))))
+            psi_one = collision_probability(1, make_params(alpha, beta, phi_s))
+            if kind == "slack":
+                eta_s = psi_one + (1.0 - psi_one) * rng.uniform(0.01, 0.99)
+            elif kind == "at_psi":
+                eta_s = collision_probability(int(rng.integers(2, 60)), make_params(alpha, beta, phi_s))
+            else:
+                eta_s = psi_one * math.exp(rng.uniform(math.log(1e-4), 0.0))
+            out.append(make_params(alpha, beta, phi_s, eta_s=float(eta_s)))
+        return out
+
+    @pytest.mark.parametrize("kind", COMPOSITION_KINDS)
+    def test_equals_public_composition(self, kind):
+        # the one-pass evaluator shares psi_s(Gamma1), psi_s(Gamma2) between
+        # the bracket check and mu; it must equal the public functions exactly
+        for params in self.composition_instances(kind):
+            g1, g2 = optimal_thresholds(params)
+            mu = 1.0 if g1 == g2 else randomization_mu(params, g1)
+            aoi, psi = mixed_policy_metrics(params, g1, mu)
+            pol = age_optimal_policy(params)
+            assert (pol.gamma1, pol.gamma2, pol.mu, pol.avg_aoi, pol.psi_s) == (g1, g2, mu, aoi, psi)
+            if kind == "slack":
+                assert (g1, g2, pol.constraint_binds) == (1, 1, False)
+
     @settings(deadline=None)
     @given(
         alpha=st.floats(math.log(1e-4), math.log(3.0)).map(math.exp),

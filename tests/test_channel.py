@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from craoi import (
+    ChannelTransition,
     PuRates,
     convert_collision_budget,
     expected_cycle_length,
@@ -40,6 +41,27 @@ class TestPuRates:
     def test_warns_on_high_utilization(self):
         with pytest.warns(UserWarning):
             PuRates(alpha=0.5, beta=0.1)
+
+
+class TestChannelTransitionValidation:
+    VALID = {"p_II": 0.75, "p_IB": 0.25, "p_BI": 0.5, "p_BB": 0.5}
+
+    @pytest.mark.parametrize("value", [-1e-12, 1.0 + 1e-12, math.nan])
+    @pytest.mark.parametrize("name", ["p_II", "p_IB", "p_BI", "p_BB"])
+    def test_out_of_range_field_is_named(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name}=.* outside \[0, 1\]$"):
+            ChannelTransition(**{**self.VALID, name: value})
+
+    @pytest.mark.parametrize(
+        "probs", [(0.5, 0.5 + 1e-9, 0.5, 0.5), (0.5, 0.5, 0.5 - 1e-9, 0.5)], ids=["idle-row", "busy-row"]
+    )
+    def test_row_off_by_1e9_rejected(self, probs):
+        with pytest.raises(ValueError, match="rows must sum to 1"):
+            ChannelTransition(*probs)
+
+    @pytest.mark.parametrize("probs", [(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)], ids=["identity", "swap"])
+    def test_exact_endpoints_accepted(self, probs):
+        assert tuple(vars(ChannelTransition(*probs)).values()) == probs
 
 
 class TestSlotTransitionMatrix:
