@@ -80,10 +80,6 @@ class TruncatedModel:
         if self.delta_max < 2:
             raise ValueError(f"delta_max must be >= 2, got {self.delta_max}")
 
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.arange(1, self.delta_max + 1)
-
     @cached_property
     def kernel(self) -> _Kernel:
         return _Kernel(
@@ -91,6 +87,12 @@ class TruncatedModel:
             ok=self.params.success_prob,
             collision=self.params.collision_prob,
         )
+
+
+def _head_length(probs: np.ndarray) -> int:
+    """Length of the shortest prefix of ``probs`` whose last entry holds for every older age."""
+    differs = np.flatnonzero(probs != probs[-1])
+    return int(differs[-1]) + 2 if differs.size else 1
 
 
 def poisson_solve(
@@ -101,31 +103,33 @@ def poisson_solve(
     Solves h + g = c + P h with reference h(1, idle) = 0 by one backward
     recursion over ages.  The reset term drops out because its target is the
     reference, so h = a + x * b with one unknown x, fixed by the reference.
-    If the policy transmits at delta_max, x is the gain, and past delta_max
-    the bias is affine in age, h(d) = h(delta_max) + (d - delta_max) v with
-    v = (I - M)^-1 1, which makes the last age a nonsingular 2x2 system.
+    If the policy transmits at delta_max, x is the gain.  The recursion then
+    runs over the policy's head 1..n only: past n the action is constant, so
+    the bias is affine in age, h(d) = h(n) + (d - n) v with v = (I - M)^-1 1,
+    which makes age n a nonsingular 2x2 system and fills in ages n..delta_max.
     Otherwise the age pair delta_max absorbs: the gain is delta_max, h is
-    constant on the pair, and x is that constant.
+    constant on the pair, x is that constant, and the recursion covers the grid.
     """
     k = model.kernel
     dmax = model.delta_max
-    stay, reset = k.blocks(probs)
-    c_idle = (model.deltas + lam * k.collision * probs).tolist()
+    n = _head_length(probs) if probs[-1] * k.ok > 0.0 else dmax  # reset[-1] > 0
+    stay, reset = k.blocks(probs[:n])
+    c_idle = (np.arange(1, n + 1) + lam * k.collision * probs[:n]).tolist()
     if reset[-1] > 0.0:
         g0, g1 = 0.0, 1.0
         m_ii, m_ib, m_bi, m_bb = k.channel.resolvent(reset[-1])
-        # h(delta_max) = (I - M)^-1 (c - x 1 + M v) and (I - M)^-1 M v = w - v
+        # h(n) = (I - M)^-1 (c - x 1 + M v) and (I - M)^-1 M v = w - v
         v_idle, w_idle = k.channel.geometric_tail(reset[-1], 1.0, 0.0)
         v_busy, w_busy = k.channel.geometric_tail(reset[-1], 0.0, 1.0)
-        ai = m_ii * c_idle[-1] + m_ib * dmax + (w_idle - v_idle)
-        ab = m_bi * c_idle[-1] + m_bb * dmax + (w_busy - v_busy)
+        ai = m_ii * c_idle[-1] + m_ib * n + (w_idle - v_idle)
+        ab = m_bi * c_idle[-1] + m_bb * n + (w_busy - v_busy)
         bi, bb = -v_idle, -v_busy
     else:
         g0, g1 = float(dmax), 0.0
         ai, ab, bi, bb = 0.0, 0.0, 1.0, 1.0
     p_ib, p_bi, p_bb = k.channel.p_IB, k.channel.p_BI, k.channel.p_BB
     a_idle, a_busy, b_idle, b_busy = [ai], [ab], [bi], [bb]
-    for d in range(dmax - 1, 0, -1):
+    for d in range(n - 1, 0, -1):
         s = stay[d - 1]
         ai, ab = c_idle[d - 1] - g0 + s * ai + p_ib * ab, d - g0 + p_bi * ai + p_bb * ab
         bi, bb = s * bi + p_ib * bb - g1, p_bi * bi + p_bb * bb - g1
@@ -137,6 +141,10 @@ def poisson_solve(
     bias_idle = np.array(a_idle[::-1]) + x * np.array(b_idle[::-1])
     bias_busy = np.array(a_busy[::-1]) + x * np.array(b_busy[::-1])
     bias_idle[0] = 0.0
+    if n < dmax:
+        steps = np.arange(1, dmax - n + 1)
+        bias_idle = np.concatenate((bias_idle, bias_idle[-1] + steps * v_idle))
+        bias_busy = np.concatenate((bias_busy, bias_busy[-1] + steps * v_busy))
     return g0 + x * g1, bias_idle, bias_busy
 
 
@@ -220,8 +228,10 @@ def policy_cost_evaluate(probs, model: TruncatedModel) -> PolicyMetrics:
     ``probs`` is a non-empty table of transmit probabilities per idle age
     1..n; older ages reuse the last entry, as in ``TabularPolicy``.  So a
     Bernoulli policy is ``[p0]``, a threshold or mixed policy is its table up
-    to its ``tail_age``, and n need not be ``delta_max``.  The head is one
-    forward recursion from the reset state (1, idle), normalized at the end.
+    to its ``tail_age``, and n need not be ``delta_max``.  The table is first
+    cut to its head, the shortest prefix whose last entry holds for every
+    older age, and n is the head's length.  The head is one forward
+    recursion from the reset state (1, idle), normalized at the end.
     From age n on the state moves by the transmit block M, so the tail holds
     x (I - M)^-1 for the mass x entering age n.  A policy whose last entry is
     0 has no age renewal in the long run and is reported as divergent.
@@ -231,6 +241,7 @@ def policy_cost_evaluate(probs, model: TruncatedModel) -> PolicyMetrics:
         raise ValueError(f"expected a non-empty 1-D probability table, got shape {p_tx.shape}")
     if p_tx[-1] == 0.0:
         return PolicyMetrics(avg_aoi=math.inf, avg_cost=0.0, divergent=True)
+    p_tx = p_tx[: _head_length(p_tx)]
     k = model.kernel
     stay, reset = k.blocks(p_tx)
     p_ib, p_bi, p_bb = k.channel.p_IB, k.channel.p_BI, k.channel.p_BB

@@ -25,6 +25,7 @@ from craoi.solver import (
     BisectionError,
     SolvedPolicy,
     ThresholdStructureError,
+    _head_length,
     mixed_transmit_probs,
     poisson_solve,
 )
@@ -184,29 +185,59 @@ def silent_clamp(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
+class TestHeadLength:
+    @pytest.mark.parametrize("probs,head", [
+        ([0.7], 1),
+        ([0.3] * 5, 1),
+        ([0.5, 1.0, 1.0], 2),
+        ([1.0, 0.5], 2),
+        ([1.0, 0.0, 1.0, 1.0], 3),
+        (threshold_probs(12, 40), 12),
+        (mixed_probs(3, 0.4, 400), 4),
+        (np.zeros(40), 1),
+    ])  # fmt: skip
+    def test_head_ends_where_last_entry_holds(self, probs, head):
+        assert _head_length(np.asarray(probs, dtype=float)) == head
+
+
 class TestPoissonEquation:
-    # A policy that transmits at delta_max = 40 is checked against an oracle
-    # chain padded with its tail entry to 400 ages, where the clamp holds no
-    # mass; one that does not makes its age pair 40 absorbing in both.
-    @pytest.mark.parametrize("probs,length", [
-        (mixed_probs(7, 0.3, 40), 400),
-        (mixed_probs(1, 0.6, 40), 400),
-        (threshold_probs(40, 40), 400),
-        (np.zeros(40), 40),
-        (silent_clamp(threshold_probs(30, 40)), 40),
-    ], ids=["mixed", "mixed-at-one", "clamp-only", "never", "silent-clamp"])  # fmt: skip
-    def test_gain_and_bias_solve_oracle_chain(self, probs, length):
+    # A policy that transmits at delta_max is checked against an oracle chain
+    # padded with its tail entry to ten times delta_max, where the clamp holds
+    # no mass; one that does not makes its age pair delta_max absorbing in
+    # both.  The head cases end long before the grid does.
+    @pytest.mark.parametrize("probs,length,head", [
+        (mixed_probs(7, 0.3, 40), 400, 8),
+        (mixed_probs(1, 0.6, 40), 400, 2),
+        (threshold_probs(40, 40), 400, 40),
+        (mixed_probs(3, 0.4, 400), 4000, 4),
+        (np.full(400, 0.3), 4000, 1),
+        (np.zeros(40), 40, None),
+        (silent_clamp(threshold_probs(30, 40)), 40, None),
+    ], ids=["mixed", "mixed-at-one", "clamp-only", "short-head", "bernoulli",
+            "never", "silent-clamp"])  # fmt: skip
+    def test_gain_and_bias_solve_oracle_chain(self, probs, length, head):
         lam = 700.0
-        model = TruncatedModel(params=CANON, delta_max=40)
+        dmax = probs.size
+        model = TruncatedModel(params=CANON, delta_max=dmax)
         gain, bias_idle, bias_busy = poisson_solve(probs, model, lam)
         o_gain, o_idle, o_busy = oracle_poisson(CANON, probs, lam, length)
         assert gain == pytest.approx(o_gain, rel=1e-12)
-        scale = np.abs(o_idle[:40]).max()
-        np.testing.assert_allclose(bias_idle, o_idle[:40], rtol=0, atol=1e-12 * scale)
-        np.testing.assert_allclose(bias_busy, o_busy[:40], rtol=0, atol=1e-12 * scale)
+        scale = np.abs(o_idle[:dmax]).max()
+        np.testing.assert_allclose(bias_idle, o_idle[:dmax], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(bias_busy, o_busy[:dmax], rtol=0, atol=1e-12 * scale)
         assert bias_idle[0] == 0.0
-        if probs[-1] == 0.0:  # the age pair 40 absorbs
-            assert gain == 40.0
+        if head is None:  # the age pair delta_max absorbs
+            assert gain == float(dmax)
+            return
+        # past the head the bias is affine in age: h(d) = h(n) + (d - n) v
+        channel = model.kernel.channel
+        reset = probs[-1] * model.kernel.ok
+        v = channel.geometric_tail(reset, 1.0, 0.0)[0], channel.geometric_tail(reset, 0.0, 1.0)[0]
+        steps = np.arange(dmax - head + 1)
+        for bias, v_occ in zip((bias_idle, bias_busy), v):
+            np.testing.assert_allclose(
+                bias[head - 1 :], bias[head - 1] + steps * v_occ, rtol=0, atol=1e-12 * scale
+            )
 
 
 class TestExtractThreshold:
@@ -329,6 +360,25 @@ class TestLambdaBisection:
         aoi, psi = mixed_policy_metrics(params, sol.gamma1, sol.mu)
         assert sol.achieved_aoi == pytest.approx(aoi, rel=1e-12)
         assert sol.achieved_cost == pytest.approx(psi, rel=1e-12)
+
+    @pytest.mark.parametrize("params", [
+        CANON,
+        SystemParams.from_pu_budget(PuRates(0.01, 0.03), 0.2, 0.05),  # a table 1 cell
+    ], ids=["canonical", "table1"])  # fmt: skip
+    def test_independent_of_grid_size(self, params):
+        # the grid only bounds the head; older ages are summed exactly
+        small = lambda_bisection(TruncatedModel(params=params, delta_max=200))
+        large = lambda_bisection(TruncatedModel(params=params, delta_max=2000))
+        assert (large.gamma1, large.gamma2) == (small.gamma1, small.gamma2)
+        for pol_small, pol_large in [
+            (small.policy_low, large.policy_low),
+            (small.policy_high, large.policy_high),
+        ]:
+            np.testing.assert_array_equal(pol_large.transmit[:200], pol_small.transmit)
+            assert pol_large.transmit[200:].all()
+        assert large.mu == pytest.approx(small.mu, rel=1e-12)
+        assert large.achieved_aoi == pytest.approx(small.achieved_aoi, rel=1e-12)
+        assert large.achieved_cost == pytest.approx(small.achieved_cost, rel=1e-12)
 
     def test_truncation_guard(self):
         tight = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.0005)
