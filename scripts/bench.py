@@ -7,13 +7,14 @@ Usage, from the root of a checkout:
     python3 scripts/bench.py --tree ../parent --label parent --out BENCH_<n>.json
 
 ``--tree`` names the checkout to measure (default: this one).  The solver
-layers are timed in this process on one BLAS thread, best of ``--repeat``
+layers are timed in this process on one BLAS thread, best of ``REPEAT``
 with fixed inputs: one ``rvi_solve`` at lambda = 1e3 and a full
 ``lambda_bisection``, both on the canonical instance (alpha 0.02, beta 0.4,
 phi_s 0.2, eta_s 5e-4), the search at delta_max 200 and 2000.  Then the
 tree's ``perfbench/run.py`` runs every workload untraced and traced on seed
-1 as subprocesses.  Wall times are recorded, never gated; the counts of a
-traced run (solver iterations and calls, evaluator calls) repeat exactly.
+1 as subprocesses, each for that script's default run length.  Wall times
+are recorded, never gated; the counts of a traced run (solver iterations
+and calls, evaluator calls) repeat exactly.
 The record replaces any earlier one of the same label in ``--out`` and
 leaves the others.
 """
@@ -33,34 +34,35 @@ ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WORKLOADS = ("sweep", "verify", "presets")
 SEED = 1
+REPEAT = 20  # best-of count per solver layer
 
 
-def best_ms(fn, repeat: int) -> float:
+def best_ms(fn) -> float:
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
     return best * 1e3
 
 
-def time_solver_layers(repeat: int) -> dict[str, float]:
-    """Best-of-``repeat`` milliseconds of each solver layer on the canonical instance."""
+def time_solver_layers() -> dict[str, float]:
+    """Best-of-``REPEAT`` milliseconds of each solver layer on the canonical instance."""
     from craoi import PuRates, SystemParams, TruncatedModel, lambda_bisection, rvi_solve
 
     canon = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=5e-4)
     model = TruncatedModel(params=canon, delta_max=200)
-    out = {"rvi_solve_lam1e3_dmax200_ms": best_ms(lambda: rvi_solve(model, 1e3), repeat)}
+    out = {"rvi_solve_lam1e3_dmax200_ms": best_ms(lambda: rvi_solve(model, 1e3))}
     for dmax in (200, 2000):
         model = TruncatedModel(params=canon, delta_max=dmax)
-        out[f"lambda_bisection_dmax{dmax}_ms"] = best_ms(lambda: lambda_bisection(model), repeat)
+        out[f"lambda_bisection_dmax{dmax}_ms"] = best_ms(lambda: lambda_bisection(model))
     return out
 
 
-def run_workload(tree: Path, workload: str, trace: int, seconds: float) -> dict:
+def run_workload(tree: Path, workload: str, trace: int) -> dict:
     """One ``perfbench/run.py`` run: its failures and metric values."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-            "--seconds", str(seconds), "--trace", str(trace)]  # fmt: skip
+            "--trace", str(trace)]  # fmt: skip
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
@@ -72,8 +74,6 @@ def main(argv=None) -> int:
     parser.add_argument("--tree", type=Path, default=ROOT, help="checkout to measure")
     parser.add_argument("--label", required=True, help="key of this record in --out")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to merge into")
-    parser.add_argument("--repeat", type=int, default=20, help="best-of count per layer")
-    parser.add_argument("--seconds", type=float, default=38.0, help="length of each workload run")
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
 
@@ -90,13 +90,11 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "blas_threads": {"set": 1, "env_found": blas_found},
         },
-        "layers": time_solver_layers(args.repeat),
-        "layers_repeat": args.repeat,
-        "workload_seconds": args.seconds,
+        "layers": time_solver_layers(),
         "workloads": {
             name: {
-                "untraced": run_workload(tree, name, 0, args.seconds),
-                "traced": run_workload(tree, name, 1, args.seconds),
+                "untraced": run_workload(tree, name, 0),
+                "traced": run_workload(tree, name, 1),
             }
             for name in WORKLOADS
         },

@@ -74,13 +74,11 @@ def _cmd_solve(args, parser) -> int:
         # (gamma1, gamma2, mu) labels are not unique: (5, 6, mu=0) and
         # (6, 7, mu=1) are both the threshold-6 policy.  Compare the policies,
         # then their exact average age and collision probability.
+        gap = mixed_transmit_probs(sol.gamma1, sol.mu, delta_max) - mixed_transmit_probs(
+            pol.gamma1, pol.mu, delta_max
+        )
         ok = (
-            np.allclose(
-                mixed_transmit_probs(sol.gamma1, sol.mu, delta_max),
-                mixed_transmit_probs(pol.gamma1, pol.mu, delta_max),
-                rtol=0.0,
-                atol=1e-6,
-            )
+            float(np.abs(gap).max()) <= 1e-6
             and math.isclose(sol.achieved_aoi, pol.avg_aoi, rel_tol=1e-12)
             and math.isclose(sol.achieved_cost, pol.psi_s, rel_tol=1e-12)
         )

@@ -112,10 +112,11 @@ def poisson_solve(
     """
     k = model.kernel
     dmax = model.delta_max
-    n = _head_length(probs) if probs[-1] * k.ok > 0.0 else dmax  # reset[-1] > 0
+    renews = probs[-1] * k.ok > 0.0  # the policy transmits at delta_max
+    n = _head_length(probs) if renews else dmax
     stay, reset = k.blocks(probs[:n])
     c_idle = (np.arange(1, n + 1) + lam * k.collision * probs[:n]).tolist()
-    if reset[-1] > 0.0:
+    if renews:
         g0, g1 = 0.0, 1.0
         m_ii, m_ib, m_bi, m_bb = k.channel.resolvent(reset[-1])
         # h(n) = (I - M)^-1 (c - x 1 + M v) and (I - M)^-1 M v = w - v
