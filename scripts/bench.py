@@ -10,9 +10,9 @@ Usage, from the root of a checkout:
 layers are timed in this process on one BLAS thread, best of ``REPEAT``
 with fixed inputs: one ``rvi_solve`` at lambda = 1e3 and a full
 ``lambda_bisection``, both on the canonical instance (alpha 0.02, beta 0.4,
-phi_s 0.2, eta_s 5e-4), the search at delta_max 200 and 2000.  Then the
-tree's ``perfbench/run.py`` runs every workload untraced and traced on seed
-1 as subprocesses, each for that script's default run length.  Wall times
+phi_s 0.2, eta_s 5e-4).  Then the tree's ``perfbench/run.py`` runs every
+workload untraced and traced on seed 1 as subprocesses, each for that
+script's default run length.  Wall times
 are recorded, never gated; the counts of a traced run (solver iterations
 and calls, evaluator calls) repeat exactly.
 The record replaces any earlier one of the same label in ``--out`` and
@@ -48,15 +48,14 @@ def best_ms(fn) -> float:
 
 def time_solver_layers() -> dict[str, float]:
     """Best-of-``REPEAT`` milliseconds of each solver layer on the canonical instance."""
-    from craoi import PuRates, SystemParams, TruncatedModel, lambda_bisection, rvi_solve
+    from craoi import CmdpModel, PuRates, SystemParams, lambda_bisection, rvi_solve
 
     canon = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=5e-4)
-    model = TruncatedModel(params=canon, delta_max=200)
-    out = {"rvi_solve_lam1e3_dmax200_ms": best_ms(lambda: rvi_solve(model, 1e3))}
-    for dmax in (200, 2000):
-        model = TruncatedModel(params=canon, delta_max=dmax)
-        out[f"lambda_bisection_dmax{dmax}_ms"] = best_ms(lambda: lambda_bisection(model))
-    return out
+    model = CmdpModel(params=canon)
+    return {
+        "rvi_solve_lam1e3_ms": best_ms(lambda: rvi_solve(model, 1e3)),
+        "lambda_bisection_ms": best_ms(lambda: lambda_bisection(model)),
+    }
 
 
 def run_workload(tree: Path, workload: str, trace: int) -> dict:

@@ -2,7 +2,7 @@
 
 Computes, analyzes, and empirically validates transmission policies for a
 slotted secondary device sharing a channel with an unsynchronized primary
-user: a truncated CMDP solver, exact closed forms for threshold and
+user: a CMDP solver on the unbounded age space, exact closed forms for threshold and
 randomized-threshold policies, the throughput-optimal Bernoulli baseline, and
 a deterministic Monte-Carlo simulator.
 """
@@ -55,9 +55,9 @@ from .sim import (
     split_seed,
 )
 from .solver import (
+    CmdpModel,
     ConstrainedSolution,
     SolvedPolicy,
-    TruncatedModel,
     extract_threshold,
     lambda_bisection,
     policy_cost_evaluate,

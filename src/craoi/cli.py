@@ -15,7 +15,7 @@ from .channel import PuRates, expected_cycle_length
 from .experiments import DEFAULT_SEED, PRESETS, run_preset, write_csv
 from .policies import BernoulliAccessPolicy, RandomizedThresholdPolicy, ThresholdPolicy
 from .sim import SimConfig, run_config
-from .solver import TruncatedModel, TruncationError, lambda_bisection, mixed_transmit_probs
+from .solver import CmdpModel, lambda_bisection, mixed_transmit_probs
 
 
 def _parse_policy(text: str, parser: argparse.ArgumentParser):
@@ -64,18 +64,14 @@ def _cmd_solve(args, parser) -> int:
     print(f"psi_p {pol.psi_s * expected_cycle_length(params.rates):.10g}")
     print(f"constraint_binds {int(pol.constraint_binds)}")
     if args.verify:
-        delta_max = args.delta_max
-        while True:
-            try:
-                sol = lambda_bisection(TruncatedModel(params=params, delta_max=delta_max))
-                break
-            except TruncationError:
-                delta_max *= 2
+        sol = lambda_bisection(CmdpModel(params=params))
         # (gamma1, gamma2, mu) labels are not unique: (5, 6, mu=0) and
-        # (6, 7, mu=1) are both the threshold-6 policy.  Compare the policies,
-        # then their exact average age and collision probability.
-        gap = mixed_transmit_probs(sol.gamma1, sol.mu, delta_max) - mixed_transmit_probs(
-            pol.gamma1, pol.mu, delta_max
+        # (6, 7, mu=1) are both the threshold-6 policy.  Compare the policies
+        # on the ages up to where both transmit, then their exact average age
+        # and collision probability.
+        ages = max(sol.gamma1, pol.gamma1) + 1
+        gap = mixed_transmit_probs(sol.gamma1, sol.mu, ages) - mixed_transmit_probs(
+            pol.gamma1, pol.mu, ages
         )
         ok = (
             float(np.abs(gap).max()) <= 1e-6
@@ -182,11 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--verify", action="store_true", help="cross-check against the CMDP solver"
     )
+    # The value is unused: the solver has no age grid.  The flag stays because
+    # existing command lines pass it, among them the fifth op of the verify
+    # benchmark workload (perfbench/workloads.py), where an unknown flag would
+    # exit through SystemExit instead of failing the op.
     p_solve.add_argument(
-        "--delta-max",
-        type=int,
-        default=200,
-        help="starting solver age truncation; doubled until the threshold is at most half of it",
+        "--delta-max", type=int, help="ignored; the CMDP solver has no age grid"
     )
     p_solve.add_argument("--out", help="optional CSV output path")
     p_solve.set_defaults(func=_cmd_solve)

@@ -25,7 +25,7 @@ from .baseline import average_aoi_bernoulli, optimal_transmit_probability
 from .channel import PuRates
 from .policies import ThresholdPolicy
 from .sim import SimConfig, run_config
-from .solver import TruncatedModel, lambda_bisection
+from .solver import CmdpModel, lambda_bisection
 
 PRESETS = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table1")
 
@@ -53,22 +53,28 @@ def _rates_for_idle_prob(alpha: float, p_idle: float) -> PuRates:
     return PuRates(alpha=alpha, beta=alpha * p_idle / (1.0 - p_idle))
 
 
+FIG3_AGES = 200  # rows per budget: idle ages 1..FIG3_AGES
+
+
 def run_fig3(out_dir: Path, seed: int = DEFAULT_SEED) -> Path:
-    """Policy structure from the CMDP solver for eta_s in {0.0005, 0.001}, delta_max = 200."""
+    """Policy structure from the CMDP solver for eta_s in {0.0005, 0.001}, ages 1..FIG3_AGES.
+
+    The solver's tables cover each policy's head; older ages take the last entry.
+    """
     rates = PuRates(0.02, 0.4)
     rows = []
     for eta_s in (0.0005, 0.001):
         params = SystemParams(rates=rates, phi_s=0.2, eta_s=eta_s)
-        model = TruncatedModel(params=params)
-        sol = lambda_bisection(model)
+        sol = lambda_bisection(CmdpModel(params=params))
+        low, high = sol.policy_low.transmit, sol.policy_high.transmit
         g1_cf, g2_cf = optimal_thresholds(params)
-        for delta in range(1, model.delta_max + 1):
+        for delta in range(1, FIG3_AGES + 1):
             rows.append(
                 [
                     eta_s,
                     delta,
-                    bool(sol.policy_low.transmit[delta - 1]),
-                    bool(sol.policy_high.transmit[delta - 1]),
+                    bool(low[min(delta, low.size) - 1]),
+                    bool(high[min(delta, high.size) - 1]),
                     sol.gamma1,
                     sol.gamma2,
                     g1_cf,

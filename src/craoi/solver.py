@@ -3,13 +3,15 @@
 The constrained problem (minimize average age subject to a per-slot collision
 budget) is relaxed with a multiplier on the collision cost.  For each fixed
 multiplier the unconstrained average-cost problem is solved by Howard policy
-iteration on an age grid 1..delta_max whose last age stands for every older
-one (Puterman 1994, *Markov Decision Processes*, section 8.6).  The age
-either goes up by one or resets to (1, idle), so evaluating a policy and
-finding its stationary distribution are each one recursion over per-age 2x2
-occupancy blocks instead of a dense solve.  Past the grid the action is held
-constant, so the resolvent of one block sums the tail exactly: the grid is a
-head plus an exact tail, not a truncation.  The greedy policies are
+iteration on the unbounded age space (Puterman 1994, *Markov Decision
+Processes*, section 8.6).  A policy is a table of decisions per idle age
+whose last entry holds for every older age and transmits, so the age renews.
+The age either goes up by one or resets to (1, idle), so evaluating a policy
+and finding its stationary distribution are each one recursion over the
+table's head of per-age 2x2 occupancy blocks.  Past the head the action is
+constant: the resolvent of one block sums the tail exactly, the bias there is
+affine in age, and policy improvement finds the first tail age that should
+transmit in closed form.  No age grid is built.  The greedy policies are
 threshold-shaped, so a deterministic bisection on the multiplier brackets the
 budget with two consecutive thresholds, and a boundary randomization closes
 the gap exactly (Beutler & Ross 1985).
@@ -27,6 +29,9 @@ import numpy as np
 from .analysis import SystemParams
 from .channel import ChannelTransition, slot_transition_matrix
 
+MAX_EXPAND = 60  # multiplier doublings from 1 before the search gives up
+MAX_BISECT = 200  # multiplier bisections before the search gives up
+
 
 class ThresholdStructureError(ValueError):
     def __init__(self, offending: list[int]):
@@ -38,13 +43,9 @@ class BisectionError(RuntimeError):
     pass
 
 
-class TruncationError(BisectionError):
-    """A greedy threshold lies past delta_max/2, too close to the truncation to trust."""
-
-
 @dataclass(frozen=True)
 class _Kernel:
-    """One-step dynamics of the truncated chain.
+    """One-step dynamics of the age chain.
 
     From (d, idle) with transmit probability p the age resets to (1, idle)
     with mass ``p * ok``; otherwise it moves to d + 1 through the occupancy
@@ -65,20 +66,10 @@ class _Kernel:
 
 
 @dataclass(frozen=True)
-class TruncatedModel:
-    """CMDP on ages 1..delta_max as a head plus an exact tail.
-
-    Every age past delta_max takes the action of delta_max, so the tail is
-    summed in closed form by the channel's resolvent.  Only a policy that
-    never transmits at delta_max is truncated: its age pair delta_max absorbs.
-    """
+class CmdpModel:
+    """The CMDP of one instance on the unbounded age space, with its dynamics cached."""
 
     params: SystemParams
-    delta_max: int = 200
-
-    def __post_init__(self):
-        if self.delta_max < 2:
-            raise ValueError(f"delta_max must be >= 2, got {self.delta_max}")
 
     @cached_property
     def kernel(self) -> _Kernel:
@@ -95,45 +86,53 @@ def _head_length(probs: np.ndarray) -> int:
     return int(differs[-1]) + 2 if differs.size else 1
 
 
+def _require_renewal(table: np.ndarray) -> None:
+    """Reject a table that is empty, not 1-D, or whose last entry never transmits.
+
+    Every older age reuses the last entry, so without it the age never renews.
+    """
+    if table.ndim != 1 or table.size == 0:
+        raise ValueError(f"expected a non-empty 1-D policy table, got shape {table.shape}")
+    if not table[-1] > 0:
+        raise ValueError(
+            "the policy never transmits at the ages past its table, so the age never "
+            "renews and the average age is infinite"
+        )
+
+
 def poisson_solve(
-    probs: np.ndarray, model: TruncatedModel, lam: float
+    probs: np.ndarray, model: CmdpModel, lam: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Gain and bias of a fixed policy under cost age + lam * collisions.
 
-    Solves h + g = c + P h with reference h(1, idle) = 0 by one backward
-    recursion over ages.  The reset term drops out because its target is the
-    reference, so h = a + x * b with one unknown x, fixed by the reference.
-    If the policy transmits at delta_max, x is the gain.  The recursion then
-    runs over the policy's head 1..n only: past n the action is constant, so
-    the bias is affine in age, h(d) = h(n) + (d - n) v with v = (I - M)^-1 1,
-    which makes age n a nonsingular 2x2 system and fills in ages n..delta_max.
-    Otherwise the age pair delta_max absorbs: the gain is delta_max, h is
-    constant on the pair, x is that constant, and the recursion covers the grid.
+    ``probs`` is a table of transmit probabilities per idle age 1..n; older
+    ages reuse its last entry, which must be positive.  Policy iteration
+    passes the policy's head.  Solves h + g = c + P h with reference
+    h(1, idle) = 0 by one backward recursion over the table.  The reset term
+    drops out because its target is the reference, so h = a + x * b with
+    one unknown x, the gain, fixed by the reference.  Past n the action is
+    constant, so the bias is affine in age, h(d) = h(n) + (d - n) v with
+    v = (I - M)^-1 1, which makes age n a nonsingular 2x2 system.  The bias
+    is returned on ages 1..n.
     """
+    _require_renewal(probs)
     k = model.kernel
-    dmax = model.delta_max
-    renews = probs[-1] * k.ok > 0.0  # the policy transmits at delta_max
-    n = _head_length(probs) if renews else dmax
-    stay, reset = k.blocks(probs[:n])
-    c_idle = (np.arange(1, n + 1) + lam * k.collision * probs[:n]).tolist()
-    if renews:
-        g0, g1 = 0.0, 1.0
-        m_ii, m_ib, m_bi, m_bb = k.channel.resolvent(reset[-1])
-        # h(n) = (I - M)^-1 (c - x 1 + M v) and (I - M)^-1 M v = w - v
-        v_idle, w_idle = k.channel.geometric_tail(reset[-1], 1.0, 0.0)
-        v_busy, w_busy = k.channel.geometric_tail(reset[-1], 0.0, 1.0)
-        ai = m_ii * c_idle[-1] + m_ib * n + (w_idle - v_idle)
-        ab = m_bi * c_idle[-1] + m_bb * n + (w_busy - v_busy)
-        bi, bb = -v_idle, -v_busy
-    else:
-        g0, g1 = float(dmax), 0.0
-        ai, ab, bi, bb = 0.0, 0.0, 1.0, 1.0
+    n = probs.size
+    stay, reset = k.blocks(probs)
+    c_idle = (np.arange(1, n + 1) + lam * k.collision * probs).tolist()
+    m_ii, m_ib, m_bi, m_bb = k.channel.resolvent(reset[-1])
+    # h(n) = (I - M)^-1 (c - x 1 + M v) and (I - M)^-1 M v = w - v
+    v_idle, w_idle = k.channel.geometric_tail(reset[-1], 1.0, 0.0)
+    v_busy, w_busy = k.channel.geometric_tail(reset[-1], 0.0, 1.0)
+    ai = m_ii * c_idle[-1] + m_ib * n + (w_idle - v_idle)
+    ab = m_bi * c_idle[-1] + m_bb * n + (w_busy - v_busy)
+    bi, bb = -v_idle, -v_busy
     p_ib, p_bi, p_bb = k.channel.p_IB, k.channel.p_BI, k.channel.p_BB
     a_idle, a_busy, b_idle, b_busy = [ai], [ab], [bi], [bb]
     for d in range(n - 1, 0, -1):
         s = stay[d - 1]
-        ai, ab = c_idle[d - 1] - g0 + s * ai + p_ib * ab, d - g0 + p_bi * ai + p_bb * ab
-        bi, bb = s * bi + p_ib * bb - g1, p_bi * bi + p_bb * bb - g1
+        ai, ab = c_idle[d - 1] + s * ai + p_ib * ab, d + p_bi * ai + p_bb * ab
+        bi, bb = s * bi + p_ib * bb - 1.0, p_bi * bi + p_bb * bb - 1.0
         a_idle.append(ai)
         a_busy.append(ab)
         b_idle.append(bi)
@@ -142,11 +141,7 @@ def poisson_solve(
     bias_idle = np.array(a_idle[::-1]) + x * np.array(b_idle[::-1])
     bias_busy = np.array(a_busy[::-1]) + x * np.array(b_busy[::-1])
     bias_idle[0] = 0.0
-    if n < dmax:
-        steps = np.arange(1, dmax - n + 1)
-        bias_idle = np.concatenate((bias_idle, bias_idle[-1] + steps * v_idle))
-        bias_busy = np.concatenate((bias_busy, bias_busy[-1] + steps * v_busy))
-    return g0 + x * g1, bias_idle, bias_busy
+    return x, bias_idle, bias_busy
 
 
 @dataclass(frozen=True)
@@ -154,39 +149,57 @@ class SolvedPolicy:
     """Policy-iteration output: average Lagrangian cost, bias values, greedy decisions."""
 
     gain: float
-    bias_idle: np.ndarray
-    bias_busy: np.ndarray
-    transmit: np.ndarray  # bool per idle age 1..delta_max
+    bias_idle: np.ndarray  # per idle age of the head
+    bias_busy: np.ndarray  # per busy age of the head
+    transmit: np.ndarray  # bool per idle age of the head; older ages transmit
     lam: float
     iterations: int  # improvement steps
 
 
-def rvi_solve(model: TruncatedModel, lam: float, init=None) -> SolvedPolicy:
+def rvi_solve(model: CmdpModel, lam: float, init=(True,)) -> SolvedPolicy:
     """Howard policy iteration on age + lam * collision cost, minimizing.
 
-    Starts from ``init`` (transmit decisions per idle age; by default
-    transmit everywhere, the optimum at lam = 0), so a multiplier search can
-    warm-start from the previous multiplier's policy.  Each step evaluates
-    the policy exactly and switches an age's action only when the other
-    action is better by more than rounding, which also ends the iteration.
+    A policy is a boolean table of transmit decisions per idle age whose last
+    entry holds for every older age and must transmit: a policy that never
+    does has infinite average age.  Starts from
+    ``init`` (by default transmit everywhere, the optimum at lam = 0), so a
+    multiplier search can warm-start from the previous multiplier's policy.
+    Each step evaluates the policy exactly and switches an age's action only
+    when the other action is better by more than rounding, which also ends
+    the iteration.  The returned table is cut to the policy's head.
     """
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    dmax = model.delta_max
-    transmit = np.ones(dmax, dtype=bool) if init is None else np.array(init, dtype=bool)
-    if transmit.shape != (dmax,):
-        raise ValueError(f"expected {dmax} initial decisions, got {transmit.shape}")
+    transmit = np.array(init, dtype=bool)
+    _require_renewal(transmit)
+    transmit = transmit[: _head_length(transmit)]
     k = model.kernel
     tx_cost = lam * k.collision
-    nxt = np.minimum(np.arange(1, dmax + 1), dmax - 1)  # 0-based row of age + 1, clamped
+    # h(d + 1) - h(d) past the head, where the policy transmits
+    slope = k.channel.geometric_tail(k.ok, 1.0, 0.0)[0]
+
+    def improve(h_next, current):
+        # A transmission pays tx_cost and, with mass ok, swaps the move to
+        # (d + 1, idle) for the reset to (1, idle), whose bias is 0.  A tie,
+        # where neither action is better by more than rounding, keeps current.
+        value = k.ok * h_next
+        adv = value - tx_cost
+        return np.where(np.abs(adv) <= 1e-12 * (tx_cost + np.abs(value)), current, adv > 0.0)
+
     for it in itertools.count(1):
         gain, h_idle, h_busy = poisson_solve(transmit.astype(float), model, lam)
-        # A transmission pays tx_cost and, with mass ok, swaps the move to
-        # (d + 1, idle) for the reset to (1, idle), whose bias is 0.
-        value = k.ok * h_idle[nxt]
-        advantage = value - tx_cost
-        tie = np.abs(advantage) <= 1e-12 * (tx_cost + np.abs(value))
-        improved = np.where(tie, transmit, advantage > 0.0)
+        h_n = h_idle[-1]
+        improved = improve(np.concatenate((h_idle[1:], (h_n + slope,))), transmit)
+        if not improved[-1]:
+            # Past the head age n + m - 1 reads h(n) + m * slope, so its
+            # advantage rises with m: wait up to the first age that transmits.
+            # The advantage is 0 at a real m; ages before its floor fall short
+            # by a whole step, and the loop applies the tie rule from there.
+            m = max(2, math.floor((tx_cost / k.ok - h_n) / slope))
+            while not improve(h_n + m * slope, True):
+                m += 1
+            improved = np.concatenate((improved, np.zeros(m - 2, dtype=bool), [True]))
+        improved = improved[: _head_length(improved)]
         if np.array_equal(improved, transmit):
             return SolvedPolicy(
                 gain=gain,
@@ -200,16 +213,10 @@ def rvi_solve(model: TruncatedModel, lam: float, init=None) -> SolvedPolicy:
 
 
 def extract_threshold(policy: SolvedPolicy) -> int:
-    """Smallest idle age at which the policy transmits, after a monotonicity check.
-
-    A policy that never transmits is vacuously monotone and yields
-    delta_max + 1 (no finite threshold).
-    """
+    """Smallest idle age at which the policy transmits, after a monotonicity check."""
     tx = np.asarray(policy.transmit, dtype=bool)
-    idx = np.flatnonzero(tx)
-    if idx.size == 0:
-        return tx.size + 1
-    first = int(idx[0])
+    _require_renewal(tx)
+    first = int(np.flatnonzero(tx)[0])
     if not tx[first:].all():
         offending = [int(i) + 1 for i in np.flatnonzero(~tx[first:]) + first]
         raise ThresholdStructureError(offending)
@@ -220,28 +227,27 @@ def extract_threshold(policy: SolvedPolicy) -> int:
 class PolicyMetrics:
     avg_aoi: float
     avg_cost: float
-    divergent: bool = False
 
 
-def policy_cost_evaluate(probs, model: TruncatedModel) -> PolicyMetrics:
+def policy_cost_evaluate(probs, model: CmdpModel) -> PolicyMetrics:
     """Exact stationary average age and collision cost of a tail-constant policy.
 
     ``probs`` is a non-empty table of transmit probabilities per idle age
     1..n; older ages reuse the last entry, as in ``TabularPolicy``.  So a
-    Bernoulli policy is ``[p0]``, a threshold or mixed policy is its table up
-    to its ``tail_age``, and n need not be ``delta_max``.  The table is first
-    cut to its head, the shortest prefix whose last entry holds for every
-    older age, and n is the head's length.  The head is one forward
-    recursion from the reset state (1, idle), normalized at the end.
-    From age n on the state moves by the transmit block M, so the tail holds
-    x (I - M)^-1 for the mass x entering age n.  A policy whose last entry is
-    0 has no age renewal in the long run and is reported as divergent.
+    Bernoulli policy is ``[p0]`` and a threshold or mixed policy is its table
+    up to its ``tail_age``.  The table is first cut to its head, the shortest
+    prefix whose last entry holds for every older age, and n is the head's
+    length.  The head is one forward recursion from the reset state
+    (1, idle), normalized at the end.  From age n on the state moves by the
+    transmit block M, so the tail holds x (I - M)^-1 for the mass x entering
+    age n.  A policy whose last entry is 0 has no age renewal in the long
+    run: its average age is infinite and its collision cost 0.
     """
     p_tx = np.asarray(probs, dtype=float)
     if p_tx.ndim != 1 or p_tx.size == 0:
         raise ValueError(f"expected a non-empty 1-D probability table, got shape {p_tx.shape}")
     if p_tx[-1] == 0.0:
-        return PolicyMetrics(avg_aoi=math.inf, avg_cost=0.0, divergent=True)
+        return PolicyMetrics(avg_aoi=math.inf, avg_cost=0.0)
     p_tx = p_tx[: _head_length(p_tx)]
     k = model.kernel
     stay, reset = k.blocks(p_tx)
@@ -287,12 +293,7 @@ class ConstrainedSolution:
     achieved_aoi: float
 
 
-def lambda_bisection(
-    model: TruncatedModel,
-    eta_s: float | None = None,
-    max_expand: int = 60,
-    max_bisect: int = 200,
-) -> ConstrainedSolution:
+def lambda_bisection(model: CmdpModel) -> ConstrainedSolution:
     """Deterministic multiplier search for the constrained optimum.
 
     Bisects the multiplier until the two bracketing greedy policies have
@@ -301,22 +302,13 @@ def lambda_bisection(
     reciprocal cost is linear in the mixing probability).  Each policy
     iteration starts from the previous multiplier's policy.
     """
-    if eta_s is None:
-        eta_s = model.params.eta_s
-    if not (0.0 < eta_s < 1.0):
-        raise ValueError(f"eta_s must be in (0, 1), got {eta_s}")
+    eta_s = model.params.eta_s
 
     def solve(lam, init):
         pol = rvi_solve(model, lam, init)
-        gamma = extract_threshold(pol)
-        if gamma <= model.delta_max and gamma > model.delta_max // 2:
-            raise TruncationError(
-                f"threshold {gamma} exceeds delta_max/2 = {model.delta_max // 2}; "
-                "increase delta_max for a trustworthy truncation"
-            )
-        return pol, gamma, policy_cost_evaluate(pol.transmit, model)
+        return pol, extract_threshold(pol), policy_cost_evaluate(pol.transmit, model)
 
-    pol0, gamma0, metrics0 = solve(0.0, None)
+    pol0, gamma0, metrics0 = solve(0.0, (True,))
     if metrics0.avg_cost <= eta_s:
         return ConstrainedSolution(
             lambda_low=0.0,
@@ -333,7 +325,7 @@ def lambda_bisection(
     lam_lo, pol_lo, gamma_lo, cost_lo = 0.0, pol0, gamma0, metrics0.avg_cost
     lam_hi = 1.0
     warm = pol0.transmit
-    for _ in range(max_expand):
+    for _ in range(MAX_EXPAND):
         pol_hi, gamma_hi, metrics = solve(lam_hi, warm)
         cost_hi = metrics.avg_cost
         warm = pol_hi.transmit
@@ -344,7 +336,7 @@ def lambda_bisection(
     else:
         raise BisectionError(f"no multiplier up to {lam_hi} satisfies the budget {eta_s}")
 
-    for _ in range(max_bisect):
+    for _ in range(MAX_BISECT):
         if gamma_hi - gamma_lo <= 1:
             break
         mid = 0.5 * (lam_lo + lam_hi)
@@ -356,7 +348,7 @@ def lambda_bisection(
             lam_hi, pol_hi, gamma_hi, cost_hi = mid, pol_m, gamma_m, metrics.avg_cost
     else:
         raise BisectionError(
-            f"bracket did not shrink to consecutive thresholds within {max_bisect} bisections"
+            f"bracket did not shrink to consecutive thresholds within {MAX_BISECT} bisections"
         )
 
     if gamma_lo == gamma_hi:

@@ -281,8 +281,8 @@ STEADY_STATE_GRID = [
 ]
 
 # (alpha, beta, phi_s, budget fraction of psi_s(1)): binding-constraint grid.
-# The fractions keep the optimal thresholds well inside the delta_max = 200
-# truncation used by the solver cross-checks.
+# The fractions keep the optimal thresholds below 200, so the solver
+# cross-checks stay fast.
 BINDING_GRID = [
     (0.02, 0.4, 0.2, 0.03),
     (0.02, 0.4, 0.2, 0.08),

@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from craoi import (
+    CmdpModel,
     PuRates,
     RandomizedThresholdPolicy,
     SimConfig,
     SystemParams,
     ThresholdPolicy,
-    TruncatedModel,
     age_optimal_policy,
     average_aoi_bernoulli,
     average_aoi_series,
@@ -108,7 +108,7 @@ def test_criterion_3_rvi_structure():
     results = {}
     for eta_s in (0.0005, 0.001):
         params = SystemParams(rates=CANON_RATES, phi_s=0.2, eta_s=eta_s)
-        sol = lambda_bisection(TruncatedModel(params=params, delta_max=200))
+        sol = lambda_bisection(CmdpModel(params=params))
         t_low = extract_threshold(sol.policy_low)
         t_high = extract_threshold(sol.policy_high)
         results[eta_s] = (t_low, t_high, optimal_thresholds(params))
@@ -239,7 +239,7 @@ def test_criterion_7_constraint_binding():
         n_binding += 1
         psi_worst = max(psi_worst, abs(pol.psi_s - params.eta_s))
 
-        sol = lambda_bisection(TruncatedModel(params=params))
+        sol = lambda_bisection(CmdpModel(params=params))
         assert (sol.gamma1, sol.gamma2) == (pol.gamma1, pol.gamma2)
         mu_worst = max(mu_worst, abs(sol.mu - pol.mu))
 

@@ -49,6 +49,8 @@ class TestSystemParams:
             make_params(0.02, 0.4, 1.0)
         with pytest.raises(ValueError):
             make_params(0.02, 0.4, 0.2, eta_s=0.0)
+        with pytest.raises(ValueError):
+            make_params(0.02, 0.4, 0.2, eta_s=1.5)
 
     def test_budget_round_trip(self):
         params = SystemParams.from_pu_budget(PuRates(0.002, 0.006), 0.2, 0.01)

@@ -7,9 +7,9 @@ import pytest
 
 from craoi import (
     BernoulliAccessPolicy,
+    CmdpModel,
     PuRates,
     SystemParams,
-    TruncatedModel,
     age_optimal_policy,
     average_aoi_bernoulli,
     bernoulli_steady_state,
@@ -73,7 +73,7 @@ class TestAverageAoi:
     def test_closed_form_matches_series(self, alpha, beta, phi_s, p0):
         # the exact evaluator sums the stationary series; Bernoulli access is the table [p0]
         params = SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=0.01)
-        series = policy_cost_evaluate([p0], TruncatedModel(params=params))
+        series = policy_cost_evaluate([p0], CmdpModel(params=params))
         assert average_aoi_bernoulli(params, p0) == pytest.approx(series.avg_aoi, rel=1e-14)
         psi = collision_probability_bernoulli(params, p0)
         assert psi == pytest.approx(series.avg_cost, rel=1e-14)

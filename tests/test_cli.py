@@ -85,15 +85,22 @@ class TestSolve:
         assert res.returncode == 0
         assert "rvi_agreement ok" in res.stdout
 
+    DEEP = ["solve", "--alpha", "0.002", "--beta", "0.006", "--phi-s", "0.2",
+            "--eta-p", "0.01", "--verify"]  # fmt: skip
+
     def test_verify_sizes_truncation(self):
-        # threshold 138 is past delta_max/2 = 100 of the default truncation
-        res = run_cli(
-            "solve",
-            "--alpha", "0.002", "--beta", "0.006", "--phi-s", "0.2",
-            "--eta-p", "0.01", "--verify",
-        )
+        # the solver's policy head grows to threshold 138 and past it
+        res = run_cli(*self.DEEP)
         assert res.returncode == 0
         assert "rvi_agreement ok (rvi gamma1=138 gamma2=139" in res.stdout
+
+    def test_delta_max_is_ignored(self, capsys):
+        # older command lines pass --delta-max; the value changes nothing
+        assert craoi.cli.main(self.DEEP) == 0
+        plain = capsys.readouterr().out
+        assert craoi.cli.main(self.DEEP + ["--delta-max", "40"]) == 0
+        assert capsys.readouterr().out == plain
+        assert "rvi_agreement ok (rvi gamma1=138 gamma2=139" in plain
 
     def test_verify_compares_metrics(self, monkeypatch, capsys):
         # the same policy with an average age off by 1e-9 relative must not pass

@@ -11,6 +11,7 @@ from craoi import (
     BUSY,
     IDLE,
     BernoulliAccessPolicy,
+    CmdpModel,
     PuRates,
     PuTrajectory,
     RandomizedThresholdPolicy,
@@ -18,7 +19,6 @@ from craoi import (
     SystemParams,
     TabularPolicy,
     ThresholdPolicy,
-    TruncatedModel,
     average_aoi_series,
     collision_probability,
     generate_pu_trajectory,
@@ -323,7 +323,7 @@ class TestStatisticalAgreement:
     def test_matches_exact_evaluator(self, policy):
         # the evaluator reads the same table as the replay: ages 1..tail_age
         table = [policy.transmit_probability(a) for a in range(1, policy.tail_age + 1)]
-        exact = policy_cost_evaluate(table, TruncatedModel(params=CANON))
+        exact = policy_cost_evaluate(table, CmdpModel(params=CANON))
         rep = replicate(SimConfig(params=CANON, policy=policy, seed=11, slots=100_000), n_reps=10)
         assert rep.mean["avg_aoi"] == pytest.approx(exact.avg_aoi, rel=0.02)
         se = max(rep.stderr["psi_s_hat"], 1e-12)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import craoi.solver
 from craoi import (
+    CmdpModel,
     PuRates,
     SystemParams,
-    TruncatedModel,
     collision_probability,
     average_aoi_series,
     extract_threshold,
@@ -22,7 +23,6 @@ from craoi import (
 )
 from craoi.channel import BUSY, IDLE
 from craoi.solver import (
-    BisectionError,
     SolvedPolicy,
     ThresholdStructureError,
     _head_length,
@@ -41,18 +41,19 @@ from .conftest import (
 )
 
 CANON = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.0005)
-MODEL = TruncatedModel(params=CANON)
+MODEL = CmdpModel(params=CANON)
+ORACLE_AGES = 200  # ages of the oracle chain that kernel rows are held to
 
 
 def kernel_row(model, delta, occ, p) -> np.ndarray:
-    """One row of the truncated chain, assembled from ``model.kernel``.
+    """One row of the oracle chain on ages 1..ORACLE_AGES, assembled from ``model.kernel``.
 
     The row leaves state (delta, occ) with idle transmit probability p, in
     the oracle chain's state order 2 * (delta - 1) + occupancy.
     """
     k = model.kernel
-    nxt = 2 * (min(delta + 1, model.delta_max) - 1)
-    row = np.zeros(2 * model.delta_max)
+    nxt = 2 * (min(delta + 1, ORACLE_AGES) - 1)
+    row = np.zeros(2 * ORACLE_AGES)
     if occ == BUSY:
         row[nxt + IDLE] += k.channel.p_BI
         row[nxt + BUSY] += k.channel.p_BB
@@ -67,24 +68,23 @@ def kernel_row(model, delta, occ, p) -> np.ndarray:
 class TestPrimitives:
     def test_reward_is_age(self):
         # Without a multiplier the gain is the average age alone.
-        model = TruncatedModel(params=CANON, delta_max=60)
         for probs in (threshold_probs(1, 60), mixed_probs(9, 0.4, 60)):
-            gain, _, _ = poisson_solve(probs, model, 0.0)
-            assert gain == pytest.approx(policy_cost_evaluate(probs, model).avg_aoi, rel=1e-10)
-        gain, _, _ = poisson_solve(np.zeros(60), model, 0.0)
-        assert gain == 60.0
+            gain, _, _ = poisson_solve(probs, MODEL, 0.0)
+            assert gain == pytest.approx(policy_cost_evaluate(probs, MODEL).avg_aoi, rel=1e-10)
+        # a policy that never transmits has no finite gain
+        with pytest.raises(ValueError, match="never renews"):
+            poisson_solve(np.zeros(60), MODEL, 0.0)
 
     def test_collision_cost(self):
         assert MODEL.kernel.collision == pytest.approx(1.0 - math.exp(-0.02), rel=1e-12)
         # The multiplier is charged once per collision, on idle transmissions only.
-        model = TruncatedModel(params=CANON, delta_max=60)
         probs = mixed_probs(9, 0.4, 60)
-        g0, _, _ = poisson_solve(probs, model, 0.0)
-        g1, _, _ = poisson_solve(probs, model, 1e4)
-        avg_cost = policy_cost_evaluate(probs, model).avg_cost
+        g0, _, _ = poisson_solve(probs, MODEL, 0.0)
+        g1, _, _ = poisson_solve(probs, MODEL, 1e4)
+        avg_cost = policy_cost_evaluate(probs, MODEL).avg_cost
         assert g1 - g0 == pytest.approx(1e4 * avg_cost, rel=1e-9)
-        g_never, _, _ = poisson_solve(np.zeros(60), model, 1e4)
-        assert g_never == 60.0
+        with pytest.raises(ValueError, match="never renews"):
+            poisson_solve(np.zeros(60), MODEL, 1e4)
 
 
 class TestTransitionKernel:
@@ -109,21 +109,9 @@ class TestTransitionKernel:
         row = kernel_row(MODEL, delta, occ, action)
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
         assert (row >= 0.0).all()
-        oracle = build_chain(CANON, np.full(MODEL.delta_max, float(action)), MODEL.delta_max)
+        oracle = build_chain(CANON, np.full(ORACLE_AGES, float(action)), ORACLE_AGES)
         np.testing.assert_allclose(row, oracle.getrow(2 * (delta - 1) + occ).toarray().ravel(),
                                    rtol=0, atol=1e-12)  # fmt: skip
-
-    def test_age_clamps(self):
-        clamp = 2 * (MODEL.delta_max - 1)
-        row = kernel_row(MODEL, MODEL.delta_max, IDLE, 0.0)
-        assert row[clamp + IDLE] + row[clamp + BUSY] == pytest.approx(1.0, abs=1e-12)
-        # The clamp pair feeds itself: the channel's resolvent inverts I - M for its block M.
-        k = MODEL.kernel
-        reset = 0.5 * k.ok
-        sig = k.channel
-        m = np.array([[sig.p_II - reset, sig.p_IB], [sig.p_BI, sig.p_BB]])
-        inv = np.array(k.channel.resolvent(reset)).reshape(2, 2)
-        np.testing.assert_allclose((np.eye(2) - m) @ inv, np.eye(2), rtol=0, atol=1e-9)
 
 
 class TestRvi:
@@ -139,7 +127,7 @@ class TestRvi:
 
     def test_threshold_nondecreasing_in_lambda(self):
         thresholds = []
-        warm = None
+        warm = (True,)
         for lam in (0.0, 100.0, 1000.0, 5000.0, 20000.0):
             pol = rvi_solve(MODEL, lam, warm)
             warm = pol.transmit
@@ -149,7 +137,7 @@ class TestRvi:
 
     def test_warm_start_reaches_same_policy(self):
         cold = rvi_solve(MODEL, 5000.0)
-        for init in (np.zeros(200, dtype=bool), rvi_solve(MODEL, 300.0).transmit):
+        for init in (threshold_probs(200, 200), rvi_solve(MODEL, 300.0).transmit):
             warm = rvi_solve(MODEL, 5000.0, init)
             np.testing.assert_array_equal(warm.transmit, cold.transmit)
             assert warm.gain == pytest.approx(cold.gain, rel=1e-12)
@@ -160,26 +148,83 @@ class TestRvi:
         metrics = policy_cost_evaluate(pol.transmit, MODEL)
         assert pol.gain == pytest.approx(metrics.avg_aoi + lam * metrics.avg_cost, rel=1e-10)
 
-    @pytest.mark.parametrize("init", [None, np.zeros(20, dtype=bool)])
+    @pytest.mark.parametrize("init", [None, [False] * 19 + [True]])
     def test_short_truncation_through_absorbing_policy(self, init):
-        # From never-transmit the age pair 20 absorbs (gain delta_max = 20);
-        # the iteration must evaluate that policy, not stop at it.  The exact
-        # tail makes the gain of threshold 7 its closed form.
+        # From the default start (transmit everywhere) and from threshold 20
+        # the iteration reaches threshold 7, and the exact tail makes its
+        # gain the closed form.
         lam = 1e3
-        pol = rvi_solve(TruncatedModel(params=CANON, delta_max=20), lam, init)
+        pol = rvi_solve(MODEL, lam) if init is None else rvi_solve(MODEL, lam, init)
         assert extract_threshold(pol) == 7
         expected = average_aoi_series(7, CANON) + lam * collision_probability(7, CANON)
         assert pol.gain == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("lam,init", [
+        (1e3, None), (3e5, None), (5e3, [False] * 60 + [True]), (2e4, [True, False, True]),
+    ])  # fmt: skip
+    def test_steps_are_greedy_on_a_long_grid(self, lam, init, monkeypatch):
+        # Every step must be the greedy policy of the last one's bias at every
+        # age.  The reference extends the bias affinely over a grid far longer
+        # than any head here, applies the tie rule age by age, and must visit
+        # the same tables as rvi_solve.
+        ages = 20_000
+        k = MODEL.kernel
+        tx_cost = lam * k.collision
+        slope = k.channel.geometric_tail(k.ok, 1.0, 0.0)[0]
+        table = np.ones(1, dtype=bool) if init is None else np.array(init)
+        expected = []
+        while True:
+            expected.append(table[: _head_length(table)])
+            _, h, _ = poisson_solve(expected[-1].astype(float), MODEL, lam)
+            h = np.concatenate((h, h[-1] + slope * np.arange(1, ages - h.size + 2)))
+            value = k.ok * h[1:]
+            tie = np.abs(value - tx_cost) <= 1e-12 * (tx_cost + np.abs(value))
+            padded = np.concatenate((expected[-1], np.ones(ages - expected[-1].size, dtype=bool)))
+            table = np.where(tie, padded, value - tx_cost > 0.0)
+            assert table[-ages // 2 :].all()  # the greedy table ends well inside the grid
+            if np.array_equal(table, padded):
+                break
+        seen = []
+
+        def recorded(probs, model, lam):
+            seen.append(probs.astype(bool))
+            return poisson_solve(probs, model, lam)
+
+        monkeypatch.setattr(craoi.solver, "poisson_solve", recorded)
+        pol = rvi_solve(MODEL, lam) if init is None else rvi_solve(MODEL, lam, init)
+        assert pol.iterations == len(expected)
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_threshold_past_200_matches_scan(self):
+        # an age grid of 200 would have cut this policy off; the head grows
+        # as the improvement step asks
+        lam = 1e6
+        pol = rvi_solve(MODEL, lam)
+        costs = []
+        for gamma in range(1, 401):
+            metrics = policy_cost_evaluate(threshold_probs(gamma, gamma), MODEL)
+            costs.append(metrics.avg_aoi + lam * metrics.avg_cost)
+        best = int(np.argmin(costs)) + 1
+        assert best > 200
+        assert extract_threshold(pol) == best
+        assert pol.transmit.size == pol.bias_idle.size == best
+        assert pol.gain == pytest.approx(costs[best - 1], rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             rvi_solve(MODEL, -1.0)
-        with pytest.raises(ValueError):
-            rvi_solve(MODEL, 1.0, np.ones(17, dtype=bool))
+        for init in ([], np.ones((2, 3), dtype=bool)):
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                rvi_solve(MODEL, 1.0, init)
+        for init in (np.zeros(17, dtype=bool), [True, False]):
+            with pytest.raises(ValueError, match="never renews"):
+                rvi_solve(MODEL, 1.0, init)
 
 
 def silent_clamp(probs: np.ndarray) -> np.ndarray:
-    """The same policy, except that it never transmits at delta_max."""
+    """The same policy, except that it never transmits past its table."""
     probs = probs.copy()
     probs[-1] = 0.0
     return probs
@@ -201,10 +246,11 @@ class TestHeadLength:
 
 
 class TestPoissonEquation:
-    # A policy that transmits at delta_max is checked against an oracle chain
-    # padded with its tail entry to ten times delta_max, where the clamp holds
-    # no mass; one that does not makes its age pair delta_max absorbing in
-    # both.  The head cases end long before the grid does.
+    # Each table is checked against an oracle chain padded with its tail
+    # entry to ten times the table's length, where the oracle's clamp holds
+    # no mass.  The head cases end long before the table does, and past the
+    # head the bias must be the affine tail.  A table whose last entry never
+    # transmits is rejected.
     @pytest.mark.parametrize("probs,length,head", [
         (mixed_probs(7, 0.3, 40), 400, 8),
         (mixed_probs(1, 0.6, 40), 400, 2),
@@ -217,23 +263,23 @@ class TestPoissonEquation:
             "never", "silent-clamp"])  # fmt: skip
     def test_gain_and_bias_solve_oracle_chain(self, probs, length, head):
         lam = 700.0
-        dmax = probs.size
-        model = TruncatedModel(params=CANON, delta_max=dmax)
-        gain, bias_idle, bias_busy = poisson_solve(probs, model, lam)
+        if head is None:
+            with pytest.raises(ValueError, match="never renews"):
+                poisson_solve(probs, MODEL, lam)
+            return
+        gain, bias_idle, bias_busy = poisson_solve(probs, MODEL, lam)
         o_gain, o_idle, o_busy = oracle_poisson(CANON, probs, lam, length)
         assert gain == pytest.approx(o_gain, rel=1e-12)
-        scale = np.abs(o_idle[:dmax]).max()
-        np.testing.assert_allclose(bias_idle, o_idle[:dmax], rtol=0, atol=1e-12 * scale)
-        np.testing.assert_allclose(bias_busy, o_busy[:dmax], rtol=0, atol=1e-12 * scale)
+        n = probs.size
+        scale = np.abs(o_idle[:n]).max()
+        np.testing.assert_allclose(bias_idle, o_idle[:n], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(bias_busy, o_busy[:n], rtol=0, atol=1e-12 * scale)
         assert bias_idle[0] == 0.0
-        if head is None:  # the age pair delta_max absorbs
-            assert gain == float(dmax)
-            return
-        # past the head the bias is affine in age: h(d) = h(n) + (d - n) v
-        channel = model.kernel.channel
-        reset = probs[-1] * model.kernel.ok
+        # past the head the bias is affine in age: h(d) = h(head) + (d - head) v
+        channel = MODEL.kernel.channel
+        reset = probs[-1] * MODEL.kernel.ok
         v = channel.geometric_tail(reset, 1.0, 0.0)[0], channel.geometric_tail(reset, 0.0, 1.0)[0]
-        steps = np.arange(dmax - head + 1)
+        steps = np.arange(n - head + 1)
         for bias, v_occ in zip((bias_idle, bias_busy), v):
             np.testing.assert_allclose(
                 bias[head - 1 :], bias[head - 1] + steps * v_occ, rtol=0, atol=1e-12 * scale
@@ -256,7 +302,10 @@ class TestExtractThreshold:
         assert extract_threshold(self._policy([True] * 8)) == 1
 
     def test_never_transmit(self):
-        assert extract_threshold(self._policy([False] * 8)) == 9
+        with pytest.raises(ValueError, match="never renews"):
+            extract_threshold(self._policy([False] * 8))
+        with pytest.raises(ValueError, match="never renews"):
+            extract_threshold(self._policy([False, True, False]))
 
     def test_plain_threshold(self):
         assert extract_threshold(self._policy([False, False, True, True])) == 3
@@ -278,7 +327,7 @@ class TestPolicyEvaluation:
     @pytest.mark.parametrize("gamma1,mu", [(1, 0.6), (9, 0.4), (20, 1.0), (150, 0.25), (250, 0.7)])
     @pytest.mark.parametrize("length", ["tail-age", "padded"])
     def test_mixed_matches_closed_form(self, gamma1, mu, length):
-        # the table may stop at the tail age or run past it, even past delta_max
+        # the table may stop at the tail age or run past it
         n = gamma1 + 1 if length == "tail-age" else gamma1 + 60
         metrics = policy_cost_evaluate(mixed_probs(gamma1, mu, n), MODEL)
         aoi, psi = mixed_policy_metrics(CANON, gamma1, mu)
@@ -287,12 +336,13 @@ class TestPolicyEvaluation:
 
     def test_never_transmit_diverges(self):
         metrics = policy_cost_evaluate(np.zeros(200), MODEL)
-        assert metrics.divergent
-        assert metrics.avg_cost == 0.0
         assert math.isinf(metrics.avg_aoi)
+        assert metrics.avg_cost == 0.0
 
     def test_silent_clamp_diverges(self):
-        assert policy_cost_evaluate(silent_clamp(threshold_probs(10, 200)), MODEL).divergent
+        metrics = policy_cost_evaluate(silent_clamp(threshold_probs(10, 200)), MODEL)
+        assert math.isinf(metrics.avg_aoi)
+        assert metrics.avg_cost == 0.0
 
     @pytest.mark.parametrize("probs", [
         threshold_probs(1, 60),
@@ -306,8 +356,7 @@ class TestPolicyEvaluation:
         # the oracle pads the table with its last entry to 3000 ages, where
         # even the slowest tail here (reset 0.05 * 0.78 per idle slot) holds
         # no mass above rounding
-        model = TruncatedModel(params=CANON, delta_max=60)
-        metrics = policy_cost_evaluate(probs, model)
+        metrics = policy_cost_evaluate(probs, MODEL)
         aoi, psi = oracle_metrics(CANON, probs, 3000)
         assert metrics.avg_aoi == pytest.approx(aoi, rel=1e-12)
         assert metrics.avg_cost == pytest.approx(psi, rel=1e-12)
@@ -322,7 +371,7 @@ class TestLambdaBisection:
     def test_loose_budget_threshold_one(self):
         probe = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.5)
         psi1 = collision_probability(1, probe)
-        model = TruncatedModel(
+        model = CmdpModel(
             params=SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=min(0.99, 2 * psi1))
         )
         sol = lambda_bisection(model)
@@ -337,7 +386,7 @@ class TestLambdaBisection:
 
     def test_mixed_probs_layout(self):
         sol = lambda_bisection(MODEL)
-        probs = mixed_transmit_probs(sol.gamma1, sol.mu, MODEL.delta_max)
+        probs = mixed_transmit_probs(sol.gamma1, sol.mu, 200)
         assert probs[sol.gamma1 - 1] == pytest.approx(sol.mu)
         assert np.all(probs[sol.gamma1 :] == 1.0)
         assert np.all(probs[: sol.gamma1 - 1] == 0.0)
@@ -345,46 +394,24 @@ class TestLambdaBisection:
     @pytest.mark.parametrize("alpha,beta,phi_s,fraction", BINDING_GRID[:6])
     def test_grid_matches_closed_form(self, alpha, beta, phi_s, fraction):
         params = binding_instance(alpha, beta, phi_s, fraction)
-        sol = lambda_bisection(TruncatedModel(params=params))
+        sol = lambda_bisection(CmdpModel(params=params))
         g1, g2 = optimal_thresholds(params)
         assert (sol.gamma1, sol.gamma2) == (g1, g2)
         if g1 != g2:
             assert sol.mu == pytest.approx(randomization_mu(params, g1), abs=1e-6)
 
-    @pytest.mark.parametrize("alpha,beta", [(1e-4, 3e-4), (1e-3, 2e-3), (0.005, 0.01)])
-    def test_slow_pu_achieved_metrics_exact(self, alpha, beta):
-        # a slow PU keeps ages past delta_max = 200 likely, where a clamp
-        # would count them as 200
-        params = binding_instance(alpha, beta, 0.2, 0.5)
-        sol = lambda_bisection(TruncatedModel(params=params))
+    @pytest.mark.parametrize("params", [
+        binding_instance(1e-4, 3e-4, 0.2, 0.5),
+        binding_instance(1e-3, 2e-3, 0.2, 0.5),
+        binding_instance(0.005, 0.01, 0.2, 0.5),
+        SystemParams.from_pu_budget(PuRates(0.01, 0.03), 0.2, 0.05),  # a table 1 cell
+        SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=1e-5),
+    ], ids=["0.0001-0.0003", "0.001-0.002", "0.005-0.01", "table1", "deep-threshold"])  # fmt: skip
+    def test_slow_pu_achieved_metrics_exact(self, params):
+        # a slow PU keeps old ages likely, and a tight budget on the canonical
+        # channel puts the thresholds at 2524 and 2525; no age grid bounds them
+        sol = lambda_bisection(CmdpModel(params=params))
+        assert (sol.gamma1, sol.gamma2) == optimal_thresholds(params)
         aoi, psi = mixed_policy_metrics(params, sol.gamma1, sol.mu)
         assert sol.achieved_aoi == pytest.approx(aoi, rel=1e-12)
         assert sol.achieved_cost == pytest.approx(psi, rel=1e-12)
-
-    @pytest.mark.parametrize("params", [
-        CANON,
-        SystemParams.from_pu_budget(PuRates(0.01, 0.03), 0.2, 0.05),  # a table 1 cell
-    ], ids=["canonical", "table1"])  # fmt: skip
-    def test_independent_of_grid_size(self, params):
-        # the grid only bounds the head; older ages are summed exactly
-        small = lambda_bisection(TruncatedModel(params=params, delta_max=200))
-        large = lambda_bisection(TruncatedModel(params=params, delta_max=2000))
-        assert (large.gamma1, large.gamma2) == (small.gamma1, small.gamma2)
-        for pol_small, pol_large in [
-            (small.policy_low, large.policy_low),
-            (small.policy_high, large.policy_high),
-        ]:
-            np.testing.assert_array_equal(pol_large.transmit[:200], pol_small.transmit)
-            assert pol_large.transmit[200:].all()
-        assert large.mu == pytest.approx(small.mu, rel=1e-12)
-        assert large.achieved_aoi == pytest.approx(small.achieved_aoi, rel=1e-12)
-        assert large.achieved_cost == pytest.approx(small.achieved_cost, rel=1e-12)
-
-    def test_truncation_guard(self):
-        tight = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.0005)
-        with pytest.raises(BisectionError):
-            lambda_bisection(TruncatedModel(params=tight, delta_max=60))
-
-    def test_eta_validation(self):
-        with pytest.raises(ValueError):
-            lambda_bisection(MODEL, eta_s=1.5)
