@@ -377,6 +377,13 @@ class TestLambdaBisection:
         sol = lambda_bisection(model)
         assert (sol.gamma1, sol.gamma2, sol.mu) == (1, 1, 1.0)
 
+    def test_eta_validation(self):
+        # The budget travels in the model's params, which reject it before any search runs.
+        with pytest.raises(ValueError):
+            lambda_bisection(
+                CmdpModel(params=SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=1.5))
+            )
+
     def test_canonical_matches_closed_form(self):
         sol = lambda_bisection(MODEL)
         g1, g2 = optimal_thresholds(CANON)
