@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
-"""Time the solver layers and run the perfbench workloads of one checkout.
+"""Time one checkout end to end and layer by layer, and run its perfbench workloads.
 
 Usage, from the root of a checkout:
 
     python3 scripts/bench.py --label change --out BENCH_<n>.json
     python3 scripts/bench.py --tree ../parent --label parent --out BENCH_<n>.json
 
-``--tree`` names the checkout to measure (default: this one).  The solver
-layers are timed in this process on one BLAS thread, best of ``REPEAT``
-with fixed inputs: one ``rvi_solve`` at lambda = 1e3 and a full
-``lambda_bisection``, both on the canonical instance (alpha 0.02, beta 0.4,
-phi_s 0.2, eta_s 5e-4).  Then the tree's ``perfbench/run.py`` runs every
-workload untraced and traced on seed 1 as subprocesses, each for that
-script's default run length.  Wall times
-are recorded, never gated; the counts of a traced run (solver iterations
-and calls, evaluator calls) repeat exactly.
+``--tree`` names the checkout to measure (default: this one).  Everything
+runs on one BLAS thread.  End to end, the record holds the wall time of the
+tier-1 suite (``python -m pytest -q --continue-on-collection-errors`` in the
+tree, with its summary line and pass count) and of
+``scripts/run_experiments.py`` over every preset, each as a subprocess.  The
+solver layers are timed in this process, best of ``REPEAT`` with fixed
+inputs: one ``rvi_solve`` at lambda = 1e3 and a full ``lambda_bisection``,
+both on the canonical instance (alpha 0.02, beta 0.4, phi_s 0.2, eta_s
+5e-4).  Then the tree's ``perfbench/run.py`` runs every workload untraced
+and traced on seed 1 as subprocesses, each for that script's default run
+length.  Wall times are recorded, never gated; the counts of a traced run
+(solver iterations and calls, evaluator calls) repeat exactly.
 The record replaces any earlier one of the same label in ``--out`` and
 leaves the others.
 """
@@ -25,8 +28,10 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -55,6 +60,37 @@ def time_solver_layers() -> dict[str, float]:
     return {
         "rvi_solve_lam1e3_ms": best_ms(lambda: rvi_solve(model, 1e3)),
         "lambda_bisection_ms": best_ms(lambda: lambda_bisection(model)),
+    }
+
+
+def timed_run(tree: Path, argv: list[str]) -> tuple[float, subprocess.CompletedProcess]:
+    """Wall seconds and result of one command in the tree, with its ``src`` importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    return time.perf_counter() - start, done
+
+
+def time_end_to_end(tree: Path) -> dict:
+    """Wall seconds of the tier-1 suite, with its pass count, and of every experiment preset."""
+    tier1_s, tests = timed_run(tree, [sys.executable, "-m", "pytest", "-q",
+                                      "--continue-on-collection-errors"])  # fmt: skip
+    summary = tests.stdout.strip().splitlines()[-1] if tests.stdout.strip() else ""
+    passed = re.search(r"(\d+) passed", summary)
+    with tempfile.TemporaryDirectory() as out:
+        experiments_s, experiments = timed_run(
+            tree, [sys.executable, "scripts/run_experiments.py", "--out", out]
+        )
+    experiments.check_returncode()
+    return {
+        "tier1": {
+            "wall_s": tier1_s,
+            "passed": int(passed.group(1)) if passed else 0,
+            "returncode": tests.returncode,
+            "summary": summary,
+        },
+        "run_experiments_s": experiments_s,
     }
 
 
@@ -89,6 +125,7 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "blas_threads": {"set": 1, "env_found": blas_found},
         },
+        "end_to_end": time_end_to_end(tree),
         "layers": time_solver_layers(),
         "workloads": {
             name: {
@@ -101,7 +138,7 @@ def main(argv=None) -> int:
     merged = json.loads(args.out.read_text()) if args.out.exists() else {}
     merged[args.label] = record
     args.out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(record["layers"], sort_keys=True))
+    print(json.dumps({**record["end_to_end"], **record["layers"]}, sort_keys=True))
     return 0
 
 

@@ -17,9 +17,6 @@ from .analysis import (
     mixed_policy_metrics,
     mixed_policy_steady_state,
     optimal_thresholds,
-    randomization_mu,
-    steady_state,
-    theta_1_0,
 )
 from .baseline import (
     average_aoi_bernoulli,

@@ -25,7 +25,6 @@ import numpy as np
 from .channel import (
     PuRates,
     convert_collision_budget,
-    expected_cycle_length,
     slot_transition_matrix,
     transition_matrix_power,
 )
@@ -58,11 +57,7 @@ class SystemParams:
     @classmethod
     def from_pu_budget(cls, rates: PuRates, phi_s: float, eta_p: float) -> "SystemParams":
         """Build params from a PU-side (per busy-idle cycle) collision budget."""
-        return cls(rates=rates, phi_s=phi_s, eta_s=convert_collision_budget(rates, eta_p, "pu_to_siot"))
-
-    @property
-    def eta_p(self) -> float:
-        return self.eta_s * expected_cycle_length(self.rates)
+        return cls(rates=rates, phi_s=phi_s, eta_s=convert_collision_budget(rates, eta_p))
 
     @property
     def success_prob(self) -> float:
@@ -76,7 +71,8 @@ class SystemParams:
 
 
 def _check_gamma(gamma: int) -> int:
-    if gamma != int(gamma) or gamma < 1:
+    # rejects NaN, infinities and fractions alike; numpy integers pass
+    if not (gamma >= 1 and gamma % 1 == 0):
         raise ValueError(f"threshold must be an integer >= 1, got {gamma}")
     return int(gamma)
 
@@ -87,13 +83,22 @@ def _scalars(params: SystemParams) -> tuple:
     (alpha, beta, s, success, collision, s/(beta*success), alpha/beta,
     expm1(-s), rates) with s = alpha + beta.  A plain tuple that lives only
     for that call: nothing is cached on the params, so a sweep that keeps
-    many instances alive holds no extra memory.
+    many instances alive holds no extra memory.  s/(beta*success) is the
+    mean time between successes of threshold 1, the shortest any policy
+    has; when it is no float, as when e^-alpha underflows, the instance has
+    no average age to compute.
     """
     rates = params.rates
     al, be = rates.alpha, rates.beta
     s = al + be
     success, collision = _outcome_probs(params.phi_s, al)
-    return al, be, s, success, collision, s / (be * success), al / be, math.expm1(-s), rates
+    b_term = s / (be * success) if be * success > 0.0 else math.inf
+    if b_term == math.inf:
+        raise ValueError(
+            f"success probability (1 - phi_s) e^-alpha = {success:.3g} is too small: "
+            f"the mean renewal time s/(beta*success) overflows at alpha={al}, beta={be}"
+        )
+    return al, be, s, success, collision, b_term, al / be, math.expm1(-s), rates
 
 
 def _normalizer(m: tuple, gamma1: int, mu: float) -> float:
@@ -115,12 +120,6 @@ def _psi(m: tuple, gamma: int) -> float:
     return 1.0 / _normalizer(m, gamma, 1.0) * collision / success
 
 
-def theta_1_0(gamma: int, params: SystemParams) -> float:
-    """Stationary probability of the post-success state (age 1, channel idle)."""
-    gamma = _check_gamma(gamma)
-    return 1.0 / _normalizer(_scalars(params), gamma, 1.0)
-
-
 def _below_threshold_state(rates: PuRates, t10: float, delta: int) -> tuple[float, float]:
     # occupancy mixes for delta - 1 slots starting from (t10, 0)
     sig = transition_matrix_power(rates, delta - 1.0)
@@ -132,8 +131,8 @@ def _stationary(m: tuple, gamma1: int, mu: float):
 
     The boundary vector is per unit theta_(1,0); past it the state moves by
     the transmit block M, so the tail sums come from the resolvent
-    (I - M)^-1.  The tail mass must agree with the explicit normalizer; a
-    disagreement beyond 1e-9 is an internal inconsistency.
+    (I - M)^-1.  theta_(1,0) comes from the explicit normalizer, which the
+    tail mass matches: t10 * (gamma1 + tail_mass) = 1 (held in the tests).
     """
     gamma1 = _check_gamma(gamma1)
     if not (0.0 <= mu <= 1.0):
@@ -146,10 +145,6 @@ def _stationary(m: tuple, gamma1: int, mu: float):
     t1 = y0 * sig.p_IB + y1 * sig.p_BB
     tail_mass, tail_weighted = sig.geometric_tail(success, t0, t1)
     t10 = 1.0 / _normalizer(m, gamma1, mu)
-    # each age level up to gamma1 carries total mass t10
-    mass = t10 * (gamma1 + tail_mass)
-    if abs(mass - 1.0) > 1e-9:
-        raise ValueError(f"stationary distribution normalizes to {mass}, not 1")
     return t10, (t0, t1), tail_mass, tail_weighted
 
 
@@ -185,11 +180,6 @@ def _metrics(m: tuple, gamma1: int, mu: float) -> tuple[float, float]:
 def mixed_policy_metrics(params: SystemParams, gamma1: int, mu: float) -> tuple[float, float]:
     """(average age, per-slot collision probability) of the randomized policy."""
     return _metrics(_scalars(params), gamma1, mu)
-
-
-def steady_state(gamma: int, params: SystemParams, delta: int) -> tuple[float, float]:
-    """Stationary (theta_idle, theta_busy) at the given age under threshold gamma."""
-    return mixed_policy_steady_state(params, gamma, 1.0, delta)
 
 
 def collision_probability(gamma: int, params: SystemParams) -> float:
@@ -301,20 +291,6 @@ def _mu(eta: float, gamma1: int, psi1: float, psi2: float) -> float:
             f"between psi_s({gamma1})={psi1} and psi_s({gamma1 + 1})={psi2}"
         )
     return mu
-
-
-def randomization_mu(params: SystemParams, gamma1: int) -> float:
-    """Mixing probability applied at the boundary age gamma1 (idle).
-
-    The reciprocal collision probability of the boundary-randomized policy is
-    linear in mu, so the binding value interpolates 1/psi_s between the two
-    consecutive thresholds: exactly 1 at eta_s = psi_s(gamma1) and exactly
-    +0 at eta_s = psi_s(gamma1 + 1).  An equivalent fully expanded single
-    expression exists and is cross-checked in the tests.
-    """
-    gamma1 = _check_gamma(gamma1)
-    m = _scalars(params)
-    return _mu(params.eta_s, gamma1, _psi(m, gamma1), _psi(m, gamma1 + 1))
 
 
 @dataclass(frozen=True)

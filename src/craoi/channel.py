@@ -27,8 +27,10 @@ class PuRates:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError(f"rates must be positive, got alpha={self.alpha}, beta={self.beta}")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise ValueError(
+                f"rates must be positive and finite, got alpha={self.alpha}, beta={self.beta}"
+            )
         if self.beta <= self.alpha:
             warnings.warn(
                 "beta <= alpha: busy periods are at least as long as idle periods; "
@@ -125,30 +127,18 @@ def expected_cycle_length(rates: PuRates) -> float:
     return 1.0 / rates.alpha + 1.0 / rates.beta
 
 
-def convert_collision_budget(rates: PuRates, value: float, direction: str) -> float:
-    """Convert a collision budget between per-cycle (PU) and per-slot (SIoT) form.
+def convert_collision_budget(rates: PuRates, value: float) -> float:
+    """Convert a per-cycle (PU) collision budget to its per-slot (SIoT) form.
 
     The two are related by the mean cycle length: per-cycle budget equals
     per-slot budget times E[cycle length].
     """
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"budget must be in [0, 1], got {value}")
-    cycle = expected_cycle_length(rates)
-    if direction == "pu_to_siot":
-        out = value / cycle
-        if out > 1.0:
-            raise ValueError(
-                f"per-cycle budget {value} implies per-slot budget {out} > 1; "
-                "the mean PU cycle is shorter than one slot for these rates"
-            )
-        return out
-    if direction == "siot_to_pu":
-        out = value * cycle
-        if out > 1.0:
-            raise ValueError(
-                f"per-slot budget {value} implies per-cycle budget {out} > 1; "
-                "the PU-side constraint is meaningless for these rates"
-            )
-        return out
-    raise ValueError(f"direction must be 'pu_to_siot' or 'siot_to_pu', got {direction!r}")
-
+    out = value / expected_cycle_length(rates)
+    if out > 1.0:
+        raise ValueError(
+            f"per-cycle budget {value} implies per-slot budget {out} > 1; "
+            "the mean PU cycle is shorter than one slot for these rates"
+        )
+    return out

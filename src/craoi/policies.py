@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .analysis import _check_gamma
+
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
@@ -18,8 +20,7 @@ class ThresholdPolicy:
     gamma: int
 
     def __post_init__(self):
-        if self.gamma < 1:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        _check_gamma(self.gamma)
 
     @property
     def tail_age(self) -> int:
@@ -37,8 +38,7 @@ class RandomizedThresholdPolicy:
     mu: float
 
     def __post_init__(self):
-        if self.gamma1 < 1:
-            raise ValueError(f"gamma1 must be >= 1, got {self.gamma1}")
+        _check_gamma(self.gamma1)
         if not (0.0 <= self.mu <= 1.0):
             raise ValueError(f"mu must be in [0, 1], got {self.mu}")
 

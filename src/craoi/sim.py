@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .analysis import SystemParams
-from .channel import BUSY, IDLE, PuRates, expected_cycle_length
+from .channel import IDLE, PuRates, expected_cycle_length
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -38,11 +38,9 @@ def split_seed(base_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class PuTrajectory:
-    """Alternating exponential sojourns of the PU, in continuous time."""
+    """Alternating exponential sojourns of the PU in continuous time, idle first."""
 
-    initial_occupancy: int
     durations: np.ndarray
-    total_cycles: int
 
     def __post_init__(self):
         if np.any(self.durations <= 0):
@@ -54,23 +52,15 @@ class PuTrajectory:
         return np.cumsum(self.durations)
 
 
-def generate_pu_trajectory(
-    rates: PuRates, n_cycles: int, seed: int, initial_occupancy: int = IDLE
-) -> PuTrajectory:
-    """Draw 2*n_cycles + 1 alternating sojourns, deterministic under the seed."""
+def generate_pu_trajectory(rates: PuRates, n_cycles: int, seed: int) -> PuTrajectory:
+    """Draw 2*n_cycles + 1 alternating sojourns, idle first, deterministic under the seed."""
     if n_cycles < 1:
         raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
-    if initial_occupancy not in (IDLE, BUSY):
-        raise ValueError("initial_occupancy must be IDLE or BUSY")
     rng = np.random.Generator(np.random.PCG64(seed))
     n_seg = 2 * n_cycles + 1
     u = rng.random(n_seg)
-    occ = (initial_occupancy + np.arange(n_seg)) % 2
-    rate = np.where(occ == IDLE, rates.alpha, rates.beta)
-    durations = -np.log1p(-u) / rate
-    return PuTrajectory(
-        initial_occupancy=initial_occupancy, durations=durations, total_cycles=n_cycles
-    )
+    rate = np.where(np.arange(n_seg) % 2 == IDLE, rates.alpha, rates.beta)
+    return PuTrajectory(durations=-np.log1p(-u) / rate)
 
 
 @dataclass(frozen=True)
@@ -101,7 +91,7 @@ def _slot_arrays(trajectory: PuTrajectory, n_slots: int):
     on a slot start makes that slot sensed busy and no slot prone.
     """
     bounds = trajectory.boundaries
-    seg_occ = (trajectory.initial_occupancy + np.arange(len(bounds))) % 2
+    seg_occ = np.arange(len(bounds)) % 2
     seg_ends = np.minimum(np.ceil(bounds), n_slots).astype(np.int64)
     idle = np.repeat(seg_occ == IDLE, np.diff(seg_ends, prepend=0))
     entries = bounds[seg_occ == IDLE]
@@ -219,7 +209,6 @@ class SimConfig:
     seed: int
     slots: int | None = None
     cycles: int | None = None
-    initial_occupancy: int = IDLE
 
     def __post_init__(self):
         if (self.slots is None) == (self.cycles is None):
@@ -239,15 +228,11 @@ def run_config(config: SimConfig, rep_index: int = 0) -> SimResult:
     rep_seed = config.seed if rep_index == 0 else split_seed(config.seed, 1000 + rep_index)
     traj_seed = split_seed(rep_seed, 0)
     if config.cycles is not None:
-        traj = generate_pu_trajectory(
-            config.params.rates, config.cycles, traj_seed, config.initial_occupancy
-        )
+        traj = generate_pu_trajectory(config.params.rates, config.cycles, traj_seed)
         return run_policy(traj, config.params, config.policy, rep_seed)
     n_cycles = _cycles_for_slots(config.params.rates, config.slots)
     while True:
-        traj = generate_pu_trajectory(
-            config.params.rates, n_cycles, traj_seed, config.initial_occupancy
-        )
+        traj = generate_pu_trajectory(config.params.rates, n_cycles, traj_seed)
         if traj.boundaries[-1] >= config.slots + 1:
             break
         n_cycles *= 2

@@ -44,8 +44,8 @@ class BisectionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class _Kernel:
-    """One-step dynamics of the age chain.
+class CmdpModel:
+    """The CMDP of one instance on the unbounded age space, with its dynamics cached.
 
     From (d, idle) with transmit probability p the age resets to (1, idle)
     with mass ``p * ok``; otherwise it moves to d + 1 through the occupancy
@@ -55,29 +55,24 @@ class _Kernel:
     and policy improvement all read the dynamics from here.
     """
 
-    channel: ChannelTransition
-    ok: float
-    collision: float
+    params: SystemParams
+
+    @cached_property
+    def channel(self) -> ChannelTransition:
+        return slot_transition_matrix(self.params.rates)
+
+    @cached_property
+    def ok(self) -> float:
+        return self.params.success_prob
+
+    @cached_property
+    def collision(self) -> float:
+        return self.params.collision_prob
 
     def blocks(self, p_tx: np.ndarray) -> tuple[list[float], list[float]]:
         """Per idle age: (idle-to-idle mass without reset, reset mass)."""
         reset = p_tx * self.ok
         return (self.channel.p_II - reset).tolist(), reset.tolist()
-
-
-@dataclass(frozen=True)
-class CmdpModel:
-    """The CMDP of one instance on the unbounded age space, with its dynamics cached."""
-
-    params: SystemParams
-
-    @cached_property
-    def kernel(self) -> _Kernel:
-        return _Kernel(
-            channel=slot_transition_matrix(self.params.rates),
-            ok=self.params.success_prob,
-            collision=self.params.collision_prob,
-        )
 
 
 def _head_length(probs: np.ndarray) -> int:
@@ -87,12 +82,20 @@ def _head_length(probs: np.ndarray) -> int:
 
 
 def _require_renewal(table: np.ndarray) -> None:
-    """Reject a table that is empty, not 1-D, or whose last entry never transmits.
+    """Reject a table that is empty, not 1-D, holds an entry outside [0, 1], or never renews.
 
-    Every older age reuses the last entry, so without it the age never renews.
+    Every older age reuses the last entry, so unless it transmits the age
+    never renews.  A boolean table is in range by its type, so the solver's
+    own tables skip the range reductions.
     """
     if table.ndim != 1 or table.size == 0:
         raise ValueError(f"expected a non-empty 1-D policy table, got shape {table.shape}")
+    # NaN fails both comparisons
+    if table.dtype != bool and not (table.min() >= 0.0 and table.max() <= 1.0):
+        raise ValueError(
+            f"transmit probabilities must be in [0, 1], got entries from {table.min()} "
+            f"to {table.max()}"
+        )
     if not table[-1] > 0:
         raise ValueError(
             "the policy never transmits at the ages past its table, so the age never "
@@ -116,18 +119,18 @@ def poisson_solve(
     is returned on ages 1..n.
     """
     _require_renewal(probs)
-    k = model.kernel
+    channel = model.channel
     n = probs.size
-    stay, reset = k.blocks(probs)
-    c_idle = (np.arange(1, n + 1) + lam * k.collision * probs).tolist()
-    m_ii, m_ib, m_bi, m_bb = k.channel.resolvent(reset[-1])
+    stay, reset = model.blocks(probs)
+    c_idle = (np.arange(1, n + 1) + lam * model.collision * probs).tolist()
+    m_ii, m_ib, m_bi, m_bb = channel.resolvent(reset[-1])
     # h(n) = (I - M)^-1 (c - x 1 + M v) and (I - M)^-1 M v = w - v
-    v_idle, w_idle = k.channel.geometric_tail(reset[-1], 1.0, 0.0)
-    v_busy, w_busy = k.channel.geometric_tail(reset[-1], 0.0, 1.0)
+    v_idle, w_idle = channel.geometric_tail(reset[-1], 1.0, 0.0)
+    v_busy, w_busy = channel.geometric_tail(reset[-1], 0.0, 1.0)
     ai = m_ii * c_idle[-1] + m_ib * n + (w_idle - v_idle)
     ab = m_bi * c_idle[-1] + m_bb * n + (w_busy - v_busy)
     bi, bb = -v_idle, -v_busy
-    p_ib, p_bi, p_bb = k.channel.p_IB, k.channel.p_BI, k.channel.p_BB
+    p_ib, p_bi, p_bb = channel.p_IB, channel.p_BI, channel.p_BB
     a_idle, a_busy, b_idle, b_busy = [ai], [ab], [bi], [bb]
     for d in range(n - 1, 0, -1):
         s = stay[d - 1]
@@ -168,26 +171,26 @@ def rvi_solve(model: CmdpModel, lam: float, init=(True,)) -> SolvedPolicy:
     when the other action is better by more than rounding, which also ends
     the iteration.  The returned table is cut to the policy's head.
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if not (0.0 <= lam < math.inf):
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     transmit = np.array(init, dtype=bool)
     _require_renewal(transmit)
     transmit = transmit[: _head_length(transmit)]
-    k = model.kernel
-    tx_cost = lam * k.collision
+    ok = model.ok
+    tx_cost = lam * model.collision
     # h(d + 1) - h(d) past the head, where the policy transmits
-    slope = k.channel.geometric_tail(k.ok, 1.0, 0.0)[0]
+    slope = model.channel.geometric_tail(ok, 1.0, 0.0)[0]
 
     def improve(h_next, current):
         # A transmission pays tx_cost and, with mass ok, swaps the move to
         # (d + 1, idle) for the reset to (1, idle), whose bias is 0.  A tie,
         # where neither action is better by more than rounding, keeps current.
-        value = k.ok * h_next
+        value = ok * h_next
         adv = value - tx_cost
         return np.where(np.abs(adv) <= 1e-12 * (tx_cost + np.abs(value)), current, adv > 0.0)
 
     for it in itertools.count(1):
-        gain, h_idle, h_busy = poisson_solve(transmit.astype(float), model, lam)
+        gain, h_idle, h_busy = poisson_solve(transmit, model, lam)
         h_n = h_idle[-1]
         improved = improve(np.concatenate((h_idle[1:], (h_n + slope,))), transmit)
         if not improved[-1]:
@@ -195,7 +198,7 @@ def rvi_solve(model: CmdpModel, lam: float, init=(True,)) -> SolvedPolicy:
             # advantage rises with m: wait up to the first age that transmits.
             # The advantage is 0 at a real m; ages before its floor fall short
             # by a whole step, and the loop applies the tie rule from there.
-            m = max(2, math.floor((tx_cost / k.ok - h_n) / slope))
+            m = max(2, math.floor((tx_cost / ok - h_n) / slope))
             while not improve(h_n + m * slope, True):
                 m += 1
             improved = np.concatenate((improved, np.zeros(m - 2, dtype=bool), [True]))
@@ -240,33 +243,31 @@ def policy_cost_evaluate(probs, model: CmdpModel) -> PolicyMetrics:
     length.  The head is one forward recursion from the reset state
     (1, idle), normalized at the end.  From age n on the state moves by the
     transmit block M, so the tail holds x (I - M)^-1 for the mass x entering
-    age n.  A policy whose last entry is 0 has no age renewal in the long
-    run: its average age is infinite and its collision cost 0.
+    age n.  As in :func:`poisson_solve`, a table with an entry outside
+    [0, 1] is rejected, and so is one whose last entry is 0: its age never
+    renews, so its average age is infinite.
     """
-    p_tx = np.asarray(probs, dtype=float)
-    if p_tx.ndim != 1 or p_tx.size == 0:
-        raise ValueError(f"expected a non-empty 1-D probability table, got shape {p_tx.shape}")
-    if p_tx[-1] == 0.0:
-        return PolicyMetrics(avg_aoi=math.inf, avg_cost=0.0)
-    p_tx = p_tx[: _head_length(p_tx)]
-    k = model.kernel
-    stay, reset = k.blocks(p_tx)
-    p_ib, p_bi, p_bb = k.channel.p_IB, k.channel.p_BI, k.channel.p_BB
+    table = np.asarray(probs)
+    _require_renewal(table)
+    p_tx = table[: _head_length(table)].astype(float)
+    channel = model.channel
+    stay, reset = model.blocks(p_tx)
+    p_ib, p_bi, p_bb = channel.p_IB, channel.p_BI, channel.p_BB
     xi, xb = 1.0, 0.0  # unnormalized mass at age 1; (1, busy) is never entered
     idle, busy = [xi], [xb]
     for d in range(1, p_tx.size):
         xi, xb = xi * stay[d - 1] + xb * p_bi, xi * p_ib + xb * p_bb
         idle.append(xi)
         busy.append(xb)
-    m_ii, m_ib, m_bi, m_bb = k.channel.resolvent(reset[-1])
+    m_ii, m_ib, m_bi, m_bb = channel.resolvent(reset[-1])
     idle[-1], busy[-1] = xi * m_ii + xb * m_bi, xi * m_ib + xb * m_bb
     # the tail's age sum is x w + (n - 1) x v: n x v plus x w - x v
-    tail_mass, tail_weighted = k.channel.geometric_tail(reset[-1], xi, xb)
+    tail_mass, tail_weighted = channel.geometric_tail(reset[-1], xi, xb)
     idle_arr, busy_arr = np.array(idle), np.array(busy)
     total = idle_arr.sum() + busy_arr.sum()
     age_sum = (np.arange(1, p_tx.size + 1) * (idle_arr + busy_arr)).sum()
     avg_aoi = float((age_sum + (tail_weighted - tail_mass)) / total)
-    avg_cost = float((idle_arr * p_tx).sum() * k.collision / total)
+    avg_cost = float((idle_arr * p_tx).sum() * model.collision / total)
     return PolicyMetrics(avg_aoi=avg_aoi, avg_cost=avg_cost)
 
 

@@ -207,8 +207,8 @@ def oracle_run_policy(
 
     starts = np.arange(n_slots, dtype=float)
     seg = np.searchsorted(bounds, starts, side="right")
-    sensed = ((trajectory.initial_occupancy + seg) % 2).tolist()
-    seg_occ = (trajectory.initial_occupancy + np.arange(len(bounds))) % 2
+    sensed = (seg % 2).tolist()
+    seg_occ = np.arange(len(bounds)) % 2
     entries = bounds[seg_occ == IDLE]
     # a busy entry strictly inside (n, n+1) makes slot n collision-prone
     lo = np.searchsorted(entries, starts, side="right")

@@ -180,7 +180,7 @@ def _decay_depth(params: SystemParams, reset_prob: float, target: float = 1e-11)
 
 
 def test_criterion_6_oracle_equivalence():
-    from craoi import mixed_policy_steady_state, steady_state
+    from craoi import mixed_policy_steady_state
     from craoi.baseline import bernoulli_steady_state
 
     worst = 0.0
@@ -200,7 +200,7 @@ def test_criterion_6_oracle_equivalence():
             closed = [bernoulli_steady_state(params, p0, d) for d in range(1, dmax)]
         else:
             dist = oracle_stationary(params, threshold_probs(gamma, dmax), dmax)
-            closed = [steady_state(gamma, params, d) for d in range(1, dmax)]
+            closed = [mixed_policy_steady_state(params, gamma, 1.0, d) for d in range(1, dmax)]
         err = float(np.abs(np.asarray(closed) - dist[: len(closed)]).max())
         worst = max(worst, err)
     steady_ok = worst <= 1e-14

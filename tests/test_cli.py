@@ -65,6 +65,23 @@ class TestSolve:
         assert res.returncode == 1
         assert "error" in res.stderr
 
+    @pytest.mark.parametrize("alpha,beta,message", [
+        ("709", "0.4", "success probability"),
+        ("746", "0.4", "success probability"),
+        ("1000", "0.4", "success probability"),
+        ("inf", "0.4", "positive and finite"),
+        ("0.02", "inf", "positive and finite"),
+    ])  # fmt: skip
+    def test_extreme_rates_exit_one(self, alpha, beta, message, capsys):
+        # one error line that names the problem: no traceback, NaN output or
+        # unrelated conversion error
+        argv = ["solve", "--alpha", alpha, "--beta", beta, "--phi-s", "0.2", "--eta-s", "0.0005"]
+        assert craoi.cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and message in err
+
     def test_verify_agrees(self):
         res = run_cli(
             "solve",

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from craoi import (
-    BUSY,
-    IDLE,
     BernoulliAccessPolicy,
     CmdpModel,
     PuRates,
@@ -71,17 +69,8 @@ class TestTrajectory:
 
     def test_segment_count_and_positivity(self):
         traj = generate_pu_trajectory(CANON.rates, 123, seed=5)
-        assert traj.total_cycles == 123
         assert len(traj.durations) == 2 * 123 + 1
         assert np.all(traj.durations > 0)
-
-    def test_occupancy_alternates(self):
-        traj = generate_pu_trajectory(CANON.rates, 3, seed=5, initial_occupancy=BUSY)
-        assert traj.initial_occupancy == BUSY
-        # busy first: the sojourns take the busy rate beta, then the idle rate alpha
-        u = np.random.Generator(np.random.PCG64(5)).random(2)
-        assert traj.durations[0] == pytest.approx(-math.log1p(-u[0]) / 0.4, rel=1e-12)
-        assert traj.durations[1] == pytest.approx(-math.log1p(-u[1]) / 0.02, rel=1e-12)
 
     def test_empirical_idle_mean(self):
         # idle sojourns (even segments) have mean 1/alpha, busy ones 1/beta
@@ -93,8 +82,6 @@ class TestTrajectory:
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_pu_trajectory(CANON.rates, 0, seed=1)
-        with pytest.raises(ValueError):
-            generate_pu_trajectory(CANON.rates, 5, seed=1, initial_occupancy=3)
 
 
 class TestHandBuiltReplay:
@@ -106,11 +93,7 @@ class TestHandBuiltReplay:
     """
 
     def _trajectory(self):
-        return PuTrajectory(
-            initial_occupancy=IDLE,
-            durations=np.array([2.5, 1.0, 3.0]),
-            total_cycles=1,
-        )
+        return PuTrajectory(durations=np.array([2.5, 1.0, 3.0]))
 
     def test_greedy_no_outage(self):
         params = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.0, eta_s=0.5)
@@ -156,9 +139,7 @@ class TestIntegerBoundaries:
 
     @pytest.mark.parametrize("durations", [(2.0, 1.0, 3.0), (2.0, 0.5, 3.5)])
     def test_greedy_no_outage(self, durations):
-        traj = PuTrajectory(
-            initial_occupancy=IDLE, durations=np.array(durations), total_cycles=1
-        )
+        traj = PuTrajectory(durations=np.array(durations))
         params = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.0, eta_s=0.5)
         res = run_policy(traj, params, ThresholdPolicy(1), seed=0)
         assert res.slots == 6
@@ -196,7 +177,7 @@ class TestOracleEquivalence:
         [((0.5,), None, "shorter than one slot"), ((3.0, 1.0, 2.5), 7, "need 7")],
     )
     def test_short_trajectory_rejected_alike(self, durations, max_slots, message):
-        traj = PuTrajectory(initial_occupancy=IDLE, durations=np.array(durations), total_cycles=1)
+        traj = PuTrajectory(durations=np.array(durations))
         for replay in (run_policy, oracle_run_policy):
             with pytest.raises(ValueError, match=message):
                 replay(traj, CANON, ThresholdPolicy(3), 1, max_slots=max_slots)
@@ -207,17 +188,16 @@ class TestOracleEquivalence:
         beta=st.floats(min_value=0.01, max_value=3.0),
         phi_s=st.floats(min_value=0.0, max_value=0.95),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
-        initial=st.sampled_from([IDLE, BUSY]),
         head=st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0]), min_size=1, max_size=12),
         slots=st.integers(min_value=1, max_value=3_000),
         age_ceiling=st.integers(min_value=1, max_value=50),
     )
     def test_random_tabular_policies(
-        self, alpha, beta, phi_s, seed, initial, head, slots, age_ceiling
+        self, alpha, beta, phi_s, seed, head, slots, age_ceiling
     ):
         params = SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=0.5)
         n_cycles = int(1.5 * slots / (1.0 / alpha + 1.0 / beta)) + 8
-        traj = generate_pu_trajectory(params.rates, n_cycles, seed, initial_occupancy=initial)
+        traj = generate_pu_trajectory(params.rates, n_cycles, seed)
         # a slot horizon when the trajectory covers it, else the whole trajectory
         max_slots = slots if math.floor(traj.boundaries[-1]) >= slots else None
         args = (traj, params, TabularPolicy(tuple(head)), seed)
@@ -242,6 +222,21 @@ class TestTailAge:
         assert all(policy.transmit_probability(a) == p_tail for a in ages)
 
 
+class TestPolicyValidation:
+    @pytest.mark.parametrize("make", [
+        lambda gamma: ThresholdPolicy(gamma),
+        lambda gamma: RandomizedThresholdPolicy(gamma, 0.5),
+    ], ids=["threshold", "randomized"])  # fmt: skip
+    def test_threshold_must_be_an_integer(self, make):
+        # the replay reads the table up to the tail age with range(), which a
+        # fractional threshold would fail deep inside run_config
+        for gamma in (2.5, 0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="integer"):
+                make(gamma)
+        for gamma in (np.int64(3), 3.0):
+            assert make(gamma).tail_age >= 3
+
+
 class TestRunConfig:
     def test_deterministic(self):
         cfg = SimConfig(params=CANON, policy=ThresholdPolicy(20), seed=77, slots=50_000)
@@ -256,6 +251,16 @@ class TestRunConfig:
     def test_slot_horizon_exact(self):
         cfg = SimConfig(params=CANON, policy=ThresholdPolicy(20), seed=3, slots=12_345)
         assert run_config(cfg).slots == 12_345
+
+    @pytest.mark.parametrize("alpha", [709.0, 746.0, 1000.0])
+    def test_extreme_pu_rates_replay(self, alpha):
+        # the closed form rejects these rates; the replay needs no success
+        # probability and still runs: idle sojourns last about 1/alpha, so
+        # every idle-sensed transmission collides
+        params = SystemParams(rates=PuRates(alpha, 0.4), phi_s=0.2, eta_s=0.5)
+        res = run_config(SimConfig(params=params, policy=ThresholdPolicy(1), seed=3, slots=500))
+        assert res.slots == 500
+        assert res.success_count == 0
 
     def test_cycle_horizon(self):
         cfg = SimConfig(params=CANON, policy=ThresholdPolicy(20), seed=3, cycles=200)

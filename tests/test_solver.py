@@ -10,13 +10,13 @@ from craoi import (
     CmdpModel,
     PuRates,
     SystemParams,
+    age_optimal_policy,
     collision_probability,
     average_aoi_series,
     extract_threshold,
     lambda_bisection,
     mixed_policy_metrics,
     optimal_thresholds,
-    randomization_mu,
     policy_cost_evaluate,
     rvi_solve,
     slot_transition_matrix,
@@ -46,22 +46,21 @@ ORACLE_AGES = 200  # ages of the oracle chain that kernel rows are held to
 
 
 def kernel_row(model, delta, occ, p) -> np.ndarray:
-    """One row of the oracle chain on ages 1..ORACLE_AGES, assembled from ``model.kernel``.
+    """One row of the oracle chain on ages 1..ORACLE_AGES, assembled from the model's dynamics.
 
     The row leaves state (delta, occ) with idle transmit probability p, in
     the oracle chain's state order 2 * (delta - 1) + occupancy.
     """
-    k = model.kernel
     nxt = 2 * (min(delta + 1, ORACLE_AGES) - 1)
     row = np.zeros(2 * ORACLE_AGES)
     if occ == BUSY:
-        row[nxt + IDLE] += k.channel.p_BI
-        row[nxt + BUSY] += k.channel.p_BB
+        row[nxt + IDLE] += model.channel.p_BI
+        row[nxt + BUSY] += model.channel.p_BB
         return row
-    stay, reset = k.blocks(np.array([float(p)]))
+    stay, reset = model.blocks(np.array([float(p)]))
     row[0] += reset[0]
     row[nxt + IDLE] += stay[0]
-    row[nxt + BUSY] += k.channel.p_IB
+    row[nxt + BUSY] += model.channel.p_IB
     return row
 
 
@@ -76,7 +75,7 @@ class TestPrimitives:
             poisson_solve(np.zeros(60), MODEL, 0.0)
 
     def test_collision_cost(self):
-        assert MODEL.kernel.collision == pytest.approx(1.0 - math.exp(-0.02), rel=1e-12)
+        assert MODEL.collision == pytest.approx(1.0 - math.exp(-0.02), rel=1e-12)
         # The multiplier is charged once per collision, on idle transmissions only.
         probs = mixed_probs(9, 0.4, 60)
         g0, _, _ = poisson_solve(probs, MODEL, 0.0)
@@ -168,16 +167,15 @@ class TestRvi:
         # than any head here, applies the tie rule age by age, and must visit
         # the same tables as rvi_solve.
         ages = 20_000
-        k = MODEL.kernel
-        tx_cost = lam * k.collision
-        slope = k.channel.geometric_tail(k.ok, 1.0, 0.0)[0]
+        tx_cost = lam * MODEL.collision
+        slope = MODEL.channel.geometric_tail(MODEL.ok, 1.0, 0.0)[0]
         table = np.ones(1, dtype=bool) if init is None else np.array(init)
         expected = []
         while True:
             expected.append(table[: _head_length(table)])
             _, h, _ = poisson_solve(expected[-1].astype(float), MODEL, lam)
             h = np.concatenate((h, h[-1] + slope * np.arange(1, ages - h.size + 2)))
-            value = k.ok * h[1:]
+            value = MODEL.ok * h[1:]
             tie = np.abs(value - tx_cost) <= 1e-12 * (tx_cost + np.abs(value))
             padded = np.concatenate((expected[-1], np.ones(ages - expected[-1].size, dtype=bool)))
             table = np.where(tie, padded, value - tx_cost > 0.0)
@@ -215,6 +213,10 @@ class TestRvi:
     def test_validation(self):
         with pytest.raises(ValueError):
             rvi_solve(MODEL, -1.0)
+        # an infinite multiplier would return the lambda = 0 policy, transmit everywhere
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                rvi_solve(MODEL, lam)
         for init in ([], np.ones((2, 3), dtype=bool)):
             with pytest.raises(ValueError, match="non-empty 1-D"):
                 rvi_solve(MODEL, 1.0, init)
@@ -276,8 +278,8 @@ class TestPoissonEquation:
         np.testing.assert_allclose(bias_busy, o_busy[:n], rtol=0, atol=1e-12 * scale)
         assert bias_idle[0] == 0.0
         # past the head the bias is affine in age: h(d) = h(head) + (d - head) v
-        channel = MODEL.kernel.channel
-        reset = probs[-1] * MODEL.kernel.ok
+        channel = MODEL.channel
+        reset = probs[-1] * MODEL.ok
         v = channel.geometric_tail(reset, 1.0, 0.0)[0], channel.geometric_tail(reset, 0.0, 1.0)[0]
         steps = np.arange(n - head + 1)
         for bias, v_occ in zip((bias_idle, bias_busy), v):
@@ -335,14 +337,19 @@ class TestPolicyEvaluation:
         assert metrics.avg_cost == pytest.approx(psi, rel=1e-12)
 
     def test_never_transmit_diverges(self):
-        metrics = policy_cost_evaluate(np.zeros(200), MODEL)
-        assert math.isinf(metrics.avg_aoi)
-        assert metrics.avg_cost == 0.0
+        # the age never renews, so the average age is infinite: rejected as by poisson_solve
+        for probs in (np.zeros(200), [0.0]):
+            with pytest.raises(ValueError, match="never renews"):
+                policy_cost_evaluate(probs, MODEL)
 
     def test_silent_clamp_diverges(self):
-        metrics = policy_cost_evaluate(silent_clamp(threshold_probs(10, 200)), MODEL)
-        assert math.isinf(metrics.avg_aoi)
-        assert metrics.avg_cost == 0.0
+        with pytest.raises(ValueError, match="never renews"):
+            policy_cost_evaluate(silent_clamp(threshold_probs(10, 200)), MODEL)
+
+    @pytest.mark.parametrize("probs", [[-0.5], [1.5], [math.nan], [0.3, 2.0]], ids=repr)
+    def test_probabilities_outside_unit_interval_rejected(self, probs):
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            policy_cost_evaluate(probs, MODEL)
 
     @pytest.mark.parametrize("probs", [
         threshold_probs(1, 60),
@@ -388,7 +395,7 @@ class TestLambdaBisection:
         sol = lambda_bisection(MODEL)
         g1, g2 = optimal_thresholds(CANON)
         assert (sol.gamma1, sol.gamma2) == (g1, g2)
-        assert sol.mu == pytest.approx(randomization_mu(CANON, g1), abs=1e-6)
+        assert sol.mu == pytest.approx(age_optimal_policy(CANON).mu, abs=1e-6)
         assert sol.achieved_cost == pytest.approx(CANON.eta_s, abs=1e-9)
 
     def test_mixed_probs_layout(self):
@@ -405,7 +412,7 @@ class TestLambdaBisection:
         g1, g2 = optimal_thresholds(params)
         assert (sol.gamma1, sol.gamma2) == (g1, g2)
         if g1 != g2:
-            assert sol.mu == pytest.approx(randomization_mu(params, g1), abs=1e-6)
+            assert sol.mu == pytest.approx(age_optimal_policy(params).mu, abs=1e-6)
 
     @pytest.mark.parametrize("params", [
         binding_instance(1e-4, 3e-4, 0.2, 0.5),
