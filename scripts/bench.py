@@ -11,13 +11,16 @@ runs on one BLAS thread.  End to end, the record holds the wall time of the
 tier-1 suite (``python -m pytest -q --continue-on-collection-errors`` in the
 tree, with its summary line and pass count) and of
 ``scripts/run_experiments.py`` over every preset, each as a subprocess.  The
-solver layers are timed in this process, best of ``REPEAT`` with fixed
-inputs: one ``rvi_solve`` at lambda = 1e3 and a full ``lambda_bisection``,
-both on the canonical instance (alpha 0.02, beta 0.4, phi_s 0.2, eta_s
-5e-4).  Then the tree's ``perfbench/run.py`` runs every workload untraced
-and traced on seed 1 as subprocesses, each for that script's default run
-length.  Wall times are recorded, never gated; the counts of a traced run
-(solver iterations and calls, evaluator calls) repeat exactly.
+layers are timed in this process, best of ``REPEAT`` with fixed inputs: one
+``rvi_solve`` at lambda = 1e3, a full ``lambda_bisection`` and one
+``mixed_policy_metrics`` of the optimal policy, all on the canonical instance
+(alpha 0.02, beta 0.4, phi_s 0.2, eta_s 5e-4), and one
+``policy_cost_evaluate`` of the threshold table at Gamma = 5e4 on a slow PU
+(alpha 1e-4, beta 3e-4, phi_s 0.2).  Then the tree's ``perfbench/run.py``
+runs every workload untraced and traced on seed 1 as subprocesses, each for
+that script's default run length.  Wall times are recorded, never gated;
+the counts of a traced run (solver iterations and calls, evaluator calls)
+repeat exactly.
 The record replaces any earlier one of the same label in ``--out`` and
 leaves the others.
 """
@@ -51,15 +54,33 @@ def best_ms(fn) -> float:
     return best * 1e3
 
 
-def time_solver_layers() -> dict[str, float]:
-    """Best-of-``REPEAT`` milliseconds of each solver layer on the canonical instance."""
-    from craoi import CmdpModel, PuRates, SystemParams, lambda_bisection, rvi_solve
+def time_layers() -> dict[str, float]:
+    """Best-of-``REPEAT`` milliseconds of each layer on its fixed instance."""
+    import numpy as np
+    from craoi import (
+        CmdpModel,
+        PuRates,
+        SystemParams,
+        age_optimal_policy,
+        lambda_bisection,
+        mixed_policy_metrics,
+        policy_cost_evaluate,
+        rvi_solve,
+    )
 
     canon = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=5e-4)
     model = CmdpModel(params=canon)
+    pol = age_optimal_policy(canon)
+    slow = CmdpModel(params=SystemParams(rates=PuRates(1e-4, 3e-4), phi_s=0.2, eta_s=5e-4))
+    threshold = np.zeros(50_000)
+    threshold[-1] = 1.0
     return {
         "rvi_solve_lam1e3_ms": best_ms(lambda: rvi_solve(model, 1e3)),
         "lambda_bisection_ms": best_ms(lambda: lambda_bisection(model)),
+        "mixed_policy_metrics_ms": best_ms(lambda: mixed_policy_metrics(canon, pol.gamma1, pol.mu)),
+        "policy_cost_evaluate_threshold5e4_ms": best_ms(
+            lambda: policy_cost_evaluate(threshold, slow)
+        ),
     }
 
 
@@ -126,7 +147,7 @@ def main(argv=None) -> int:
             "blas_threads": {"set": 1, "env_found": blas_found},
         },
         "end_to_end": time_end_to_end(tree),
-        "layers": time_solver_layers(),
+        "layers": time_layers(),
         "workloads": {
             name: {
                 "untraced": run_workload(tree, name, 0),

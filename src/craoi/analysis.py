@@ -11,8 +11,9 @@ geometric tails are summed in closed form, never truncated.
 
 The randomized policy transmits with probability mu at the boundary age
 Gamma1 and always past it; a threshold policy is the randomized one at
-mu = 1.  One normalizer, one stationary-state routine and one metrics
-routine serve both, so the two can never disagree by rounding.
+mu = 1.  Both are runs of constant transmit probability for :func:`_walk`,
+the one routine that holds the model's dynamics; the Bernoulli baseline's
+per-age states and the CMDP solver's evaluation walk their runs too.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    ChannelTransition,
     PuRates,
+    _power,
     convert_collision_budget,
     slot_transition_matrix,
-    transition_matrix_power,
 )
 
 
@@ -120,32 +122,70 @@ def _psi(m: tuple, gamma: int) -> float:
     return 1.0 / _normalizer(m, gamma, 1.0) * collision / success
 
 
-def _below_threshold_state(rates: PuRates, t10: float, delta: int) -> tuple[float, float]:
-    # occupancy mixes for delta - 1 slots starting from (t10, 0)
-    sig = transition_matrix_power(rates, delta - 1.0)
-    return t10 * sig.p_II, t10 * sig.p_IB
+def _advance(x0: float, x1: float, p_ii: float, p_ib: float, p_bi: float, p_bb: float):
+    # the row vector (x0, x1) times [[p_ii, p_ib], [p_bi, p_bb]]
+    return x0 * p_ii + x1 * p_bi, x0 * p_ib + x1 * p_bb
 
 
-def _stationary(m: tuple, gamma1: int, mu: float):
-    """theta_(1,0), the boundary vector at age gamma1+1 and its geometric tail sums.
+def _walk(rates: PuRates, channel: ChannelTransition, ok: float, runs, age: int = 0):
+    """Mass, average age, transmit rate and state at ``age`` of a run-length policy.
 
-    The boundary vector is per unit theta_(1,0); past it the state moves by
-    the transmit block M, so the tail sums come from the resolvent
-    (I - M)^-1.  theta_(1,0) comes from the explicit normalizer, which the
-    tail mass matches: t10 * (gamma1 + tail_mass) = 1 (held in the tests).
+    ``runs`` lists (length, p) from age 1: transmit w.p. p at the run's idle
+    ages.  The last run holds for every older age and must transmit.  From
+    unit mass at (1, idle), x = (theta_idle, theta_busy) crosses a wait run
+    (p = 0) in closed form, x P^L, each age holding the mass x enters with;
+    a finite transmit run age by age by M = [[p_II - p ok, p_IB], [p_BI,
+    p_BB]] (the package's only one is the mixed policy's boundary age, so
+    there is no repeated squaring); the last run by the resolvent
+    (I - M)^-1.  A run costs a few roundings whatever its length.  Returns
+    the mass 1 / theta_(1,0), the average age, the probability that a slot
+    transmits and the normalized state at ``age`` (None unless age >= 1).
     """
-    gamma1 = _check_gamma(gamma1)
+    p_ii, p_ib, p_bi, p_bb = channel.p_II, channel.p_IB, channel.p_BI, channel.p_BB
+    x0, x1 = 1.0, 0.0
+    start = 1  # first age of the current run
+    mass = age_sum = transmit = 0.0
+    state = None
+    for length, p in runs[:-1]:
+        if length == 0:  # the mixed policy at gamma1 = 1 waits at no age
+            continue
+        if p == 0.0:
+            if 0 <= age - start < length:
+                state = _advance(x0, x1, *_power(rates, age - start))
+            mass += (x0 + x1) * length
+            age_sum += (x0 + x1) * length * (start + 0.5 * (length - 1))
+            x0, x1 = _advance(x0, x1, *_power(rates, length))
+        else:
+            for d in range(start, start + length):
+                if d == age:
+                    state = x0, x1
+                mass += x0 + x1
+                age_sum += d * (x0 + x1)
+                transmit += p * x0
+                x0, x1 = _advance(x0, x1, p_ii - p * ok, p_ib, p_bi, p_bb)
+        start += length
+    p = runs[-1][1]
+    if age >= start:
+        block = channel.transmit_block(p * ok)
+        state = (np.array((x0, x1)) @ np.linalg.matrix_power(block, age - start)).tolist()
+    # the tail's age sum is x w + (start - 1) x v
+    tail_mass, tail_weighted = channel.geometric_tail(p * ok, x0, x1)
+    m_ii, _, m_bi, _ = channel.resolvent(p * ok)
+    mass += tail_mass
+    age_sum += tail_weighted + (start - 1) * tail_mass
+    transmit += p * (x0 * m_ii + x1 * m_bi)
+    if state is not None:
+        state = state[0] / mass, state[1] / mass
+    return mass, age_sum / mass, transmit / mass, state
+
+
+def _mixed_walk(m: tuple, gamma1: int, mu: float, age: int = 0):
+    """:func:`_walk` of the policy transmitting w.p. mu at (gamma1, idle), always past gamma1."""
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"mu must be in [0, 1], got {mu}")
     _, _, _, success, _, _, _, _, rates = m
-    # occupancy mixing to age gamma1, then one slot with resets w.p. mu at (gamma1, idle)
-    y0, y1 = _below_threshold_state(rates, 1.0, gamma1)
-    sig = slot_transition_matrix(rates)
-    t0 = y0 * (sig.p_II - mu * success) + y1 * sig.p_BI
-    t1 = y0 * sig.p_IB + y1 * sig.p_BB
-    tail_mass, tail_weighted = sig.geometric_tail(success, t0, t1)
-    t10 = 1.0 / _normalizer(m, gamma1, mu)
-    return t10, (t0, t1), tail_mass, tail_weighted
+    runs = ((_check_gamma(gamma1) - 1, 0.0), (1, mu), (math.inf, 1.0))
+    return _walk(rates, slot_transition_matrix(rates), success, runs, age)
 
 
 def mixed_policy_steady_state(
@@ -158,23 +198,15 @@ def mixed_policy_steady_state(
     """
     if delta < 1:
         raise ValueError(f"age must be >= 1, got {delta}")
-    m = _scalars(params)
-    t10, boundary, _, _ = _stationary(m, gamma1, mu)
-    _, _, _, success, _, _, _, _, rates = m
-    if delta <= gamma1:
-        return _below_threshold_state(rates, t10, delta)
-    block = slot_transition_matrix(rates).transmit_block(success)
-    th0, th1 = np.array(boundary) @ np.linalg.matrix_power(block, delta - gamma1 - 1)
-    return t10 * float(th0), t10 * float(th1)
+    return _mixed_walk(_scalars(params), gamma1, mu, delta)[3]
 
 
 def _metrics(m: tuple, gamma1: int, mu: float) -> tuple[float, float]:
-    t10, _, tail_mass, tail_weighted = _stationary(m, gamma1, mu)
-    _, _, _, success, collision, _, _, _, _ = m
-    # the tail starts at age gamma1 + 1
-    aoi = t10 * (gamma1 * (gamma1 + 1.0) / 2.0 + tail_weighted + gamma1 * tail_mass)
-    psi = t10 * collision / success
-    return aoi, psi
+    _, _, _, _, collision, _, _, _, _ = m
+    _, aoi, transmit, _ = _mixed_walk(m, gamma1, mu)
+    if aoi == math.inf:
+        raise ValueError(f"the average age overflows a float at threshold {float(gamma1):.3g}")
+    return aoi, transmit * collision
 
 
 def mixed_policy_metrics(params: SystemParams, gamma1: int, mu: float) -> tuple[float, float]:
@@ -255,6 +287,11 @@ def _thresholds(m: tuple, eta: float) -> tuple[int, int, float, float]:
     r = 1.0 / tau - b_term - k
     # W(s k e^(-s r)) in log space: e^(-s r) overflows when alpha >> beta and eta is small
     g_real = 1.0 + r + _lambert_w0_exp(math.log(s * k) - s * r) / s
+    if not g_real < math.inf:
+        raise ValueError(
+            f"the threshold overflows a float: success probability (1 - phi_s) e^-alpha = "
+            f"{success:.3g} is too small for the budget eta_s={eta}"
+        )
     g1, g2 = int(math.floor(g_real)), int(math.ceil(g_real))
     g1 = max(g1, 1)
     g2 = max(g2, g1)

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .analysis import SystemParams
+from .analysis import SystemParams, _walk
 from .channel import idle_probability, slot_transition_matrix
 from .policies import BernoulliAccessPolicy
 
@@ -42,19 +40,26 @@ def average_aoi_bernoulli(params: SystemParams, p0: float) -> float:
     _check_p0(p0)
     al, be = params.rates.alpha, params.rates.beta
     s = al + be
-    # al e^s / (be (e^s - 1)) written with expm1: no cancellation for small s
-    return (s * math.exp(al)) / (be * (1.0 - params.phi_s) * p0) + al / (be * -math.expm1(-s))
+    try:
+        # al e^s / (be (e^s - 1)) written with expm1: no cancellation for small s
+        aoi = (s * math.exp(al)) / (be * (1.0 - params.phi_s) * p0) + al / (be * -math.expm1(-s))
+    except OverflowError:  # e^alpha itself
+        aoi = math.inf
+    if aoi == math.inf:
+        raise ValueError(
+            f"the average age under Bernoulli access overflows a float at alpha={al}, "
+            f"beta={be}, p0={p0}: its mean time between successes s e^alpha / "
+            "(beta (1 - phi_s) p0) is too long"
+        )
+    return aoi
 
 
 def bernoulli_steady_state(params: SystemParams, p0: float, delta: int) -> tuple[float, float]:
-    """Stationary (theta_idle, theta_busy) at the given age under Bernoulli access."""
+    """Stationary (theta_idle, theta_busy) at the given age under Bernoulli access: one run."""
     _check_p0(p0)
     if delta < 1:
         raise ValueError(f"age must be >= 1, got {delta}")
-    sig = slot_transition_matrix(params.rates)
-    reset = p0 * params.success_prob
-    # boundary vector (1, 0) at age 1, normalized by its tail mass
-    t10 = 1.0 / sig.geometric_tail(reset, 1.0, 0.0)[0]
-    th0, th1 = np.linalg.matrix_power(sig.transmit_block(reset), delta - 1)[0]
-    return t10 * float(th0), t10 * float(th1)
+    rates = params.rates
+    runs = ((math.inf, p0),)
+    return _walk(rates, slot_transition_matrix(rates), params.success_prob, runs, delta)[3]
 

@@ -96,20 +96,20 @@ class ChannelTransition:
         return x0 * v0 + x1 * v1, x0 * w0 + x1 * w1
 
 
-def transition_matrix_power(rates: PuRates, t: float) -> ChannelTransition:
-    """Occupancy transition probabilities across an interval of length t >= 0."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+def _power(rates: PuRates, t: float) -> tuple[float, float, float, float]:
+    """:func:`transition_matrix_power` as a plain tuple, for hot paths: no checks."""
     al, be = rates.alpha, rates.beta
     s = al + be
     e = math.exp(-s * t)
     mixed = -math.expm1(-s * t)  # 1 - e without cancellation for small s * t
-    return ChannelTransition(
-        p_II=(be + al * e) / s,
-        p_IB=al * mixed / s,
-        p_BI=be * mixed / s,
-        p_BB=(al + be * e) / s,
-    )
+    return (be + al * e) / s, al * mixed / s, be * mixed / s, (al + be * e) / s
+
+
+def transition_matrix_power(rates: PuRates, t: float) -> ChannelTransition:
+    """Occupancy transition probabilities across an interval of length t >= 0."""
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    return ChannelTransition(*_power(rates, t))
 
 
 def slot_transition_matrix(rates: PuRates) -> ChannelTransition:

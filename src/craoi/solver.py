@@ -6,12 +6,13 @@ multiplier the unconstrained average-cost problem is solved by Howard policy
 iteration on the unbounded age space (Puterman 1994, *Markov Decision
 Processes*, section 8.6).  A policy is a table of decisions per idle age
 whose last entry holds for every older age and transmits, so the age renews.
-The age either goes up by one or resets to (1, idle), so evaluating a policy
-and finding its stationary distribution are each one recursion over the
-table's head of per-age 2x2 occupancy blocks.  Past the head the action is
-constant: the resolvent of one block sums the tail exactly, the bias there is
-affine in age, and policy improvement finds the first tail age that should
-transmit in closed form.  No age grid is built.  The greedy policies are
+The age either goes up by one or resets to (1, idle), so the Poisson
+equation is one recursion over the table's head of per-age 2x2 occupancy
+blocks.  Past the head the action is constant: the resolvent of one block
+sums the tail exactly, the bias there is affine in age, and policy
+improvement finds the first tail age that should transmit in closed form.
+No age grid is built.  Stationary metrics walk the table's runs of constant
+action, as the closed form does.  The greedy policies are
 threshold-shaped, so a deterministic bisection on the multiplier brackets the
 budget with two consecutive thresholds, and a boundary randomization closes
 the gap exactly (Beutler & Ross 1985).
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import SystemParams
+from .analysis import SystemParams, _walk
 from .channel import ChannelTransition, slot_transition_matrix
 
 MAX_EXPAND = 60  # multiplier doublings from 1 before the search gives up
@@ -51,7 +52,7 @@ class CmdpModel:
     with mass ``p * ok``; otherwise it moves to d + 1 through the occupancy
     block [[p_II - p * ok, p_IB], [p_BI, p_BB]] of ``channel``.
     Busy-sensed slots never transmit.  A transmission collides with
-    probability ``collision``.  Policy evaluation, the stationary recursion
+    probability ``collision``.  Policy evaluation, the Poisson equation
     and policy improvement all read the dynamics from here.
     """
 
@@ -232,43 +233,29 @@ class PolicyMetrics:
     avg_cost: float
 
 
+def _evaluate(runs, model: CmdpModel) -> PolicyMetrics:
+    _, aoi, transmit, _ = _walk(model.params.rates, model.channel, model.ok, runs)
+    return PolicyMetrics(avg_aoi=aoi, avg_cost=transmit * model.collision)
+
+
 def policy_cost_evaluate(probs, model: CmdpModel) -> PolicyMetrics:
     """Exact stationary average age and collision cost of a tail-constant policy.
 
     ``probs`` is a non-empty table of transmit probabilities per idle age
     1..n; older ages reuse the last entry, as in ``TabularPolicy``.  So a
     Bernoulli policy is ``[p0]`` and a threshold or mixed policy is its table
-    up to its ``tail_age``.  The table is first cut to its head, the shortest
-    prefix whose last entry holds for every older age, and n is the head's
-    length.  The head is one forward recursion from the reset state
-    (1, idle), normalized at the end.  From age n on the state moves by the
-    transmit block M, so the tail holds x (I - M)^-1 for the mass x entering
-    age n.  As in :func:`poisson_solve`, a table with an entry outside
-    [0, 1] is rejected, and so is one whose last entry is 0: its age never
-    renews, so its average age is infinite.
+    up to its ``tail_age``.  One comparison of neighbouring entries splits
+    the table into runs of constant probability for the closed form's walk,
+    so a threshold table costs two runs whatever its threshold.  A table
+    with an entry outside [0, 1] is rejected, and so is one whose last entry
+    is 0: its age never renews, so its average age is infinite.
     """
     table = np.asarray(probs)
     _require_renewal(table)
-    p_tx = table[: _head_length(table)].astype(float)
-    channel = model.channel
-    stay, reset = model.blocks(p_tx)
-    p_ib, p_bi, p_bb = channel.p_IB, channel.p_BI, channel.p_BB
-    xi, xb = 1.0, 0.0  # unnormalized mass at age 1; (1, busy) is never entered
-    idle, busy = [xi], [xb]
-    for d in range(1, p_tx.size):
-        xi, xb = xi * stay[d - 1] + xb * p_bi, xi * p_ib + xb * p_bb
-        idle.append(xi)
-        busy.append(xb)
-    m_ii, m_ib, m_bi, m_bb = channel.resolvent(reset[-1])
-    idle[-1], busy[-1] = xi * m_ii + xb * m_bi, xi * m_ib + xb * m_bb
-    # the tail's age sum is x w + (n - 1) x v: n x v plus x w - x v
-    tail_mass, tail_weighted = channel.geometric_tail(reset[-1], xi, xb)
-    idle_arr, busy_arr = np.array(idle), np.array(busy)
-    total = idle_arr.sum() + busy_arr.sum()
-    age_sum = (np.arange(1, p_tx.size + 1) * (idle_arr + busy_arr)).sum()
-    avg_aoi = float((age_sum + (tail_weighted - tail_mass)) / total)
-    avg_cost = float((idle_arr * p_tx).sum() * model.collision / total)
-    return PolicyMetrics(avg_aoi=avg_aoi, avg_cost=avg_cost)
+    # 0-based first age of each run: 0, then every entry that differs from the one before
+    firsts = [0, *(np.flatnonzero(table[1:] != table[:-1]) + 1).tolist()]
+    lengths = [b - a for a, b in zip(firsts, firsts[1:])]
+    return _evaluate(list(zip(lengths + [math.inf], table[firsts].tolist())), model)
 
 
 def mixed_transmit_probs(gamma1: int, mu: float, n: int) -> np.ndarray:
@@ -361,7 +348,7 @@ def lambda_bisection(model: CmdpModel) -> ConstrainedSolution:
             mu = 1.0
         else:
             mu = (1.0 / eta_s - 1.0 / cost_hi) / (1.0 / cost_lo - 1.0 / cost_hi)
-    mixed = policy_cost_evaluate(mixed_transmit_probs(gamma1, mu, gamma1 + 1), model)
+    mixed = _evaluate(((gamma1 - 1, 0.0), (1, mu), (math.inf, 1.0)), model)
     return ConstrainedSolution(
         lambda_low=lam_lo,
         lambda_high=lam_hi,

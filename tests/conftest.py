@@ -4,13 +4,15 @@ The oracles here are deliberately independent of the package internals: the
 slot transition matrix comes from a matrix exponential, stationary
 distributions and Poisson equations come from direct sparse solves on an
 explicitly assembled chain, the threshold policy's average age has the
-paper's single-expression form, thresholds come from brute-force scans, and
+paper's single-expression form, deep thresholds are checked against a
+34-digit decimal recursion, thresholds come from brute-force scans, and
 simulator replays come from a slot-by-slot loop.  Closed forms and the event-skipping replay in the
 package are correct exactly when they agree with these.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
@@ -157,6 +159,61 @@ def average_aoi_closed_form(gamma: int, params: SystemParams) -> float:
         + al / (one_minus_E * be) * -math.expm1(-s * (gamma - 1.0))
     )
     return gamma - num / den
+
+
+def decimal_mixed_metrics(params: SystemParams, gamma1: int, mu: float, digits: int = 34):
+    """(average age, transmit rate) of the mixed policy in ``digits``-digit decimal.
+
+    The transmit rate is the stationary probability that a slot is sensed
+    idle and transmits; times the collision probability 1 - e^-alpha it is
+    the per-slot collision probability.  It is returned apart from that
+    scalar so that a check of an evaluator is not a check of how the
+    package rounds 1 - e^-alpha.
+
+    The policy transmits w.p. mu at (gamma1, idle) and always past it.  A
+    forward recursion carries the unnormalized (theta_idle, theta_busy) from
+    unit mass at (1, idle) through ages 1..gamma1, one slot at a time; past
+    gamma1 the state moves by the transmit block M, whose tail sums
+    sum_k x M^k = x (I - M)^-1 and sum_k k x M^k = x M (I - M)^-2 come from
+    the explicit 2x2 inverse.  Every number is a decimal from the float
+    inputs, exactly, and the slot matrix is exp(Q) in closed form, so no
+    package code and no binary rounding enters.  At gamma1 = 2e5 it returns
+    the same floats at 34 digits as at 60.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        one = decimal.Decimal(1)
+        al, be = decimal.Decimal(params.rates.alpha), decimal.Decimal(params.rates.beta)
+        mu = decimal.Decimal(mu)
+        s = al + be
+        e = (-s).exp()
+        p_ii, p_ib = (be + al * e) / s, al * (one - e) / s
+        p_bi, p_bb = be * (one - e) / s, (al + be * e) / s
+        ok = (one - decimal.Decimal(params.phi_s)) * (-al).exp()
+        x0, x1 = one, decimal.Decimal(0)
+        mass = age_sum = decimal.Decimal(0)
+        for d in range(1, gamma1):  # wait: the occupancy only mixes
+            mass += x0 + x1
+            age_sum += d * (x0 + x1)
+            x0, x1 = x0 * p_ii + x1 * p_bi, x0 * p_ib + x1 * p_bb
+        mass += x0 + x1
+        age_sum += gamma1 * (x0 + x1)
+        transmit = mu * x0
+        x0, x1 = x0 * (p_ii - mu * ok) + x1 * p_bi, x0 * p_ib + x1 * p_bb
+        # I - M and its inverse by the adjugate
+        i_ii, i_ib, i_bi, i_bb = one - (p_ii - ok), -p_ib, -p_bi, one - p_bb
+        det = i_ii * i_bb - i_ib * i_bi
+        inv = ((i_bb / det, -i_ib / det), (-i_bi / det, i_ii / det))
+
+        def solve(y0, y1):  # the row vector y (I - M)^-1
+            return y0 * inv[0][0] + y1 * inv[1][0], y0 * inv[0][1] + y1 * inv[1][1]
+
+        v0, v1 = solve(x0, x1)
+        u0, u1 = solve(v0 * (p_ii - ok) + v1 * p_bi, v0 * p_ib + v1 * p_bb)
+        mass += v0 + v1
+        age_sum += (gamma1 + 1) * (v0 + v1) + u0 + u1
+        transmit += v0
+        return float(age_sum / mass), float(transmit / mass)
 
 
 def threshold_probs(gamma: int, delta_max: int) -> np.ndarray:

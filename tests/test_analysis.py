@@ -23,7 +23,7 @@ from craoi import (
     optimal_thresholds,
     optimal_transmit_probability,
 )
-from craoi.analysis import _scalars, _stationary
+from craoi.analysis import _mixed_walk, _normalizer, _scalars
 from perfbench.workloads import SWEEP_DOMAIN
 
 from .conftest import (
@@ -59,6 +59,8 @@ class TestSystemParams:
             make_params(0.02, 0.4, 0.2, eta_s=1.5)
 
     @pytest.mark.parametrize("alpha,beta,message", [
+        (700.0, 0.4, "average age overflows"),
+        (702.0, 0.4, "threshold overflows"),
         (709.0, 0.4, "success probability"),
         (746.0, 0.4, "success probability"),
         (1000.0, 0.4, "success probability"),
@@ -66,9 +68,11 @@ class TestSystemParams:
         (0.02, math.inf, "positive and finite"),
     ])  # fmt: skip
     def test_extreme_pu_rates_are_domain_errors(self, alpha, beta, message):
-        # the mean renewal time s/(beta*success) overflows (709) or e^-alpha
-        # underflows to 0 (746, 1000), or a rate is not finite: a ValueError
-        # that says so, not NaN or a ZeroDivisionError
+        # the average age of a threshold near 3e306 (700) or the threshold
+        # itself (702) overflows, the mean renewal time s/(beta*success)
+        # overflows (709) or e^-alpha underflows to 0 (746, 1000), or a rate
+        # is not finite: a ValueError that says so, not an infinite age, an
+        # OverflowError, NaN or a ZeroDivisionError
         with pytest.raises(ValueError, match=message):
             age_optimal_policy(make_params(alpha, beta, 0.2, eta_s=0.0005))
 
@@ -311,13 +315,13 @@ class TestMixedPolicy:
 
 
 class TestNormalization:
-    """theta_(1,0) from the explicit normalizer carries the whole mass with the tail sums.
+    """theta_(1,0) from the explicit normalizer carries the run walk's whole mass.
 
-    Each age up to Gamma1 holds mass theta_(1,0) and the resolvent's tail
-    the rest, so theta_(1,0) * (Gamma1 + tail mass) = 1.  The largest defect
-    measured over 900,000 random instances of the domain, at each one's
-    optimal policy and at thresholds up to 10^7 with mu = 1 and random mu,
-    was 1.0e-15.
+    The walk starts with unit mass at (1, idle), so its total mass is
+    1 / theta_(1,0), the normalizer that the Lambert W threshold inverts:
+    theta_(1,0) * mass = 1.  Over 200,000 random instances of the domain,
+    at each one's optimal policy and at thresholds up to 10^7 with mu = 1
+    and random mu, the largest defect measured was 8.9e-16.
     """
 
     BOUND = 4e-15
@@ -336,8 +340,8 @@ class TestNormalization:
         pol = age_optimal_policy(params)
         m = _scalars(params)
         for gamma1, mu1 in ((pol.gamma1, pol.mu), (gamma, 1.0), (gamma, mu)):
-            t10, _, tail_mass, _ = _stationary(m, gamma1, mu1)
-            assert abs(t10 * (gamma1 + tail_mass) - 1.0) <= self.BOUND
+            t10 = 1.0 / _normalizer(m, gamma1, mu1)
+            assert abs(t10 * _mixed_walk(m, gamma1, mu1)[0] - 1.0) <= self.BOUND
 
 
 class TestAgeOptimalPolicy:

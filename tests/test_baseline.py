@@ -82,6 +82,17 @@ class TestAverageAoi:
         with pytest.raises(ValueError):
             average_aoi_bernoulli(CANON, 0.0)
 
+    @pytest.mark.parametrize("alpha", [704.0, 709.5, 709.9, 720.0])
+    def test_overflow_is_domain_error(self, alpha):
+        # the average age is past the largest float (704, 709.5) or e^alpha
+        # itself is (709.9, 720): a ValueError that says so, not inf or an
+        # OverflowError.  The access probability itself is finite.
+        params = SystemParams(rates=PuRates(alpha, 0.4), phi_s=0.2, eta_s=0.0005)
+        p0 = optimal_transmit_probability(params).p0
+        assert 0.0 < p0 < 1.0
+        with pytest.raises(ValueError, match="average age under Bernoulli access overflows"):
+            average_aoi_bernoulli(params, p0)
+
 
 class TestSteadyState:
     def test_normalization(self):

@@ -66,6 +66,8 @@ class TestSolve:
         assert "error" in res.stderr
 
     @pytest.mark.parametrize("alpha,beta,message", [
+        ("700", "0.4", "average age overflows"),
+        ("702", "0.4", "threshold overflows"),
         ("709", "0.4", "success probability"),
         ("746", "0.4", "success probability"),
         ("1000", "0.4", "success probability"),
@@ -101,6 +103,16 @@ class TestSolve:
         )
         assert res.returncode == 0
         assert "rvi_agreement ok" in res.stdout
+
+    def test_verify_agrees_at_deep_threshold(self, capsys):
+        # thresholds 20,000 and 20,001 on a slow PU: the solver's achieved
+        # age agrees with the closed form's within the CLI's 1e-12 at any depth
+        argv = ["solve", "--alpha", "0.0001", "--beta", "0.0003", "--phi-s", "0.2",
+                "--eta-s", "5.99999650567391e-09", "--verify"]  # fmt: skip
+        assert craoi.cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "gamma1 20000\n" in out
+        assert "rvi_agreement ok" in out
 
     DEEP = ["solve", "--alpha", "0.002", "--beta", "0.006", "--phi-s", "0.2",
             "--eta-p", "0.01", "--verify"]  # fmt: skip

@@ -34,6 +34,7 @@ from .conftest import (
     BINDING_GRID,
     binding_instance,
     build_chain,
+    decimal_mixed_metrics,
     mixed_probs,
     oracle_metrics,
     oracle_poisson,
@@ -429,3 +430,31 @@ class TestLambdaBisection:
         aoi, psi = mixed_policy_metrics(params, sol.gamma1, sol.mu)
         assert sol.achieved_aoi == pytest.approx(aoi, rel=1e-12)
         assert sol.achieved_cost == pytest.approx(psi, rel=1e-12)
+
+
+class TestDeepThreshold:
+    """Thresholds far past any test chain, on a slow PU: alpha 1e-4, beta 3e-4, phi_s 0.2.
+
+    The budget sits halfway between psi_s(gamma) and psi_s(gamma + 1).  An
+    evaluation that steps one 2x2 block per age loses about 1e-13 relative
+    per 10^4 ages; the run walk costs a few roundings per run at any depth.
+    """
+
+    RATES = PuRates(1e-4, 3e-4)
+
+    @pytest.mark.parametrize("gamma", [20_000, 50_000, 200_000])
+    def test_evaluators_match_decimal_oracle(self, gamma):
+        probe = SystemParams(rates=self.RATES, phi_s=0.2, eta_s=0.5)
+        eta = 0.5 * (collision_probability(gamma, probe) + collision_probability(gamma + 1, probe))
+        params = SystemParams(rates=self.RATES, phi_s=0.2, eta_s=eta)
+        pol = age_optimal_policy(params)
+        assert (pol.gamma1, pol.gamma2) == (gamma, gamma + 1)
+        aoi, transmit = decimal_mixed_metrics(params, gamma, pol.mu)
+        # the model's own collision probability: the oracle checks the walk,
+        # not the rounding of 1 - e^-alpha
+        expected = (aoi, transmit * params.collision_prob)
+        closed = mixed_policy_metrics(params, gamma, pol.mu)
+        table = mixed_probs(gamma, pol.mu, gamma + 1)
+        evaluated = policy_cost_evaluate(table, CmdpModel(params=params))
+        assert closed == pytest.approx(expected, rel=1e-14)
+        assert (evaluated.avg_aoi, evaluated.avg_cost) == pytest.approx(expected, rel=1e-14)
