@@ -58,8 +58,8 @@ def time_layers() -> dict[str, float]:
     """Best-of-``REPEAT`` milliseconds of each layer on its fixed instance."""
     import numpy as np
     from craoi import (
-        CmdpModel,
         PuRates,
+        SystemModel,
         SystemParams,
         age_optimal_policy,
         lambda_bisection,
@@ -69,14 +69,13 @@ def time_layers() -> dict[str, float]:
     )
 
     canon = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=5e-4)
-    model = CmdpModel(params=canon)
     pol = age_optimal_policy(canon)
-    slow = CmdpModel(params=SystemParams(rates=PuRates(1e-4, 3e-4), phi_s=0.2, eta_s=5e-4))
+    slow = SystemModel(rates=PuRates(1e-4, 3e-4), phi_s=0.2)
     threshold = np.zeros(50_000)
     threshold[-1] = 1.0
     return {
-        "rvi_solve_lam1e3_ms": best_ms(lambda: rvi_solve(model, 1e3)),
-        "lambda_bisection_ms": best_ms(lambda: lambda_bisection(model)),
+        "rvi_solve_lam1e3_ms": best_ms(lambda: rvi_solve(canon, 1e3)),
+        "lambda_bisection_ms": best_ms(lambda: lambda_bisection(canon)),
         "mixed_policy_metrics_ms": best_ms(lambda: mixed_policy_metrics(canon, pol.gamma1, pol.mu)),
         "policy_cost_evaluate_threshold5e4_ms": best_ms(
             lambda: policy_cost_evaluate(threshold, slow)

@@ -9,6 +9,7 @@ a deterministic Monte-Carlo simulator.
 
 from .analysis import (
     AgeOptimalPolicy,
+    SystemModel,
     SystemParams,
     age_optimal_policy,
     average_aoi_series,
@@ -52,7 +53,6 @@ from .sim import (
     split_seed,
 )
 from .solver import (
-    CmdpModel,
     ConstrainedSolution,
     SolvedPolicy,
     extract_threshold,

@@ -13,13 +13,16 @@ The randomized policy transmits with probability mu at the boundary age
 Gamma1 and always past it; a threshold policy is the randomized one at
 mu = 1.  Both are runs of constant transmit probability for :func:`_walk`,
 the one routine that holds the model's dynamics; the Bernoulli baseline's
-per-age states and the CMDP solver's evaluation walk their runs too.
+per-age states and the CMDP solver's evaluation walk their runs too.  Only
+the functions that meet the budget take :class:`SystemParams`; the rest take
+a :class:`SystemModel`, which has none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,28 +41,33 @@ def _outcome_probs(phi_s: float, alpha: float) -> tuple[float, float]:
     It succeeds if the PU stays idle through the slot and the device has no
     outage; it collides if the PU returns within the slot.
     """
-    stay_idle = math.exp(-alpha)
-    return (1.0 - phi_s) * stay_idle, 1.0 - stay_idle
+    # 1 - e^-alpha by expm1: no cancellation for small alpha
+    return (1.0 - phi_s) * math.exp(-alpha), -math.expm1(-alpha)
 
 
 @dataclass(frozen=True)
-class SystemParams:
-    """Full problem instance: PU rates, outage probability, per-slot collision budget."""
+class SystemModel:
+    """The system: PU rates and the device's outage probability, without a budget.
+
+    From (d, idle) with transmit probability p the age resets to (1, idle)
+    with mass ``p * success_prob``; otherwise it moves to d + 1 through the
+    occupancy block [[p_II - p * success_prob, p_IB], [p_BI, p_BB]] of the
+    slot matrix.  Busy-sensed slots never transmit.  A transmission collides
+    with probability ``collision_prob``.  Building a model computes nothing
+    from the rates.
+    """
 
     rates: PuRates
     phi_s: float
-    eta_s: float
 
     def __post_init__(self):
         if not (0.0 <= self.phi_s < 1.0):
             raise ValueError(f"phi_s must be in [0, 1), got {self.phi_s}")
-        if not (0.0 < self.eta_s < 1.0):
-            raise ValueError(f"eta_s must be in (0, 1), got {self.eta_s}")
 
-    @classmethod
-    def from_pu_budget(cls, rates: PuRates, phi_s: float, eta_p: float) -> "SystemParams":
-        """Build params from a PU-side (per busy-idle cycle) collision budget."""
-        return cls(rates=rates, phi_s=phi_s, eta_s=convert_collision_budget(rates, eta_p))
+    @cached_property
+    def channel(self) -> ChannelTransition:
+        """The slot transition matrix, built on first use; only the CMDP solver reads it."""
+        return slot_transition_matrix(self.rates)
 
     @property
     def success_prob(self) -> float:
@@ -72,21 +80,38 @@ class SystemParams:
         return _outcome_probs(self.phi_s, self.rates.alpha)[1]
 
 
-def _check_gamma(gamma: int) -> int:
+@dataclass(frozen=True)
+class SystemParams(SystemModel):
+    """A system model with the per-slot collision budget the PU imposes on it."""
+
+    eta_s: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0.0 < self.eta_s < 1.0):
+            raise ValueError(f"eta_s must be in (0, 1), got {self.eta_s}")
+
+    @classmethod
+    def from_pu_budget(cls, rates: PuRates, phi_s: float, eta_p: float) -> "SystemParams":
+        """Build params from a PU-side (per busy-idle cycle) collision budget."""
+        return cls(rates=rates, phi_s=phi_s, eta_s=convert_collision_budget(rates, eta_p))
+
+
+def _check_gamma(gamma: int, name: str = "threshold") -> int:
     # rejects NaN, infinities and fractions alike; numpy integers pass
     if not (gamma >= 1 and gamma % 1 == 0):
-        raise ValueError(f"threshold must be an integer >= 1, got {gamma}")
+        raise ValueError(f"{name} must be an integer >= 1, got {gamma}")
     return int(gamma)
 
 
-def _scalars(params: SystemParams) -> tuple:
+def _scalars(params: SystemModel) -> tuple:
     """The model scalars of one instance, formed once per public call.
 
     (alpha, beta, s, success, collision, s/(beta*success), alpha/beta,
     expm1(-s), rates) with s = alpha + beta.  A plain tuple that lives only
-    for that call: nothing is cached on the params, so a sweep that keeps
-    many instances alive holds no extra memory.  s/(beta*success) is the
-    mean time between successes of threshold 1, the shortest any policy
+    for that call: the closed form caches nothing on the model, so a sweep
+    that keeps many models alive holds no extra memory.  s/(beta*success) is
+    the mean time between successes of threshold 1, the shortest any policy
     has; when it is no float, as when e^-alpha underflows, the instance has
     no average age to compute.
     """
@@ -189,16 +214,14 @@ def _mixed_walk(m: tuple, gamma1: int, mu: float, age: int = 0):
 
 
 def mixed_policy_steady_state(
-    params: SystemParams, gamma1: int, mu: float, delta: int
+    params: SystemModel, gamma1: int, mu: float, delta: int
 ) -> tuple[float, float]:
     """Stationary (theta_idle, theta_busy) under the boundary-randomized policy.
 
     Transmit with probability mu at (gamma1, idle), always at ages > gamma1.
     mu=1 is the pure threshold gamma1, mu=0 the threshold gamma1+1.
     """
-    if delta < 1:
-        raise ValueError(f"age must be >= 1, got {delta}")
-    return _mixed_walk(_scalars(params), gamma1, mu, delta)[3]
+    return _mixed_walk(_scalars(params), gamma1, mu, _check_gamma(delta, "age"))[3]
 
 
 def _metrics(m: tuple, gamma1: int, mu: float) -> tuple[float, float]:
@@ -209,18 +232,18 @@ def _metrics(m: tuple, gamma1: int, mu: float) -> tuple[float, float]:
     return aoi, transmit * collision
 
 
-def mixed_policy_metrics(params: SystemParams, gamma1: int, mu: float) -> tuple[float, float]:
+def mixed_policy_metrics(params: SystemModel, gamma1: int, mu: float) -> tuple[float, float]:
     """(average age, per-slot collision probability) of the randomized policy."""
     return _metrics(_scalars(params), gamma1, mu)
 
 
-def collision_probability(gamma: int, params: SystemParams) -> float:
+def collision_probability(gamma: int, params: SystemModel) -> float:
     """Per-slot collision probability psi_s of the threshold policy."""
     gamma = _check_gamma(gamma)
     return _psi(_scalars(params), gamma)
 
 
-def average_aoi_series(gamma: int, params: SystemParams) -> float:
+def average_aoi_series(gamma: int, params: SystemModel) -> float:
     """Average age from the stationary distribution, geometric tail in closed form."""
     return mixed_policy_metrics(params, gamma, 1.0)[0]
 
@@ -230,8 +253,8 @@ _INV_E = math.exp(-1.0)
 
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function via Halley iteration."""
-    if x < -_INV_E:
-        raise ValueError(f"lambert_w0 domain is x >= -1/e, got {x}")
+    if not (-_INV_E <= x < math.inf):  # NaN fails too
+        raise ValueError(f"lambert_w0 domain is finite x >= -1/e, got {x}")
     if x == 0.0:
         return 0.0
     # log-based guess for large x, series-based near the branch point
@@ -291,6 +314,11 @@ def _thresholds(m: tuple, eta: float) -> tuple[int, int, float, float]:
         raise ValueError(
             f"the threshold overflows a float: success probability (1 - phi_s) e^-alpha = "
             f"{success:.3g} is too small for the budget eta_s={eta}"
+        )
+    if g_real >= 2.0**53:
+        raise ValueError(
+            f"the threshold {g_real:.3g} is past 2**53, where floats no longer tell "
+            f"consecutive integers apart, so no bracket can be checked at eta_s={eta}"
         )
     g1, g2 = int(math.floor(g_real)), int(math.ceil(g_real))
     g1 = max(g1, 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .analysis import SystemParams, _walk
+from .analysis import SystemModel, SystemParams, _check_gamma, _walk
 from .channel import idle_probability, slot_transition_matrix
 from .policies import BernoulliAccessPolicy
 
@@ -25,7 +25,7 @@ def optimal_transmit_probability(params: SystemParams) -> BernoulliAccessPolicy:
     return BernoulliAccessPolicy(p0=min(p0, 1.0))
 
 
-def collision_probability_bernoulli(params: SystemParams, p0: float) -> float:
+def collision_probability_bernoulli(params: SystemModel, p0: float) -> float:
     """Per-slot collision probability under Bernoulli access."""
     return p0 * idle_probability(params.rates) * params.collision_prob
 
@@ -35,7 +35,7 @@ def _check_p0(p0: float) -> None:
         raise ValueError(f"p0 must be in (0, 1], got {p0}")
 
 
-def average_aoi_bernoulli(params: SystemParams, p0: float) -> float:
+def average_aoi_bernoulli(params: SystemModel, p0: float) -> float:
     """Closed-form average age under Bernoulli access with probability p0."""
     _check_p0(p0)
     al, be = params.rates.alpha, params.rates.beta
@@ -54,11 +54,10 @@ def average_aoi_bernoulli(params: SystemParams, p0: float) -> float:
     return aoi
 
 
-def bernoulli_steady_state(params: SystemParams, p0: float, delta: int) -> tuple[float, float]:
+def bernoulli_steady_state(params: SystemModel, p0: float, delta: int) -> tuple[float, float]:
     """Stationary (theta_idle, theta_busy) at the given age under Bernoulli access: one run."""
     _check_p0(p0)
-    if delta < 1:
-        raise ValueError(f"age must be >= 1, got {delta}")
+    delta = _check_gamma(delta, "age")
     rates = params.rates
     runs = ((math.inf, p0),)
     return _walk(rates, slot_transition_matrix(rates), params.success_prob, runs, delta)[3]

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import SystemParams, age_optimal_policy
+from .analysis import SystemModel, SystemParams, age_optimal_policy
 from .channel import PuRates, expected_cycle_length
 from .experiments import DEFAULT_SEED, PRESETS, run_preset, write_csv
 from .policies import BernoulliAccessPolicy, RandomizedThresholdPolicy, ThresholdPolicy
 from .sim import SimConfig, run_config
-from .solver import CmdpModel, lambda_bisection, mixed_transmit_probs
+from .solver import lambda_bisection, mixed_transmit_probs
 
 
 def _parse_policy(text: str, parser: argparse.ArgumentParser):
@@ -64,7 +64,7 @@ def _cmd_solve(args, parser) -> int:
     print(f"psi_p {pol.psi_s * expected_cycle_length(params.rates):.10g}")
     print(f"constraint_binds {int(pol.constraint_binds)}")
     if args.verify:
-        sol = lambda_bisection(CmdpModel(params=params))
+        sol = lambda_bisection(params)
         # (gamma1, gamma2, mu) labels are not unique: (5, 6, mu=0) and
         # (6, 7, mu=1) are both the threshold-6 policy.  Compare the policies
         # on the ages up to where both transmit, then their exact average age
@@ -106,11 +106,10 @@ def _cmd_solve(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
-    rates = PuRates(alpha=args.alpha, beta=args.beta)
-    params = SystemParams(rates=rates, phi_s=args.phi_s, eta_s=0.5)
+    model = SystemModel(rates=PuRates(alpha=args.alpha, beta=args.beta), phi_s=args.phi_s)
     policy = _parse_policy(args.policy, parser)
     cfg = SimConfig(
-        params=params, policy=policy, seed=args.seed, slots=args.slots, cycles=args.cycles
+        params=model, policy=policy, seed=args.seed, slots=args.slots, cycles=args.cycles
     )
     res = run_config(cfg)
     print(f"avg_aoi {res.avg_aoi:.10g}")

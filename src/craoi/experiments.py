@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    SystemModel,
     SystemParams,
     age_optimal_policy,
     average_aoi_series,
@@ -25,7 +26,7 @@ from .baseline import average_aoi_bernoulli, optimal_transmit_probability
 from .channel import PuRates
 from .policies import ThresholdPolicy
 from .sim import SimConfig, run_config
-from .solver import CmdpModel, lambda_bisection
+from .solver import lambda_bisection
 
 PRESETS = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table1")
 
@@ -65,7 +66,7 @@ def run_fig3(out_dir: Path, seed: int = DEFAULT_SEED) -> Path:
     rows = []
     for eta_s in (0.0005, 0.001):
         params = SystemParams(rates=rates, phi_s=0.2, eta_s=eta_s)
-        sol = lambda_bisection(CmdpModel(params=params))
+        sol = lambda_bisection(params)
         low, high = sol.policy_low.transmit, sol.policy_high.transmit
         g1_cf, g2_cf = optimal_thresholds(params)
         for delta in range(1, FIG3_AGES + 1):
@@ -106,14 +107,14 @@ FIG4_SIM_GAMMAS = (1, 5, 10, 20, 40, 80)
 
 def run_fig4(out_dir: Path, seed: int = DEFAULT_SEED, sim_slots: int = 10**6) -> Path:
     """Analytical vs simulated age and collision probability over thresholds."""
-    params = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.5)
+    model = SystemModel(rates=PuRates(0.02, 0.4), phi_s=0.2)
     rows = []
     for gamma in range(1, 101):
-        aoi_an = average_aoi_series(gamma, params)
-        psi_an = collision_probability(gamma, params)
+        aoi_an = average_aoi_series(gamma, model)
+        psi_an = collision_probability(gamma, model)
         if gamma in FIG4_SIM_GAMMAS:
             cfg = SimConfig(
-                params=params, policy=ThresholdPolicy(gamma), seed=seed + gamma, slots=sim_slots
+                params=model, policy=ThresholdPolicy(gamma), seed=seed + gamma, slots=sim_slots
             )
             res = run_config(cfg)
             aoi_sim, psi_sim = res.avg_aoi, res.psi_s_hat

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import SystemParams
+from .analysis import SystemModel
 from .channel import IDLE, PuRates, expected_cycle_length
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -140,7 +140,7 @@ def _success_slots(clear: np.ndarray, policy_u: np.ndarray, probs: list[float]) 
 
 def run_policy(
     trajectory: PuTrajectory,
-    params: SystemParams,
+    params: SystemModel,
     policy,
     seed: int,
     max_slots: int | None = None,
@@ -204,7 +204,7 @@ def run_policy(
 class SimConfig:
     """One reproducible simulation setup; horizon is slots or cycles."""
 
-    params: SystemParams
+    params: SystemModel
     policy: object
     seed: int
     slots: int | None = None

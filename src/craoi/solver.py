@@ -15,7 +15,8 @@ No age grid is built.  Stationary metrics walk the table's runs of constant
 action, as the closed form does.  The greedy policies are
 threshold-shaped, so a deterministic bisection on the multiplier brackets the
 budget with two consecutive thresholds, and a boundary randomization closes
-the gap exactly (Beutler & Ross 1985).
+the gap exactly (Beutler & Ross 1985).  Only that search takes a budget;
+the rest reads the dynamics of a ``SystemModel``, whose slot matrix it caches.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .analysis import SystemParams, _walk
-from .channel import ChannelTransition, slot_transition_matrix
+from .analysis import SystemModel, SystemParams, _walk
 
 MAX_EXPAND = 60  # multiplier doublings from 1 before the search gives up
 MAX_BISECT = 200  # multiplier bisections before the search gives up
@@ -42,38 +41,6 @@ class ThresholdStructureError(ValueError):
 
 class BisectionError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class CmdpModel:
-    """The CMDP of one instance on the unbounded age space, with its dynamics cached.
-
-    From (d, idle) with transmit probability p the age resets to (1, idle)
-    with mass ``p * ok``; otherwise it moves to d + 1 through the occupancy
-    block [[p_II - p * ok, p_IB], [p_BI, p_BB]] of ``channel``.
-    Busy-sensed slots never transmit.  A transmission collides with
-    probability ``collision``.  Policy evaluation, the Poisson equation
-    and policy improvement all read the dynamics from here.
-    """
-
-    params: SystemParams
-
-    @cached_property
-    def channel(self) -> ChannelTransition:
-        return slot_transition_matrix(self.params.rates)
-
-    @cached_property
-    def ok(self) -> float:
-        return self.params.success_prob
-
-    @cached_property
-    def collision(self) -> float:
-        return self.params.collision_prob
-
-    def blocks(self, p_tx: np.ndarray) -> tuple[list[float], list[float]]:
-        """Per idle age: (idle-to-idle mass without reset, reset mass)."""
-        reset = p_tx * self.ok
-        return (self.channel.p_II - reset).tolist(), reset.tolist()
 
 
 def _head_length(probs: np.ndarray) -> int:
@@ -105,7 +72,7 @@ def _require_renewal(table: np.ndarray) -> None:
 
 
 def poisson_solve(
-    probs: np.ndarray, model: CmdpModel, lam: float
+    probs: np.ndarray, model: SystemModel, lam: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Gain and bias of a fixed policy under cost age + lam * collisions.
 
@@ -122,8 +89,9 @@ def poisson_solve(
     _require_renewal(probs)
     channel = model.channel
     n = probs.size
-    stay, reset = model.blocks(probs)
-    c_idle = (np.arange(1, n + 1) + lam * model.collision * probs).tolist()
+    reset = probs * model.success_prob
+    stay, reset = (channel.p_II - reset).tolist(), reset.tolist()
+    c_idle = (np.arange(1, n + 1) + lam * model.collision_prob * probs).tolist()
     m_ii, m_ib, m_bi, m_bb = channel.resolvent(reset[-1])
     # h(n) = (I - M)^-1 (c - x 1 + M v) and (I - M)^-1 M v = w - v
     v_idle, w_idle = channel.geometric_tail(reset[-1], 1.0, 0.0)
@@ -160,7 +128,7 @@ class SolvedPolicy:
     iterations: int  # improvement steps
 
 
-def rvi_solve(model: CmdpModel, lam: float, init=(True,)) -> SolvedPolicy:
+def rvi_solve(model: SystemModel, lam: float, init=(True,)) -> SolvedPolicy:
     """Howard policy iteration on age + lam * collision cost, minimizing.
 
     A policy is a boolean table of transmit decisions per idle age whose last
@@ -177,8 +145,8 @@ def rvi_solve(model: CmdpModel, lam: float, init=(True,)) -> SolvedPolicy:
     transmit = np.array(init, dtype=bool)
     _require_renewal(transmit)
     transmit = transmit[: _head_length(transmit)]
-    ok = model.ok
-    tx_cost = lam * model.collision
+    ok = model.success_prob
+    tx_cost = lam * model.collision_prob
     # h(d + 1) - h(d) past the head, where the policy transmits
     slope = model.channel.geometric_tail(ok, 1.0, 0.0)[0]
 
@@ -233,12 +201,12 @@ class PolicyMetrics:
     avg_cost: float
 
 
-def _evaluate(runs, model: CmdpModel) -> PolicyMetrics:
-    _, aoi, transmit, _ = _walk(model.params.rates, model.channel, model.ok, runs)
-    return PolicyMetrics(avg_aoi=aoi, avg_cost=transmit * model.collision)
+def _evaluate(runs, model: SystemModel) -> PolicyMetrics:
+    _, aoi, transmit, _ = _walk(model.rates, model.channel, model.success_prob, runs)
+    return PolicyMetrics(avg_aoi=aoi, avg_cost=transmit * model.collision_prob)
 
 
-def policy_cost_evaluate(probs, model: CmdpModel) -> PolicyMetrics:
+def policy_cost_evaluate(probs, model: SystemModel) -> PolicyMetrics:
     """Exact stationary average age and collision cost of a tail-constant policy.
 
     ``probs`` is a non-empty table of transmit probabilities per idle age
@@ -281,20 +249,21 @@ class ConstrainedSolution:
     achieved_aoi: float
 
 
-def lambda_bisection(model: CmdpModel) -> ConstrainedSolution:
+def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
     """Deterministic multiplier search for the constrained optimum.
 
     Bisects the multiplier until the two bracketing greedy policies have
     consecutive (or equal) thresholds, then sets the boundary randomization so
     the stationary collision cost of the mixed policy equals the budget (the
     reciprocal cost is linear in the mixing probability).  Each policy
-    iteration starts from the previous multiplier's policy.
+    iteration starts from the previous multiplier's policy.  The budget is
+    ``params.eta_s``, which :class:`SystemParams` has already checked.
     """
-    eta_s = model.params.eta_s
+    eta_s = params.eta_s
 
     def solve(lam, init):
-        pol = rvi_solve(model, lam, init)
-        return pol, extract_threshold(pol), policy_cost_evaluate(pol.transmit, model)
+        pol = rvi_solve(params, lam, init)
+        return pol, extract_threshold(pol), policy_cost_evaluate(pol.transmit, params)
 
     pol0, gamma0, metrics0 = solve(0.0, (True,))
     if metrics0.avg_cost <= eta_s:
@@ -348,7 +317,7 @@ def lambda_bisection(model: CmdpModel) -> ConstrainedSolution:
             mu = 1.0
         else:
             mu = (1.0 / eta_s - 1.0 / cost_hi) / (1.0 / cost_lo - 1.0 / cost_hi)
-    mixed = _evaluate(((gamma1 - 1, 0.0), (1, mu), (math.inf, 1.0)), model)
+    mixed = _evaluate(((gamma1 - 1, 0.0), (1, mu), (math.inf, 1.0)), params)
     return ConstrainedSolution(
         lambda_low=lam_lo,
         lambda_high=lam_hi,

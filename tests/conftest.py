@@ -20,7 +20,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from craoi import IDLE, PuRates, SimResult, SystemParams, split_seed
+from craoi import IDLE, PuRates, SimResult, SystemModel, SystemParams, split_seed
 
 
 def expm_transition(rates: PuRates, t: float = 1.0) -> np.ndarray:
@@ -29,7 +29,7 @@ def expm_transition(rates: PuRates, t: float = 1.0) -> np.ndarray:
     return scipy.linalg.expm(q * t)
 
 
-def build_chain(params: SystemParams, tx_probs, delta_max: int) -> scipy.sparse.csr_matrix:
+def build_chain(params: SystemModel, tx_probs, delta_max: int) -> scipy.sparse.csr_matrix:
     """Assemble the age/occupancy chain for per-age idle transmit probabilities.
 
     States are indexed 2*(delta-1) + occupancy for delta = 1..delta_max; the
@@ -77,13 +77,13 @@ def stationary_solve(P: scipy.sparse.csr_matrix) -> np.ndarray:
     return pi / pi.sum()
 
 
-def oracle_stationary(params: SystemParams, tx_probs, delta_max: int) -> np.ndarray:
+def oracle_stationary(params: SystemModel, tx_probs, delta_max: int) -> np.ndarray:
     """Stationary distribution of the assembled chain, shape (delta_max, 2)."""
     dist = stationary_solve(build_chain(params, tx_probs, delta_max))
     return dist.reshape(delta_max, 2)
 
 
-def oracle_metrics(params: SystemParams, tx_probs, delta_max: int):
+def oracle_metrics(params: SystemModel, tx_probs, delta_max: int):
     """(average age, per-slot collision probability) from the oracle chain."""
     dist = oracle_stationary(params, tx_probs, delta_max)
     deltas = np.arange(1, delta_max + 1)
@@ -95,7 +95,7 @@ def oracle_metrics(params: SystemParams, tx_probs, delta_max: int):
     return aoi, psi
 
 
-def oracle_poisson(params: SystemParams, tx_probs, lam: float, delta_max: int):
+def oracle_poisson(params: SystemModel, tx_probs, lam: float, delta_max: int):
     """Gain and per-age (idle, busy) bias of the assembled chain under cost age + lam * collisions.
 
     Solves h + g = c + P h with h(1, idle) = 0 as one sparse linear system
@@ -120,7 +120,7 @@ def oracle_poisson(params: SystemParams, tx_probs, lam: float, delta_max: int):
     return sol[n], sol[0:n:2], sol[1:n:2]
 
 
-def average_aoi_closed_form(gamma: int, params: SystemParams) -> float:
+def average_aoi_closed_form(gamma: int, params: SystemModel) -> float:
     """Single-expression average age of the threshold policy (the paper's form).
 
     It shares no code with the package's resolvent tail sums, so it checks
@@ -161,14 +161,11 @@ def average_aoi_closed_form(gamma: int, params: SystemParams) -> float:
     return gamma - num / den
 
 
-def decimal_mixed_metrics(params: SystemParams, gamma1: int, mu: float, digits: int = 34):
-    """(average age, transmit rate) of the mixed policy in ``digits``-digit decimal.
+def decimal_mixed_metrics(params: SystemModel, gamma1: int, mu: float, digits: int = 34):
+    """(average age, per-slot collision probability) of the mixed policy in ``digits``-digit decimal.
 
-    The transmit rate is the stationary probability that a slot is sensed
-    idle and transmits; times the collision probability 1 - e^-alpha it is
-    the per-slot collision probability.  It is returned apart from that
-    scalar so that a check of an evaluator is not a check of how the
-    package rounds 1 - e^-alpha.
+    The collision probability is the stationary probability that a slot is
+    sensed idle and transmits, times 1 - e^-alpha, both in decimal.
 
     The policy transmits w.p. mu at (gamma1, idle) and always past it.  A
     forward recursion carries the unnormalized (theta_idle, theta_busy) from
@@ -213,7 +210,7 @@ def decimal_mixed_metrics(params: SystemParams, gamma1: int, mu: float, digits: 
         mass += v0 + v1
         age_sum += (gamma1 + 1) * (v0 + v1) + u0 + u1
         transmit += v0
-        return float(age_sum / mass), float(transmit / mass)
+        return float(age_sum / mass), float(transmit / mass * (one - (-al).exp()))
 
 
 def threshold_probs(gamma: int, delta_max: int) -> np.ndarray:
@@ -245,7 +242,7 @@ def brute_threshold_scan(params: SystemParams, psi_of_gamma, g_max: int = 10_000
 
 
 def oracle_run_policy(
-    trajectory, params: SystemParams, policy, seed: int, max_slots=None, age_ceiling=10**7
+    trajectory, params: SystemModel, policy, seed: int, max_slots=None, age_ceiling=10**7
 ) -> SimResult:
     """Replay a policy one slot at a time: the reference for ``craoi.run_policy``.
 
@@ -369,6 +366,5 @@ def binding_instance(alpha, beta, phi_s, fraction) -> SystemParams:
     """Instance whose budget is a fraction of the loosest achievable psi_s."""
     from craoi import collision_probability
 
-    probe = SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=0.5)
-    psi1 = collision_probability(1, probe)
+    psi1 = collision_probability(1, SystemModel(rates=PuRates(alpha, beta), phi_s=phi_s))
     return SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=fraction * psi1)

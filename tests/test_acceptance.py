@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from craoi import (
-    CmdpModel,
     PuRates,
     RandomizedThresholdPolicy,
     SimConfig,
+    SystemModel,
     SystemParams,
     ThresholdPolicy,
     age_optimal_policy,
@@ -81,7 +81,7 @@ def test_criterion_1_table1_reproduction(tmp_path):
 
 def test_criterion_2_sim_vs_analysis():
     start = time.perf_counter()
-    params = SystemParams(rates=CANON_RATES, phi_s=0.2, eta_s=0.5)
+    params = SystemModel(rates=CANON_RATES, phi_s=0.2)
     worst_rel = 0.0
     worst_sigma = 0.0
     for gamma in FIG4_SIM_GAMMAS:
@@ -108,7 +108,7 @@ def test_criterion_3_rvi_structure():
     results = {}
     for eta_s in (0.0005, 0.001):
         params = SystemParams(rates=CANON_RATES, phi_s=0.2, eta_s=eta_s)
-        sol = lambda_bisection(CmdpModel(params=params))
+        sol = lambda_bisection(params)
         t_low = extract_threshold(sol.policy_low)
         t_high = extract_threshold(sol.policy_high)
         results[eta_s] = (t_low, t_high, optimal_thresholds(params))
@@ -169,7 +169,7 @@ def test_criterion_5_activity_rate_minimum():
     )
 
 
-def _decay_depth(params: SystemParams, reset_prob: float, target: float = 1e-11) -> int:
+def _decay_depth(params: SystemModel, reset_prob: float, target: float = 1e-11) -> int:
     """Age depth at which the geometric tail drops below target, via eigenvalues."""
     from .conftest import expm_transition
 
@@ -185,7 +185,7 @@ def test_criterion_6_oracle_equivalence():
 
     worst = 0.0
     for i, (alpha, beta, phi_s, gamma) in enumerate(STEADY_STATE_GRID):
-        params = SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=0.01)
+        params = SystemModel(rates=PuRates(alpha, beta), phi_s=phi_s)
         depth = _decay_depth(params, params.success_prob)
         dmax = gamma + depth
         if i % 3 == 0 and gamma > 1:
@@ -207,7 +207,7 @@ def test_criterion_6_oracle_equivalence():
 
     aoi_worst = 0.0
     for alpha, beta, phi_s, gamma in STEADY_STATE_GRID:
-        params = SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=0.01)
+        params = SystemModel(rates=PuRates(alpha, beta), phi_s=phi_s)
         closed = average_aoi_closed_form(gamma, params)
         series = average_aoi_series(gamma, params)
         aoi_worst = max(aoi_worst, abs(closed - series) / max(1.0, abs(series)))
@@ -239,7 +239,7 @@ def test_criterion_7_constraint_binding():
         n_binding += 1
         psi_worst = max(psi_worst, abs(pol.psi_s - params.eta_s))
 
-        sol = lambda_bisection(CmdpModel(params=params))
+        sol = lambda_bisection(params)
         assert (sol.gamma1, sol.gamma2) == (pol.gamma1, pol.gamma2)
         mu_worst = max(mu_worst, abs(sol.mu - pol.mu))
 

@@ -1,6 +1,7 @@
 """Closed-form analysis tests against direct-solve and brute-force oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from craoi import (
     age_optimal_policy,
     average_aoi_bernoulli,
     average_aoi_series,
+    bernoulli_steady_state,
     collision_probability,
     expected_cycle_length,
     idle_probability,
@@ -59,7 +61,14 @@ class TestSystemParams:
             make_params(0.02, 0.4, 0.2, eta_s=1.5)
 
     @pytest.mark.parametrize("alpha,beta,message", [
-        (700.0, 0.4, "average age overflows"),
+        (30.0, 0.4, "past 2**53"),
+        (35.0, 0.4, "past 2**53"),
+        (38.0, 0.4, "past 2**53"),
+        (40.0, 0.4, "past 2**53"),
+        (200.0, 0.4, "past 2**53"),
+        (300.0, 0.4, "past 2**53"),
+        (340.0, 0.4, "past 2**53"),
+        (700.0, 0.4, "past 2**53"),
         (702.0, 0.4, "threshold overflows"),
         (709.0, 0.4, "success probability"),
         (746.0, 0.4, "success probability"),
@@ -68,12 +77,13 @@ class TestSystemParams:
         (0.02, math.inf, "positive and finite"),
     ])  # fmt: skip
     def test_extreme_pu_rates_are_domain_errors(self, alpha, beta, message):
-        # the average age of a threshold near 3e306 (700) or the threshold
-        # itself (702) overflows, the mean renewal time s/(beta*success)
-        # overflows (709) or e^-alpha underflows to 0 (746, 1000), or a rate
-        # is not finite: a ValueError that says so, not an infinite age, an
-        # OverflowError, NaN or a ZeroDivisionError
-        with pytest.raises(ValueError, match=message):
+        # the threshold is past 2**53, where its floor and ceiling coincide
+        # (30 to 700), the threshold itself overflows (702), the mean renewal
+        # time s/(beta*success) overflows (709) or e^-alpha underflows to 0
+        # (746, 1000), or a rate is not finite: a ValueError that says so, not
+        # an unchecked bracket, an infinite age, an OverflowError, NaN or a
+        # ZeroDivisionError
+        with pytest.raises(ValueError, match=re.escape(message)):
             age_optimal_policy(make_params(alpha, beta, 0.2, eta_s=0.0005))
 
     def test_budget_round_trip(self):
@@ -107,6 +117,14 @@ class TestTheta10:
 class TestSteadyState:
     def test_no_busy_mass_at_age_one(self):
         assert mixed_policy_steady_state(CANON, 7, 1.0, 1)[1] == 0.0
+
+    @pytest.mark.parametrize("delta", [2.5, 7.5, math.nan])
+    def test_rejects_non_integer_age(self, delta):
+        # not a state from a fractional matrix power, nor numpy's TypeError
+        with pytest.raises(ValueError, match="age must be an integer"):
+            mixed_policy_steady_state(CANON, 5, 1.0, delta)
+        with pytest.raises(ValueError, match="age must be an integer"):
+            bernoulli_steady_state(CANON, 0.3, delta)
 
     def test_normalization(self):
         total = 0.0
@@ -196,6 +214,9 @@ class TestLambertW:
         assert lambert_w0(-math.exp(-1.0)) == pytest.approx(-1.0, abs=1e-5)
         with pytest.raises(ValueError):
             lambert_w0(-0.4)
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                lambert_w0(x)
 
     @settings(deadline=None)
     @given(st.floats(min_value=-0.36, max_value=1e6))
@@ -304,6 +325,11 @@ class TestMixedPolicy:
             sum(mixed_policy_steady_state(CANON, 20, 0.37, d)) for d in range(1, 2000)
         )
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_average_age_overflow_is_domain_error(self):
+        # a threshold from a budget stops at 2**53; a given one can go further
+        with pytest.raises(ValueError, match="average age overflows"):
+            mixed_policy_metrics(CANON, 10**300, 1.0)
 
     def test_against_oracle(self):
         g1, mu, dmax = 20, 0.37, 2000

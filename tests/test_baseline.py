@@ -7,8 +7,8 @@ import pytest
 
 from craoi import (
     BernoulliAccessPolicy,
-    CmdpModel,
     PuRates,
+    SystemModel,
     SystemParams,
     age_optimal_policy,
     average_aoi_bernoulli,
@@ -34,7 +34,7 @@ class TestOptimalTransmitProbability:
 
     def test_budget_boundary_gives_one(self):
         rates = PuRates(0.02, 0.4)
-        eta = idle_probability(rates) * (1.0 - math.exp(-0.02))
+        eta = idle_probability(rates) * -math.expm1(-0.02)
         params = SystemParams(rates=rates, phi_s=0.2, eta_s=eta)
         pol = optimal_transmit_probability(params)
         assert pol.p0 == 1.0
@@ -72,8 +72,8 @@ class TestAverageAoi:
     )
     def test_closed_form_matches_series(self, alpha, beta, phi_s, p0):
         # the exact evaluator sums the stationary series; Bernoulli access is the table [p0]
-        params = SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=0.01)
-        series = policy_cost_evaluate([p0], CmdpModel(params=params))
+        params = SystemModel(rates=PuRates(alpha, beta), phi_s=phi_s)
+        series = policy_cost_evaluate([p0], params)
         assert average_aoi_bernoulli(params, p0) == pytest.approx(series.avg_aoi, rel=1e-14)
         psi = collision_probability_bernoulli(params, p0)
         assert psi == pytest.approx(series.avg_cost, rel=1e-14)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import craoi.cli
-from craoi import PuRates, SystemParams, age_optimal_policy, average_aoi_series
+from craoi import PuRates, SystemModel, SystemParams, age_optimal_policy, average_aoi_series
 
 
 def run_cli(*args, **kwargs):
@@ -66,7 +66,9 @@ class TestSolve:
         assert "error" in res.stderr
 
     @pytest.mark.parametrize("alpha,beta,message", [
-        ("700", "0.4", "average age overflows"),
+        ("30", "0.4", "past 2**53"),
+        ("38", "0.4", "past 2**53"),
+        ("700", "0.4", "past 2**53"),
         ("702", "0.4", "threshold overflows"),
         ("709", "0.4", "success probability"),
         ("746", "0.4", "success probability"),
@@ -167,7 +169,7 @@ class TestSimulate:
         res = run_cli(*self.BASE, "--policy", "threshold:20", "--slots", "200000", "--seed", "42")
         assert res.returncode == 0
         got = parse_kv(res.stdout)
-        params = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.5)
+        params = SystemModel(rates=PuRates(0.02, 0.4), phi_s=0.2)
         assert float(got["avg_aoi"]) == pytest.approx(average_aoi_series(20, params), rel=0.02)
 
     def test_same_seed_identical_bytes(self):

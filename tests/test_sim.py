@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from craoi import (
     BernoulliAccessPolicy,
-    CmdpModel,
     PuRates,
     PuTrajectory,
     RandomizedThresholdPolicy,
     SimConfig,
+    SystemModel,
     SystemParams,
     TabularPolicy,
     ThresholdPolicy,
@@ -96,7 +96,7 @@ class TestHandBuiltReplay:
         return PuTrajectory(durations=np.array([2.5, 1.0, 3.0]))
 
     def test_greedy_no_outage(self):
-        params = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.0, eta_s=0.5)
+        params = SystemModel(rates=PuRates(0.02, 0.4), phi_s=0.0)
         res = run_policy(self._trajectory(), params, ThresholdPolicy(1), seed=0)
         assert res.slots == 6
         assert res.transmit_count == 5
@@ -108,7 +108,7 @@ class TestHandBuiltReplay:
         assert res.avg_aoi == pytest.approx(9.0 / 6.0)
 
     def test_never_transmit(self):
-        params = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.0, eta_s=0.5)
+        params = SystemModel(rates=PuRates(0.02, 0.4), phi_s=0.0)
         res = run_policy(
             self._trajectory(), params, TabularPolicy((0.0,)), seed=0, age_ceiling=3
         )
@@ -119,7 +119,7 @@ class TestHandBuiltReplay:
         assert res.avg_aoi == pytest.approx(21.0 / 6.0)
 
     def test_threshold_gates_by_age(self):
-        params = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.0, eta_s=0.5)
+        params = SystemModel(rates=PuRates(0.02, 0.4), phi_s=0.0)
         res = run_policy(self._trajectory(), params, ThresholdPolicy(3), seed=0)
         # age reaches 3 at slot 2 (idle, collides), 5 at slot 4 (succeeds),
         # and is back to 1 at slot 5 (below threshold, no transmission)
@@ -140,7 +140,7 @@ class TestIntegerBoundaries:
     @pytest.mark.parametrize("durations", [(2.0, 1.0, 3.0), (2.0, 0.5, 3.5)])
     def test_greedy_no_outage(self, durations):
         traj = PuTrajectory(durations=np.array(durations))
-        params = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.0, eta_s=0.5)
+        params = SystemModel(rates=PuRates(0.02, 0.4), phi_s=0.0)
         res = run_policy(traj, params, ThresholdPolicy(1), seed=0)
         assert res.slots == 6
         assert res.success_count == 5
@@ -195,7 +195,7 @@ class TestOracleEquivalence:
     def test_random_tabular_policies(
         self, alpha, beta, phi_s, seed, head, slots, age_ceiling
     ):
-        params = SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=0.5)
+        params = SystemModel(rates=PuRates(alpha, beta), phi_s=phi_s)
         n_cycles = int(1.5 * slots / (1.0 / alpha + 1.0 / beta)) + 8
         traj = generate_pu_trajectory(params.rates, n_cycles, seed)
         # a slot horizon when the trajectory covers it, else the whole trajectory
@@ -257,7 +257,7 @@ class TestRunConfig:
         # the closed form rejects these rates; the replay needs no success
         # probability and still runs: idle sojourns last about 1/alpha, so
         # every idle-sensed transmission collides
-        params = SystemParams(rates=PuRates(alpha, 0.4), phi_s=0.2, eta_s=0.5)
+        params = SystemModel(rates=PuRates(alpha, 0.4), phi_s=0.2)
         res = run_config(SimConfig(params=params, policy=ThresholdPolicy(1), seed=3, slots=500))
         assert res.slots == 500
         assert res.success_count == 0
@@ -328,7 +328,7 @@ class TestStatisticalAgreement:
     def test_matches_exact_evaluator(self, policy):
         # the evaluator reads the same table as the replay: ages 1..tail_age
         table = [policy.transmit_probability(a) for a in range(1, policy.tail_age + 1)]
-        exact = policy_cost_evaluate(table, CmdpModel(params=CANON))
+        exact = policy_cost_evaluate(table, CANON)
         rep = replicate(SimConfig(params=CANON, policy=policy, seed=11, slots=100_000), n_reps=10)
         assert rep.mean["avg_aoi"] == pytest.approx(exact.avg_aoi, rel=0.02)
         se = max(rep.stderr["psi_s_hat"], 1e-12)

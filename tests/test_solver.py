@@ -7,8 +7,8 @@ import pytest
 
 import craoi.solver
 from craoi import (
-    CmdpModel,
     PuRates,
+    SystemModel,
     SystemParams,
     age_optimal_policy,
     collision_probability,
@@ -42,7 +42,7 @@ from .conftest import (
 )
 
 CANON = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.0005)
-MODEL = CmdpModel(params=CANON)
+MODEL = SystemModel(rates=CANON.rates, phi_s=CANON.phi_s)
 ORACLE_AGES = 200  # ages of the oracle chain that kernel rows are held to
 
 
@@ -58,9 +58,9 @@ def kernel_row(model, delta, occ, p) -> np.ndarray:
         row[nxt + IDLE] += model.channel.p_BI
         row[nxt + BUSY] += model.channel.p_BB
         return row
-    stay, reset = model.blocks(np.array([float(p)]))
-    row[0] += reset[0]
-    row[nxt + IDLE] += stay[0]
+    reset = p * model.success_prob
+    row[0] += reset
+    row[nxt + IDLE] += model.channel.p_II - reset
     row[nxt + BUSY] += model.channel.p_IB
     return row
 
@@ -76,7 +76,7 @@ class TestPrimitives:
             poisson_solve(np.zeros(60), MODEL, 0.0)
 
     def test_collision_cost(self):
-        assert MODEL.collision == pytest.approx(1.0 - math.exp(-0.02), rel=1e-12)
+        assert MODEL.collision_prob == pytest.approx(1.0 - math.exp(-0.02), rel=1e-12)
         # The multiplier is charged once per collision, on idle transmissions only.
         probs = mixed_probs(9, 0.4, 60)
         g0, _, _ = poisson_solve(probs, MODEL, 0.0)
@@ -168,15 +168,15 @@ class TestRvi:
         # than any head here, applies the tie rule age by age, and must visit
         # the same tables as rvi_solve.
         ages = 20_000
-        tx_cost = lam * MODEL.collision
-        slope = MODEL.channel.geometric_tail(MODEL.ok, 1.0, 0.0)[0]
+        tx_cost = lam * MODEL.collision_prob
+        slope = MODEL.channel.geometric_tail(MODEL.success_prob, 1.0, 0.0)[0]
         table = np.ones(1, dtype=bool) if init is None else np.array(init)
         expected = []
         while True:
             expected.append(table[: _head_length(table)])
             _, h, _ = poisson_solve(expected[-1].astype(float), MODEL, lam)
             h = np.concatenate((h, h[-1] + slope * np.arange(1, ages - h.size + 2)))
-            value = MODEL.ok * h[1:]
+            value = MODEL.success_prob * h[1:]
             tie = np.abs(value - tx_cost) <= 1e-12 * (tx_cost + np.abs(value))
             padded = np.concatenate((expected[-1], np.ones(ages - expected[-1].size, dtype=bool)))
             table = np.where(tie, padded, value - tx_cost > 0.0)
@@ -280,7 +280,7 @@ class TestPoissonEquation:
         assert bias_idle[0] == 0.0
         # past the head the bias is affine in age: h(d) = h(head) + (d - head) v
         channel = MODEL.channel
-        reset = probs[-1] * MODEL.ok
+        reset = probs[-1] * MODEL.success_prob
         v = channel.geometric_tail(reset, 1.0, 0.0)[0], channel.geometric_tail(reset, 0.0, 1.0)[0]
         steps = np.arange(n - head + 1)
         for bias, v_occ in zip((bias_idle, bias_busy), v):
@@ -377,30 +377,25 @@ class TestPolicyEvaluation:
 
 class TestLambdaBisection:
     def test_loose_budget_threshold_one(self):
-        probe = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.5)
-        psi1 = collision_probability(1, probe)
-        model = CmdpModel(
-            params=SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=min(0.99, 2 * psi1))
-        )
-        sol = lambda_bisection(model)
+        psi1 = collision_probability(1, MODEL)
+        params = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=min(0.99, 2 * psi1))
+        sol = lambda_bisection(params)
         assert (sol.gamma1, sol.gamma2, sol.mu) == (1, 1, 1.0)
 
     def test_eta_validation(self):
-        # The budget travels in the model's params, which reject it before any search runs.
+        # The budget travels in the params, which reject it before any search runs.
         with pytest.raises(ValueError):
-            lambda_bisection(
-                CmdpModel(params=SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=1.5))
-            )
+            lambda_bisection(SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=1.5))
 
     def test_canonical_matches_closed_form(self):
-        sol = lambda_bisection(MODEL)
+        sol = lambda_bisection(CANON)
         g1, g2 = optimal_thresholds(CANON)
         assert (sol.gamma1, sol.gamma2) == (g1, g2)
         assert sol.mu == pytest.approx(age_optimal_policy(CANON).mu, abs=1e-6)
         assert sol.achieved_cost == pytest.approx(CANON.eta_s, abs=1e-9)
 
     def test_mixed_probs_layout(self):
-        sol = lambda_bisection(MODEL)
+        sol = lambda_bisection(CANON)
         probs = mixed_transmit_probs(sol.gamma1, sol.mu, 200)
         assert probs[sol.gamma1 - 1] == pytest.approx(sol.mu)
         assert np.all(probs[sol.gamma1 :] == 1.0)
@@ -409,7 +404,7 @@ class TestLambdaBisection:
     @pytest.mark.parametrize("alpha,beta,phi_s,fraction", BINDING_GRID[:6])
     def test_grid_matches_closed_form(self, alpha, beta, phi_s, fraction):
         params = binding_instance(alpha, beta, phi_s, fraction)
-        sol = lambda_bisection(CmdpModel(params=params))
+        sol = lambda_bisection(params)
         g1, g2 = optimal_thresholds(params)
         assert (sol.gamma1, sol.gamma2) == (g1, g2)
         if g1 != g2:
@@ -425,7 +420,7 @@ class TestLambdaBisection:
     def test_slow_pu_achieved_metrics_exact(self, params):
         # a slow PU keeps old ages likely, and a tight budget on the canonical
         # channel puts the thresholds at 2524 and 2525; no age grid bounds them
-        sol = lambda_bisection(CmdpModel(params=params))
+        sol = lambda_bisection(params)
         assert (sol.gamma1, sol.gamma2) == optimal_thresholds(params)
         aoi, psi = mixed_policy_metrics(params, sol.gamma1, sol.mu)
         assert sol.achieved_aoi == pytest.approx(aoi, rel=1e-12)
@@ -444,17 +439,15 @@ class TestDeepThreshold:
 
     @pytest.mark.parametrize("gamma", [20_000, 50_000, 200_000])
     def test_evaluators_match_decimal_oracle(self, gamma):
-        probe = SystemParams(rates=self.RATES, phi_s=0.2, eta_s=0.5)
+        probe = SystemModel(rates=self.RATES, phi_s=0.2)
         eta = 0.5 * (collision_probability(gamma, probe) + collision_probability(gamma + 1, probe))
         params = SystemParams(rates=self.RATES, phi_s=0.2, eta_s=eta)
         pol = age_optimal_policy(params)
         assert (pol.gamma1, pol.gamma2) == (gamma, gamma + 1)
-        aoi, transmit = decimal_mixed_metrics(params, gamma, pol.mu)
-        # the model's own collision probability: the oracle checks the walk,
-        # not the rounding of 1 - e^-alpha
-        expected = (aoi, transmit * params.collision_prob)
+        expected = decimal_mixed_metrics(params, gamma, pol.mu)
         closed = mixed_policy_metrics(params, gamma, pol.mu)
         table = mixed_probs(gamma, pol.mu, gamma + 1)
-        evaluated = policy_cost_evaluate(table, CmdpModel(params=params))
-        assert closed == pytest.approx(expected, rel=1e-14)
-        assert (evaluated.avg_aoi, evaluated.avg_cost) == pytest.approx(expected, rel=1e-14)
+        evaluated = policy_cost_evaluate(table, params)
+        # abs=0: pytest's default abs 1e-12 would swamp psi, which is below 1e-8 here
+        assert closed == pytest.approx(expected, rel=1e-14, abs=0)
+        assert (evaluated.avg_aoi, evaluated.avg_cost) == pytest.approx(expected, rel=1e-14, abs=0)
