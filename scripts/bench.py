@@ -12,9 +12,10 @@ tier-1 suite (``python -m pytest -q --continue-on-collection-errors`` in the
 tree, with its summary line and pass count) and of
 ``scripts/run_experiments.py`` over every preset, each as a subprocess.  The
 layers are timed in this process, best of ``REPEAT`` with fixed inputs: one
-``rvi_solve`` at lambda = 1e3, a full ``lambda_bisection`` and one
-``mixed_policy_metrics`` of the optimal policy, all on the canonical instance
-(alpha 0.02, beta 0.4, phi_s 0.2, eta_s 5e-4), and one
+``rvi_solve`` at lambda = 1e3, a full ``lambda_bisection``, one
+``age_optimal_policy``, one ``mixed_policy_metrics`` of the optimal policy and
+one ``slot_transition_matrix``, all on the canonical instance (alpha 0.02,
+beta 0.4, phi_s 0.2, eta_s 5e-4), and one
 ``policy_cost_evaluate`` of the threshold table at Gamma = 5e4 on a slow PU
 (alpha 1e-4, beta 3e-4, phi_s 0.2).  Then the tree's ``perfbench/run.py``
 runs every workload untraced and traced on seed 1 as subprocesses, each for
@@ -66,6 +67,7 @@ def time_layers() -> dict[str, float]:
         mixed_policy_metrics,
         policy_cost_evaluate,
         rvi_solve,
+        slot_transition_matrix,
     )
 
     canon = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=5e-4)
@@ -76,10 +78,12 @@ def time_layers() -> dict[str, float]:
     return {
         "rvi_solve_lam1e3_ms": best_ms(lambda: rvi_solve(canon, 1e3)),
         "lambda_bisection_ms": best_ms(lambda: lambda_bisection(canon)),
+        "age_optimal_policy_ms": best_ms(lambda: age_optimal_policy(canon)),
         "mixed_policy_metrics_ms": best_ms(lambda: mixed_policy_metrics(canon, pol.gamma1, pol.mu)),
         "policy_cost_evaluate_threshold5e4_ms": best_ms(
             lambda: policy_cost_evaluate(threshold, slow)
         ),
+        "slot_transition_matrix_ms": best_ms(lambda: slot_transition_matrix(canon.rates)),
     }
 
 

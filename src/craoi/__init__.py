@@ -27,7 +27,6 @@ from .baseline import (
 from .channel import (
     BUSY,
     IDLE,
-    ChannelTransition,
     PuRates,
     convert_collision_budget,
     expected_cycle_length,

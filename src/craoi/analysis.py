@@ -15,23 +15,22 @@ mu = 1.  Both are runs of constant transmit probability for :func:`_walk`,
 the one routine that holds the model's dynamics; the Bernoulli baseline's
 per-age states and the CMDP solver's evaluation walk their runs too.  Only
 the functions that meet the budget take :class:`SystemParams`; the rest take
-a :class:`SystemModel`, which has none.
+a :class:`SystemModel`, which has none.  The model caches nothing: each walk
+builds the slot matrix from the rates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .channel import (
-    ChannelTransition,
     PuRates,
-    _power,
     convert_collision_budget,
     slot_transition_matrix,
+    transition_matrix_power,
 )
 
 
@@ -63,11 +62,6 @@ class SystemModel:
     def __post_init__(self):
         if not (0.0 <= self.phi_s < 1.0):
             raise ValueError(f"phi_s must be in [0, 1), got {self.phi_s}")
-
-    @cached_property
-    def channel(self) -> ChannelTransition:
-        """The slot transition matrix, built on first use; only the CMDP solver reads it."""
-        return slot_transition_matrix(self.rates)
 
     @property
     def success_prob(self) -> float:
@@ -152,7 +146,7 @@ def _advance(x0: float, x1: float, p_ii: float, p_ib: float, p_bi: float, p_bb: 
     return x0 * p_ii + x1 * p_bi, x0 * p_ib + x1 * p_bb
 
 
-def _walk(rates: PuRates, channel: ChannelTransition, ok: float, runs, age: int = 0):
+def _walk(rates: PuRates, ok: float, runs, age: int = 0):
     """Mass, average age, transmit rate and state at ``age`` of a run-length policy.
 
     ``runs`` lists (length, p) from age 1: transmit w.p. p at the run's idle
@@ -166,7 +160,8 @@ def _walk(rates: PuRates, channel: ChannelTransition, ok: float, runs, age: int 
     the mass 1 / theta_(1,0), the average age, the probability that a slot
     transmits and the normalized state at ``age`` (None unless age >= 1).
     """
-    p_ii, p_ib, p_bi, p_bb = channel.p_II, channel.p_IB, channel.p_BI, channel.p_BB
+    channel = slot_transition_matrix(rates)
+    p_ii, p_ib, p_bi, p_bb = channel
     x0, x1 = 1.0, 0.0
     start = 1  # first age of the current run
     mass = age_sum = transmit = 0.0
@@ -176,10 +171,10 @@ def _walk(rates: PuRates, channel: ChannelTransition, ok: float, runs, age: int 
             continue
         if p == 0.0:
             if 0 <= age - start < length:
-                state = _advance(x0, x1, *_power(rates, age - start))
+                state = _advance(x0, x1, *transition_matrix_power(rates, age - start))
             mass += (x0 + x1) * length
             age_sum += (x0 + x1) * length * (start + 0.5 * (length - 1))
-            x0, x1 = _advance(x0, x1, *_power(rates, length))
+            x0, x1 = _advance(x0, x1, *transition_matrix_power(rates, length))
         else:
             for d in range(start, start + length):
                 if d == age:
@@ -193,11 +188,13 @@ def _walk(rates: PuRates, channel: ChannelTransition, ok: float, runs, age: int 
     if age >= start:
         block = channel.transmit_block(p * ok)
         state = (np.array((x0, x1)) @ np.linalg.matrix_power(block, age - start)).tolist()
-    # the tail's age sum is x w + (start - 1) x v
-    tail_mass, tail_weighted = channel.geometric_tail(p * ok, x0, x1)
-    m_ii, _, m_bi, _ = channel.resolvent(p * ok)
+    # the tail's mass is x v and its age sum x w + (start - 1) x v, as in geometric_tail
+    m_ii, m_ib, m_bi, m_bb = channel.resolvent(p * ok)
+    v0, v1 = m_ii + m_ib, m_bi + m_bb
+    w0, w1 = m_ii * v0 + m_ib * v1, m_bi * v0 + m_bb * v1
+    tail_mass = x0 * v0 + x1 * v1
     mass += tail_mass
-    age_sum += tail_weighted + (start - 1) * tail_mass
+    age_sum += x0 * w0 + x1 * w1 + (start - 1) * tail_mass
     transmit += p * (x0 * m_ii + x1 * m_bi)
     if state is not None:
         state = state[0] / mass, state[1] / mass
@@ -210,7 +207,7 @@ def _mixed_walk(m: tuple, gamma1: int, mu: float, age: int = 0):
         raise ValueError(f"mu must be in [0, 1], got {mu}")
     _, _, _, success, _, _, _, _, rates = m
     runs = ((_check_gamma(gamma1) - 1, 0.0), (1, mu), (math.inf, 1.0))
-    return _walk(rates, slot_transition_matrix(rates), success, runs, age)
+    return _walk(rates, success, runs, age)
 
 
 def mixed_policy_steady_state(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .analysis import SystemModel, SystemParams, _check_gamma, _walk
-from .channel import idle_probability, slot_transition_matrix
+from .channel import idle_probability
 from .policies import BernoulliAccessPolicy
 
 
@@ -58,7 +58,5 @@ def bernoulli_steady_state(params: SystemModel, p0: float, delta: int) -> tuple[
     """Stationary (theta_idle, theta_busy) at the given age under Bernoulli access: one run."""
     _check_p0(p0)
     delta = _check_gamma(delta, "age")
-    rates = params.rates
-    runs = ((math.inf, p0),)
-    return _walk(rates, slot_transition_matrix(rates), params.success_prob, runs, delta)[3]
+    return _walk(params.rates, params.success_prob, ((math.inf, p0),), delta)[3]
 

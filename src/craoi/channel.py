@@ -4,7 +4,9 @@ The primary user (PU) alternates between idle and busy sojourns with
 exponential durations (rates ``alpha``: idle -> busy, ``beta``: busy -> idle).
 The secondary device senses the channel once per unit slot, so everything the
 rest of the toolkit needs reduces to the slot-level transition matrix of the
-occupancy chain and a few derived scalars.
+occupancy chain and a few derived scalars.  The matrix is a plain named tuple
+with one builder, :func:`transition_matrix_power`; callers build it from the
+rates where they need it, and nothing caches it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,29 +42,13 @@ class PuRates:
             )
 
 
-@dataclass(frozen=True)
-class ChannelTransition:
-    """Occupancy transition probabilities across one unit slot."""
+class ChannelTransition(NamedTuple):
+    """Occupancy transition probabilities across one interval, row-major."""
 
     p_II: float
     p_IB: float
     p_BI: float
     p_BB: float
-
-    def __post_init__(self):
-        # one chain on the hot path; the loop only names the field that failed
-        if not (
-            0.0 <= self.p_II <= 1.0
-            and 0.0 <= self.p_IB <= 1.0
-            and 0.0 <= self.p_BI <= 1.0
-            and 0.0 <= self.p_BB <= 1.0
-        ):
-            for name in ("p_II", "p_IB", "p_BI", "p_BB"):
-                p = getattr(self, name)
-                if not (0.0 <= p <= 1.0):
-                    raise ValueError(f"{name}={p} outside [0, 1]")
-        if abs(self.p_II + self.p_IB - 1.0) > 1e-12 or abs(self.p_BI + self.p_BB - 1.0) > 1e-12:
-            raise ValueError("transition rows must sum to 1")
 
     def transmit_block(self, reset: float) -> np.ndarray:
         """M = [[p_II - reset, p_IB], [p_BI, p_BB]]: one age step of (theta_idle, theta_busy).
@@ -96,20 +83,15 @@ class ChannelTransition:
         return x0 * v0 + x1 * v1, x0 * w0 + x1 * w1
 
 
-def _power(rates: PuRates, t: float) -> tuple[float, float, float, float]:
-    """:func:`transition_matrix_power` as a plain tuple, for hot paths: no checks."""
+def transition_matrix_power(rates: PuRates, t: float) -> ChannelTransition:
+    """Occupancy transition probabilities across an interval of length t >= 0."""
+    if not t >= 0:  # NaN fails too
+        raise ValueError(f"t must be nonnegative, got {t}")
     al, be = rates.alpha, rates.beta
     s = al + be
     e = math.exp(-s * t)
     mixed = -math.expm1(-s * t)  # 1 - e without cancellation for small s * t
-    return (be + al * e) / s, al * mixed / s, be * mixed / s, (al + be * e) / s
-
-
-def transition_matrix_power(rates: PuRates, t: float) -> ChannelTransition:
-    """Occupancy transition probabilities across an interval of length t >= 0."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return ChannelTransition(*_power(rates, t))
+    return ChannelTransition((be + al * e) / s, al * mixed / s, be * mixed / s, (al + be * e) / s)
 
 
 def slot_transition_matrix(rates: PuRates) -> ChannelTransition:

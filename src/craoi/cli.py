@@ -112,44 +112,22 @@ def _cmd_simulate(args, parser) -> int:
         params=model, policy=policy, seed=args.seed, slots=args.slots, cycles=args.cycles
     )
     res = run_config(cfg)
-    print(f"avg_aoi {res.avg_aoi:.10g}")
-    print(f"psi_s_hat {res.psi_s_hat:.10g}")
-    print(f"psi_p_hat {res.psi_p_hat:.10g}")
-    print(f"throughput_hat {res.throughput_hat:.10g}")
-    print(f"collisions {res.collision_count}")
-    print(f"successes {res.success_count}")
-    print(f"transmissions {res.transmit_count}")
-    print(f"slots {res.slots}")
-    print(f"cycles {res.cycles}")
+    fields = {
+        "avg_aoi": res.avg_aoi,
+        "psi_s_hat": res.psi_s_hat,
+        "psi_p_hat": res.psi_p_hat,
+        "throughput_hat": res.throughput_hat,
+        "collisions": res.collision_count,
+        "successes": res.success_count,
+        "transmissions": res.transmit_count,
+        "slots": res.slots,
+        "cycles": res.cycles,
+    }
+    for name, value in fields.items():
+        print(f"{name} {value:.10g}" if isinstance(value, float) else f"{name} {value}")
     print(f"aoi_divergence {int(res.aoi_divergence_flag)}")
     if args.out:
-        write_csv(
-            Path(args.out),
-            [
-                "avg_aoi",
-                "psi_s_hat",
-                "psi_p_hat",
-                "throughput_hat",
-                "collisions",
-                "successes",
-                "transmissions",
-                "slots",
-                "cycles",
-            ],
-            [
-                [
-                    res.avg_aoi,
-                    res.psi_s_hat,
-                    res.psi_p_hat,
-                    res.throughput_hat,
-                    res.collision_count,
-                    res.success_count,
-                    res.transmit_count,
-                    res.slots,
-                    res.cycles,
-                ]
-            ],
-        )
+        write_csv(Path(args.out), list(fields), [list(fields.values())])
     return 0
 
 

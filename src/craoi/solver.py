@@ -16,7 +16,8 @@ action, as the closed form does.  The greedy policies are
 threshold-shaped, so a deterministic bisection on the multiplier brackets the
 budget with two consecutive thresholds, and a boundary randomization closes
 the gap exactly (Beutler & Ross 1985).  Only that search takes a budget;
-the rest reads the dynamics of a ``SystemModel``, whose slot matrix it caches.
+the rest reads the dynamics of a ``SystemModel`` and builds its slot matrix
+once per call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SystemModel, SystemParams, _walk
+from .analysis import SystemModel, SystemParams, _walk, mixed_policy_metrics
+from .channel import slot_transition_matrix
 
 MAX_EXPAND = 60  # multiplier doublings from 1 before the search gives up
 MAX_BISECT = 200  # multiplier bisections before the search gives up
@@ -87,7 +89,7 @@ def poisson_solve(
     is returned on ages 1..n.
     """
     _require_renewal(probs)
-    channel = model.channel
+    channel = slot_transition_matrix(model.rates)
     n = probs.size
     reset = probs * model.success_prob
     stay, reset = (channel.p_II - reset).tolist(), reset.tolist()
@@ -148,7 +150,7 @@ def rvi_solve(model: SystemModel, lam: float, init=(True,)) -> SolvedPolicy:
     ok = model.success_prob
     tx_cost = lam * model.collision_prob
     # h(d + 1) - h(d) past the head, where the policy transmits
-    slope = model.channel.geometric_tail(ok, 1.0, 0.0)[0]
+    slope = slot_transition_matrix(model.rates).geometric_tail(ok, 1.0, 0.0)[0]
 
     def improve(h_next, current):
         # A transmission pays tx_cost and, with mass ok, swaps the move to
@@ -201,11 +203,6 @@ class PolicyMetrics:
     avg_cost: float
 
 
-def _evaluate(runs, model: SystemModel) -> PolicyMetrics:
-    _, aoi, transmit, _ = _walk(model.rates, model.channel, model.success_prob, runs)
-    return PolicyMetrics(avg_aoi=aoi, avg_cost=transmit * model.collision_prob)
-
-
 def policy_cost_evaluate(probs, model: SystemModel) -> PolicyMetrics:
     """Exact stationary average age and collision cost of a tail-constant policy.
 
@@ -223,7 +220,9 @@ def policy_cost_evaluate(probs, model: SystemModel) -> PolicyMetrics:
     # 0-based first age of each run: 0, then every entry that differs from the one before
     firsts = [0, *(np.flatnonzero(table[1:] != table[:-1]) + 1).tolist()]
     lengths = [b - a for a, b in zip(firsts, firsts[1:])]
-    return _evaluate(list(zip(lengths + [math.inf], table[firsts].tolist())), model)
+    runs = list(zip(lengths + [math.inf], table[firsts].tolist()))
+    _, aoi, transmit, _ = _walk(model.rates, model.success_prob, runs)
+    return PolicyMetrics(avg_aoi=aoi, avg_cost=transmit * model.collision_prob)
 
 
 def mixed_transmit_probs(gamma1: int, mu: float, n: int) -> np.ndarray:
@@ -257,7 +256,8 @@ def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
     the stationary collision cost of the mixed policy equals the budget (the
     reciprocal cost is linear in the mixing probability).  Each policy
     iteration starts from the previous multiplier's policy.  The budget is
-    ``params.eta_s``, which :class:`SystemParams` has already checked.
+    ``params.eta_s``, which :class:`SystemParams` has already checked.  The
+    mixture is evaluated by :func:`mixed_policy_metrics`, as in the closed form.
     """
     eta_s = params.eta_s
 
@@ -317,7 +317,7 @@ def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
             mu = 1.0
         else:
             mu = (1.0 / eta_s - 1.0 / cost_hi) / (1.0 / cost_lo - 1.0 / cost_hi)
-    mixed = _evaluate(((gamma1 - 1, 0.0), (1, mu), (math.inf, 1.0)), params)
+    achieved_aoi, achieved_cost = mixed_policy_metrics(params, gamma1, mu)
     return ConstrainedSolution(
         lambda_low=lam_lo,
         lambda_high=lam_hi,
@@ -326,6 +326,6 @@ def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
         gamma1=gamma1,
         gamma2=gamma2,
         mu=float(mu),
-        achieved_cost=mixed.avg_cost,
-        achieved_aoi=mixed.avg_aoi,
+        achieved_cost=achieved_cost,
+        achieved_aoi=achieved_aoi,
     )

@@ -88,10 +88,11 @@ class TestSystemParams:
 
     def test_budget_round_trip(self):
         params = SystemParams.from_pu_budget(PuRates(0.002, 0.006), 0.2, 0.01)
-        assert params.eta_s * expected_cycle_length(params.rates) == pytest.approx(0.01, rel=1e-12)
+        round_trip = params.eta_s * expected_cycle_length(params.rates)
+        assert round_trip == pytest.approx(0.01, rel=1e-12, abs=0)
 
     def test_success_prob(self):
-        assert CANON.success_prob == pytest.approx(0.8 * math.exp(-0.02), rel=1e-15)
+        assert CANON.success_prob == pytest.approx(0.8 * math.exp(-0.02), rel=1e-15, abs=0)
 
 
 class TestTheta10:
@@ -99,7 +100,8 @@ class TestTheta10:
         al, be, phi = 0.02, 0.4, 0.2
         params = make_params(al, be, phi)
         expected = be * math.exp(-al) * (1.0 - phi) / (al + be)
-        assert mixed_policy_steady_state(params, 1, 1.0, 1)[0] == pytest.approx(expected, rel=1e-12)
+        theta = mixed_policy_steady_state(params, 1, 1.0, 1)[0]
+        assert theta == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_matches_power_iteration(self):
         got = mixed_policy_steady_state(CANON, 20, 1.0, 1)[0]

@@ -29,7 +29,7 @@ class TestOptimalTransmitProbability:
         pol = optimal_transmit_probability(CANON)
         expected = 0.0005 / ((0.4 / 0.42) * (1.0 - math.exp(-0.02)))
         assert isinstance(pol, BernoulliAccessPolicy)
-        assert pol.p0 == pytest.approx(expected, rel=1e-12)
+        assert pol.p0 == pytest.approx(expected, rel=1e-12, abs=0)
         assert collision_probability_bernoulli(CANON, 1.0) > CANON.eta_s
 
     def test_budget_boundary_gives_one(self):
@@ -74,9 +74,9 @@ class TestAverageAoi:
         # the exact evaluator sums the stationary series; Bernoulli access is the table [p0]
         params = SystemModel(rates=PuRates(alpha, beta), phi_s=phi_s)
         series = policy_cost_evaluate([p0], params)
-        assert average_aoi_bernoulli(params, p0) == pytest.approx(series.avg_aoi, rel=1e-14)
+        assert average_aoi_bernoulli(params, p0) == pytest.approx(series.avg_aoi, rel=1e-14, abs=0)
         psi = collision_probability_bernoulli(params, p0)
-        assert psi == pytest.approx(series.avg_cost, rel=1e-14)
+        assert psi == pytest.approx(series.avg_cost, rel=1e-14, abs=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from craoi import (
-    ChannelTransition,
     PuRates,
     convert_collision_budget,
     expected_cycle_length,
@@ -50,27 +49,6 @@ class TestPuRates:
             PuRates(alpha=0.5, beta=0.1)
 
 
-class TestChannelTransitionValidation:
-    VALID = {"p_II": 0.75, "p_IB": 0.25, "p_BI": 0.5, "p_BB": 0.5}
-
-    @pytest.mark.parametrize("value", [-1e-12, 1.0 + 1e-12, math.nan])
-    @pytest.mark.parametrize("name", ["p_II", "p_IB", "p_BI", "p_BB"])
-    def test_out_of_range_field_is_named(self, name, value):
-        with pytest.raises(ValueError, match=rf"^{name}=.* outside \[0, 1\]$"):
-            ChannelTransition(**{**self.VALID, name: value})
-
-    @pytest.mark.parametrize(
-        "probs", [(0.5, 0.5 + 1e-9, 0.5, 0.5), (0.5, 0.5, 0.5 - 1e-9, 0.5)], ids=["idle-row", "busy-row"]
-    )
-    def test_row_off_by_1e9_rejected(self, probs):
-        with pytest.raises(ValueError, match="rows must sum to 1"):
-            ChannelTransition(*probs)
-
-    @pytest.mark.parametrize("probs", [(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)], ids=["identity", "swap"])
-    def test_exact_endpoints_accepted(self, probs):
-        assert tuple(vars(ChannelTransition(*probs)).values()) == probs
-
-
 class TestSlotTransitionMatrix:
     def test_canonical_entry(self):
         # alpha=0.02, beta=0.4: p_II = (0.4 + 0.02 e^{-0.42}) / 0.42
@@ -84,11 +62,17 @@ class TestSlotTransitionMatrix:
         assert sig.p_IB == pytest.approx(0.0, abs=1e-9)
 
     @settings(deadline=None)
-    @given(rates_st)
-    def test_rows_stochastic(self, rates):
-        sig = slot_transition_matrix(rates)
-        assert sig.p_II + sig.p_IB == pytest.approx(1.0, abs=1e-12)
-        assert sig.p_BI + sig.p_BB == pytest.approx(1.0, abs=1e-12)
+    @given(
+        st.floats(min_value=1e-4, max_value=2.0),
+        st.floats(min_value=1e-4, max_value=5.0),
+        st.one_of(st.sampled_from([0.0, 1.0, 1e6]), st.floats(min_value=0.0, max_value=1e6)),
+    )
+    def test_rows_stochastic(self, alpha, beta, t):
+        # The builder checks nothing it returns, so this holds it to a stochastic matrix.
+        sig = transition_matrix_power(PuRates(alpha, beta), t)
+        assert all(0.0 <= p <= 1.0 for p in sig)
+        assert abs(sig.p_II + sig.p_IB - 1.0) <= 1e-12
+        assert abs(sig.p_BI + sig.p_BB - 1.0) <= 1e-12
 
     @settings(deadline=None)
     @given(rates_st)
@@ -137,6 +121,9 @@ class TestTransitionMatrixPower:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             transition_matrix_power(PuRates(0.02, 0.4), -1.0)
+        # NaN as well: the builder checks no entry it returns
+        with pytest.raises(ValueError, match="nonnegative"):
+            transition_matrix_power(PuRates(0.02, 0.4), math.nan)
 
 
 class TestResolvent:
@@ -179,7 +166,7 @@ class TestBudgetConversion:
     def test_direct_evaluation(self):
         rates = PuRates(0.002, 0.006)
         got = convert_collision_budget(rates, 0.01)
-        assert got == pytest.approx(0.01 / (500.0 + 1000.0 / 6.0), rel=1e-12)
+        assert got == pytest.approx(0.01 / (500.0 + 1000.0 / 6.0), rel=1e-12, abs=0)
 
     def test_zero_preserved(self):
         rates = PuRates(0.02, 0.4)

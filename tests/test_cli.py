@@ -198,6 +198,23 @@ class TestSimulate:
         assert res.returncode == 0
         assert out.read_text().splitlines()[0].startswith("avg_aoi,psi_s_hat")
 
+    def test_csv_matches_stdout(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        res = run_cli(
+            *self.BASE, "--policy", "mixed:9,0.37", "--slots", "30000", "--seed", "5",
+            "--out", str(out),
+        )  # fmt: skip
+        assert res.returncode == 0
+        printed = parse_kv(res.stdout)
+        assert list(printed)[-1] == "aoi_divergence"
+        del printed["aoi_divergence"]
+        header, values = (line.split(",") for line in out.read_text().splitlines())
+        assert header == list(printed)
+        # the CSV keeps 6 significant digits of what stdout prints to 10
+        assert [f"{float(v):.6g}" for v in values] == [
+            f"{float(v):.6g}" for v in printed.values()
+        ]
+
 
 class TestExperiment:
     def test_table1_written(self, tmp_path):

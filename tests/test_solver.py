@@ -54,14 +54,15 @@ def kernel_row(model, delta, occ, p) -> np.ndarray:
     """
     nxt = 2 * (min(delta + 1, ORACLE_AGES) - 1)
     row = np.zeros(2 * ORACLE_AGES)
+    sig = slot_transition_matrix(model.rates)
     if occ == BUSY:
-        row[nxt + IDLE] += model.channel.p_BI
-        row[nxt + BUSY] += model.channel.p_BB
+        row[nxt + IDLE] += sig.p_BI
+        row[nxt + BUSY] += sig.p_BB
         return row
     reset = p * model.success_prob
     row[0] += reset
-    row[nxt + IDLE] += model.channel.p_II - reset
-    row[nxt + BUSY] += model.channel.p_IB
+    row[nxt + IDLE] += sig.p_II - reset
+    row[nxt + BUSY] += sig.p_IB
     return row
 
 
@@ -76,7 +77,7 @@ class TestPrimitives:
             poisson_solve(np.zeros(60), MODEL, 0.0)
 
     def test_collision_cost(self):
-        assert MODEL.collision_prob == pytest.approx(1.0 - math.exp(-0.02), rel=1e-12)
+        assert MODEL.collision_prob == pytest.approx(1.0 - math.exp(-0.02), rel=1e-12, abs=0)
         # The multiplier is charged once per collision, on idle transmissions only.
         probs = mixed_probs(9, 0.4, 60)
         g0, _, _ = poisson_solve(probs, MODEL, 0.0)
@@ -90,13 +91,13 @@ class TestPrimitives:
 class TestTransitionKernel:
     def test_transmit_reset_probability(self):
         row = kernel_row(MODEL, 5, IDLE, 1.0)
-        assert row[0] == pytest.approx(0.8 * math.exp(-0.02), rel=1e-12)
+        assert row[0] == pytest.approx(0.8 * math.exp(-0.02), rel=1e-12, abs=0)
 
     def test_no_transmit_from_busy(self):
         sig = slot_transition_matrix(CANON.rates)
         row = kernel_row(MODEL, 5, BUSY, 0.0)
-        assert row[2 * 5 + IDLE] == pytest.approx(sig.p_BI, rel=1e-12)
-        assert row[2 * 5 + BUSY] == pytest.approx(sig.p_BB, rel=1e-12)
+        assert row[2 * 5 + IDLE] == pytest.approx(sig.p_BI, rel=1e-12, abs=0)
+        assert row[2 * 5 + BUSY] == pytest.approx(sig.p_BB, rel=1e-12, abs=0)
         assert row[0] == 0.0
 
     @pytest.mark.parametrize("delta,occ,action", [
@@ -169,7 +170,7 @@ class TestRvi:
         # the same tables as rvi_solve.
         ages = 20_000
         tx_cost = lam * MODEL.collision_prob
-        slope = MODEL.channel.geometric_tail(MODEL.success_prob, 1.0, 0.0)[0]
+        slope = slot_transition_matrix(MODEL.rates).geometric_tail(MODEL.success_prob, 1.0, 0.0)[0]
         table = np.ones(1, dtype=bool) if init is None else np.array(init)
         expected = []
         while True:
@@ -279,7 +280,7 @@ class TestPoissonEquation:
         np.testing.assert_allclose(bias_busy, o_busy[:n], rtol=0, atol=1e-12 * scale)
         assert bias_idle[0] == 0.0
         # past the head the bias is affine in age: h(d) = h(head) + (d - head) v
-        channel = MODEL.channel
+        channel = slot_transition_matrix(MODEL.rates)
         reset = probs[-1] * MODEL.success_prob
         v = channel.geometric_tail(reset, 1.0, 0.0)[0], channel.geometric_tail(reset, 0.0, 1.0)[0]
         steps = np.arange(n - head + 1)
@@ -321,7 +322,7 @@ class TestExtractThreshold:
 class TestPolicyEvaluation:
     def test_threshold_cost_matches_closed_form(self):
         metrics = policy_cost_evaluate(threshold_probs(20, 200), MODEL)
-        assert metrics.avg_cost == pytest.approx(collision_probability(20, CANON), rel=1e-12)
+        assert metrics.avg_cost == pytest.approx(collision_probability(20, CANON), rel=1e-12, abs=0)
 
     def test_threshold_aoi_matches_series(self):
         metrics = policy_cost_evaluate(threshold_probs(20, 200), MODEL)
@@ -335,7 +336,7 @@ class TestPolicyEvaluation:
         metrics = policy_cost_evaluate(mixed_probs(gamma1, mu, n), MODEL)
         aoi, psi = mixed_policy_metrics(CANON, gamma1, mu)
         assert metrics.avg_aoi == pytest.approx(aoi, rel=1e-12)
-        assert metrics.avg_cost == pytest.approx(psi, rel=1e-12)
+        assert metrics.avg_cost == pytest.approx(psi, rel=1e-12, abs=0)
 
     def test_never_transmit_diverges(self):
         # the age never renews, so the average age is infinite: rejected as by poisson_solve
@@ -367,7 +368,7 @@ class TestPolicyEvaluation:
         metrics = policy_cost_evaluate(probs, MODEL)
         aoi, psi = oracle_metrics(CANON, probs, 3000)
         assert metrics.avg_aoi == pytest.approx(aoi, rel=1e-12)
-        assert metrics.avg_cost == pytest.approx(psi, rel=1e-12)
+        assert metrics.avg_cost == pytest.approx(psi, rel=1e-12, abs=0)
 
     def test_shape_validation(self):
         for probs in (np.array([]), np.ones((2, 3))):
@@ -424,7 +425,7 @@ class TestLambdaBisection:
         assert (sol.gamma1, sol.gamma2) == optimal_thresholds(params)
         aoi, psi = mixed_policy_metrics(params, sol.gamma1, sol.mu)
         assert sol.achieved_aoi == pytest.approx(aoi, rel=1e-12)
-        assert sol.achieved_cost == pytest.approx(psi, rel=1e-12)
+        assert sol.achieved_cost == pytest.approx(psi, rel=1e-12, abs=0)
 
 
 class TestDeepThreshold:
