@@ -5,9 +5,11 @@ idle and the current age is at least Gamma.  The induced age/occupancy chain
 has a stationary distribution with an explicit form: below the threshold the
 occupancy simply mixes under the slot transition matrix, and at/above the
 threshold the pair (theta_idle, theta_busy) moves by one 2x2 block M of the
-transition matrix less the resets, so every tail sum is read off the
-resolvent (I - M)^-1.  Everything here is exact up to floating point:
-geometric tails are summed in closed form, never truncated.
+transition matrix less the resets, so every tail sum is read off
+(I - M)^-1.  :func:`_tail` forms it, with its two geometric sums, for the
+walk below and for the CMDP solver's Poisson equation.  Everything here is
+exact up to floating point: geometric tails are summed in closed form,
+never truncated.
 
 The randomized policy transmits with probability mu at the boundary age
 Gamma1 and always past it; a threshold policy is the randomized one at
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    ChannelTransition,
     PuRates,
     convert_collision_budget,
     slot_transition_matrix,
@@ -146,6 +149,25 @@ def _advance(x0: float, x1: float, p_ii: float, p_ib: float, p_bi: float, p_bb: 
     return x0 * p_ii + x1 * p_bi, x0 * p_ib + x1 * p_bb
 
 
+def _tail(channel: ChannelTransition, reset: float):
+    """((I - M)^-1 row-major, v, w) for M = [[p_II - reset, p_IB], [p_BI, p_BB]]; reset > 0.
+
+    M is one age step of (theta_idle, theta_busy) when an idle-sensed slot
+    resets the age with mass ``reset``.  (I - M)^-1 is the fundamental
+    matrix of the transient age chain (Kemeny & Snell 1960).  Its
+    determinant is exactly p_BI times reset, since both rows of the
+    occupancy matrix sum to one; forming it by products would cancel.  With
+    v = (I - M)^-1 1 and w = (I - M)^-1 v, a row vector x has sums over
+    k >= 0 of x M^k 1 = x v and of (k + 1) x M^k 1 = x w.  Every term is a
+    product of nonnegative numbers, so nothing cancels as reset -> 0.
+    """
+    _, p_ib, p_bi, _ = channel
+    det = p_bi * reset
+    m_ii, m_ib, m_bi, m_bb = p_bi / det, p_ib / det, p_bi / det, (p_ib + reset) / det
+    v0, v1 = m_ii + m_ib, m_bi + m_bb
+    return (m_ii, m_ib, m_bi, m_bb), (v0, v1), (m_ii * v0 + m_ib * v1, m_bi * v0 + m_bb * v1)
+
+
 def _walk(rates: PuRates, ok: float, runs, age: int = 0):
     """Mass, average age, transmit rate and state at ``age`` of a run-length policy.
 
@@ -155,8 +177,8 @@ def _walk(rates: PuRates, ok: float, runs, age: int = 0):
     (p = 0) in closed form, x P^L, each age holding the mass x enters with;
     a finite transmit run age by age by M = [[p_II - p ok, p_IB], [p_BI,
     p_BB]] (the package's only one is the mixed policy's boundary age, so
-    there is no repeated squaring); the last run by the resolvent
-    (I - M)^-1.  A run costs a few roundings whatever its length.  Returns
+    there is no repeated squaring); the last run by (I - M)^-1 from
+    :func:`_tail`.  A run costs a few roundings whatever its length.  Returns
     the mass 1 / theta_(1,0), the average age, the probability that a slot
     transmits and the normalized state at ``age`` (None unless age >= 1).
     """
@@ -186,12 +208,10 @@ def _walk(rates: PuRates, ok: float, runs, age: int = 0):
         start += length
     p = runs[-1][1]
     if age >= start:
-        block = channel.transmit_block(p * ok)
+        block = np.array([[p_ii - p * ok, p_ib], [p_bi, p_bb]])
         state = (np.array((x0, x1)) @ np.linalg.matrix_power(block, age - start)).tolist()
-    # the tail's mass is x v and its age sum x w + (start - 1) x v, as in geometric_tail
-    m_ii, m_ib, m_bi, m_bb = channel.resolvent(p * ok)
-    v0, v1 = m_ii + m_ib, m_bi + m_bb
-    w0, w1 = m_ii * v0 + m_ib * v1, m_bi * v0 + m_bb * v1
+    # the tail's mass is x v and its age sum x w + (start - 1) x v
+    (m_ii, _, m_bi, _), (v0, v1), (w0, w1) = _tail(channel, p * ok)
     tail_mass = x0 * v0 + x1 * v1
     mass += tail_mass
     age_sum += x0 * w0 + x1 * w1 + (start - 1) * tail_mass

@@ -6,7 +6,8 @@ The secondary device senses the channel once per unit slot, so everything the
 rest of the toolkit needs reduces to the slot-level transition matrix of the
 occupancy chain and a few derived scalars.  The matrix is a plain named tuple
 with one builder, :func:`transition_matrix_power`; callers build it from the
-rates where they need it, and nothing caches it.
+rates where they need it, and nothing caches it.  The device's resets are not
+the PU's: the age chain's blocks and their tail sums live in ``analysis``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 IDLE = 0
 BUSY = 1
@@ -49,38 +48,6 @@ class ChannelTransition(NamedTuple):
     p_IB: float
     p_BI: float
     p_BB: float
-
-    def transmit_block(self, reset: float) -> np.ndarray:
-        """M = [[p_II - reset, p_IB], [p_BI, p_BB]]: one age step of (theta_idle, theta_busy).
-
-        ``reset`` is the probability that an idle-sensed slot ends in a
-        successful transmission, which sends the age back to (1, idle).
-        """
-        return np.array([[self.p_II - reset, self.p_IB], [self.p_BI, self.p_BB]])
-
-    def resolvent(self, reset: float) -> tuple[float, float, float, float]:
-        """(I - M)^-1 of :meth:`transmit_block`, row-major; requires reset > 0.
-
-        This is the fundamental matrix of the transient age chain (Kemeny &
-        Snell 1960): its entries sum the geometric series of M.  det(I - M)
-        = p_BI * reset exactly, since both rows of the occupancy matrix sum
-        to one; forming it by products would cancel.
-        """
-        det = self.p_BI * reset
-        return self.p_BI / det, self.p_IB / det, self.p_BI / det, (self.p_IB + reset) / det
-
-    def geometric_tail(self, reset: float, x0: float, x1: float) -> tuple[float, float]:
-        """Sums over k >= 0 of x M^k 1 and of (k + 1) x M^k 1 for the row vector x = (x0, x1).
-
-        They are x v and x w with v = (I - M)^-1 1 and w = (I - M)^-1 v.
-        Every term is a product of nonnegative numbers, so nothing cancels
-        as reset -> 0.  The age sum of a tail whose first age is ``base`` is
-        x w + (base - 1) x v.
-        """
-        m_ii, m_ib, m_bi, m_bb = self.resolvent(reset)
-        v0, v1 = m_ii + m_ib, m_bi + m_bb
-        w0, w1 = m_ii * v0 + m_ib * v1, m_bi * v0 + m_bb * v1
-        return x0 * v0 + x1 * v1, x0 * w0 + x1 * w1
 
 
 def transition_matrix_power(rates: PuRates, t: float) -> ChannelTransition:

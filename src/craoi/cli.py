@@ -8,14 +8,12 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import SystemModel, SystemParams, age_optimal_policy
 from .channel import PuRates, expected_cycle_length
 from .experiments import DEFAULT_SEED, PRESETS, run_preset, write_csv
 from .policies import BernoulliAccessPolicy, RandomizedThresholdPolicy, ThresholdPolicy
 from .sim import SimConfig, run_config
-from .solver import lambda_bisection, mixed_transmit_probs
+from .solver import lambda_bisection
 
 
 def _parse_policy(text: str, parser: argparse.ArgumentParser):
@@ -66,15 +64,13 @@ def _cmd_solve(args, parser) -> int:
     if args.verify:
         sol = lambda_bisection(params)
         # (gamma1, gamma2, mu) labels are not unique: (5, 6, mu=0) and
-        # (6, 7, mu=1) are both the threshold-6 policy.  Compare the policies
-        # on the ages up to where both transmit, then their exact average age
-        # and collision probability.
-        ages = max(sol.gamma1, pol.gamma1) + 1
-        gap = mixed_transmit_probs(sol.gamma1, sol.mu, ages) - mixed_transmit_probs(
-            pol.gamma1, pol.mu, ages
-        )
+        # (6, 7, mu=1) are both the threshold-6 policy.  gamma1 - mu names the
+        # policy: it transmits w.p. min(1, max(0, d - (gamma1 - mu))) at idle
+        # age d, so no age's probability differs by more than the difference
+        # of gamma1 - mu (the integer part is exact).  Compare that, then the
+        # exact average age and collision probability.
         ok = (
-            float(np.abs(gap).max()) <= 1e-6
+            abs((sol.gamma1 - pol.gamma1) - (sol.mu - pol.mu)) <= 1e-6
             and math.isclose(sol.achieved_aoi, pol.avg_aoi, rel_tol=1e-12)
             and math.isclose(sol.achieved_cost, pol.psi_s, rel_tol=1e-12)
         )

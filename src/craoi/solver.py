@@ -8,16 +8,18 @@ Processes*, section 8.6).  A policy is a table of decisions per idle age
 whose last entry holds for every older age and transmits, so the age renews.
 The age either goes up by one or resets to (1, idle), so the Poisson
 equation is one recursion over the table's head of per-age 2x2 occupancy
-blocks.  Past the head the action is constant: the resolvent of one block
-sums the tail exactly, the bias there is affine in age, and policy
-improvement finds the first tail age that should transmit in closed form.
-No age grid is built.  Stationary metrics walk the table's runs of constant
-action, as the closed form does.  The greedy policies are
-threshold-shaped, so a deterministic bisection on the multiplier brackets the
-budget with two consecutive thresholds, and a boundary randomization closes
-the gap exactly (Beutler & Ross 1985).  Only that search takes a budget;
-the rest reads the dynamics of a ``SystemModel`` and builds its slot matrix
-once per call.
+blocks.  Past the head the action is constant: the closed form's tail
+primitive ``analysis._tail`` ((I - M)^-1 of one block and its two
+geometric sums) sums the tail exactly, the bias there is affine in age, and
+policy improvement finds the first tail age that should transmit in closed
+form.  No age grid is built.  Stationary metrics walk the table's runs of
+constant action, as the closed form does, and come back as (average age,
+collision cost), the closed form's shape.  The greedy policies are
+threshold-shaped, so one deterministic loop on the multiplier, doubling and
+then bisecting, brackets the budget with two consecutive thresholds, and a
+boundary randomization closes the gap exactly (Beutler & Ross 1985).  Only
+that search takes a budget; the rest reads the dynamics of a
+``SystemModel`` and builds its slot matrix once per call.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SystemModel, SystemParams, _walk, mixed_policy_metrics
+from .analysis import SystemModel, SystemParams, _tail, _walk, mixed_policy_metrics
 from .channel import slot_transition_matrix
 
 MAX_EXPAND = 60  # multiplier doublings from 1 before the search gives up
@@ -94,10 +96,8 @@ def poisson_solve(
     reset = probs * model.success_prob
     stay, reset = (channel.p_II - reset).tolist(), reset.tolist()
     c_idle = (np.arange(1, n + 1) + lam * model.collision_prob * probs).tolist()
-    m_ii, m_ib, m_bi, m_bb = channel.resolvent(reset[-1])
     # h(n) = (I - M)^-1 (c - x 1 + M v) and (I - M)^-1 M v = w - v
-    v_idle, w_idle = channel.geometric_tail(reset[-1], 1.0, 0.0)
-    v_busy, w_busy = channel.geometric_tail(reset[-1], 0.0, 1.0)
+    (m_ii, m_ib, m_bi, m_bb), (v_idle, v_busy), (w_idle, w_busy) = _tail(channel, reset[-1])
     ai = m_ii * c_idle[-1] + m_ib * n + (w_idle - v_idle)
     ab = m_bi * c_idle[-1] + m_bb * n + (w_busy - v_busy)
     bi, bb = -v_idle, -v_busy
@@ -126,7 +126,6 @@ class SolvedPolicy:
     bias_idle: np.ndarray  # per idle age of the head
     bias_busy: np.ndarray  # per busy age of the head
     transmit: np.ndarray  # bool per idle age of the head; older ages transmit
-    lam: float
     iterations: int  # improvement steps
 
 
@@ -150,7 +149,7 @@ def rvi_solve(model: SystemModel, lam: float, init=(True,)) -> SolvedPolicy:
     ok = model.success_prob
     tx_cost = lam * model.collision_prob
     # h(d + 1) - h(d) past the head, where the policy transmits
-    slope = slot_transition_matrix(model.rates).geometric_tail(ok, 1.0, 0.0)[0]
+    slope = _tail(slot_transition_matrix(model.rates), ok)[1][0]
 
     def improve(h_next, current):
         # A transmission pays tx_cost and, with mass ok, swaps the move to
@@ -180,7 +179,6 @@ def rvi_solve(model: SystemModel, lam: float, init=(True,)) -> SolvedPolicy:
                 bias_idle=h_idle,
                 bias_busy=h_busy,
                 transmit=transmit,
-                lam=lam,
                 iterations=it,
             )
         transmit = improved
@@ -197,14 +195,8 @@ def extract_threshold(policy: SolvedPolicy) -> int:
     return first + 1
 
 
-@dataclass(frozen=True)
-class PolicyMetrics:
-    avg_aoi: float
-    avg_cost: float
-
-
-def policy_cost_evaluate(probs, model: SystemModel) -> PolicyMetrics:
-    """Exact stationary average age and collision cost of a tail-constant policy.
+def policy_cost_evaluate(probs, model: SystemModel) -> tuple[float, float]:
+    """(average age, per-slot collision probability) of a tail-constant policy, exactly.
 
     ``probs`` is a non-empty table of transmit probabilities per idle age
     1..n; older ages reuse the last entry, as in ``TabularPolicy``.  So a
@@ -222,15 +214,7 @@ def policy_cost_evaluate(probs, model: SystemModel) -> PolicyMetrics:
     lengths = [b - a for a, b in zip(firsts, firsts[1:])]
     runs = list(zip(lengths + [math.inf], table[firsts].tolist()))
     _, aoi, transmit, _ = _walk(model.rates, model.success_prob, runs)
-    return PolicyMetrics(avg_aoi=aoi, avg_cost=transmit * model.collision_prob)
-
-
-def mixed_transmit_probs(gamma1: int, mu: float, n: int) -> np.ndarray:
-    """Per idle age 1..n: mu at gamma1, 1 above it, 0 below."""
-    p = np.zeros(n)
-    p[gamma1 - 1] = mu
-    p[gamma1:] = 1.0
-    return p
+    return aoi, transmit * model.collision_prob
 
 
 @dataclass(frozen=True)
@@ -251,72 +235,52 @@ class ConstrainedSolution:
 def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
     """Deterministic multiplier search for the constrained optimum.
 
-    Bisects the multiplier until the two bracketing greedy policies have
-    consecutive (or equal) thresholds, then sets the boundary randomization so
-    the stationary collision cost of the mixed policy equals the budget (the
-    reciprocal cost is linear in the mixing probability).  Each policy
-    iteration starts from the previous multiplier's policy.  The budget is
-    ``params.eta_s``, which :class:`SystemParams` has already checked.  The
-    mixture is evaluated by :func:`mixed_policy_metrics`, as in the closed form.
+    One loop solves the greedy policy at a multiplier, warm-started from the
+    previous multiplier's policy, and files it as the low end of the bracket
+    when its collision cost exceeds the budget ``params.eta_s`` (which
+    :class:`SystemParams` has already checked) and as the high end
+    otherwise.  The next multiplier doubles from 1 while no end meets the
+    budget, then bisects the bracket; the loop stops once the two ends have
+    consecutive (or equal) thresholds.  When lambda = 0 already meets the
+    budget, the loop stops there and both ends are that policy.  The
+    boundary randomization sets the mixed policy's collision cost to the
+    budget (the reciprocal cost is linear in the mixing probability), and
+    the mixture is evaluated by :func:`mixed_policy_metrics`, as in the
+    closed form.
     """
     eta_s = params.eta_s
-
-    def solve(lam, init):
-        pol = rvi_solve(params, lam, init)
-        return pol, extract_threshold(pol), policy_cost_evaluate(pol.transmit, params)
-
-    pol0, gamma0, metrics0 = solve(0.0, (True,))
-    if metrics0.avg_cost <= eta_s:
-        return ConstrainedSolution(
-            lambda_low=0.0,
-            lambda_high=0.0,
-            policy_low=pol0,
-            policy_high=pol0,
-            gamma1=gamma0,
-            gamma2=gamma0,
-            mu=1.0,
-            achieved_cost=metrics0.avg_cost,
-            achieved_aoi=metrics0.avg_aoi,
-        )
-
-    lam_lo, pol_lo, gamma_lo, cost_lo = 0.0, pol0, gamma0, metrics0.avg_cost
-    lam_hi = 1.0
-    warm = pol0.transmit
-    for _ in range(MAX_EXPAND):
-        pol_hi, gamma_hi, metrics = solve(lam_hi, warm)
-        cost_hi = metrics.avg_cost
-        warm = pol_hi.transmit
-        if cost_hi <= eta_s:
-            break
-        lam_lo, pol_lo, gamma_lo, cost_lo = lam_hi, pol_hi, gamma_hi, cost_hi
-        lam_hi *= 2.0
-    else:
-        raise BisectionError(f"no multiplier up to {lam_hi} satisfies the budget {eta_s}")
-
-    for _ in range(MAX_BISECT):
-        if gamma_hi - gamma_lo <= 1:
-            break
-        mid = 0.5 * (lam_lo + lam_hi)
-        pol_m, gamma_m, metrics = solve(mid, warm)
-        warm = pol_m.transmit
-        if metrics.avg_cost > eta_s:
-            lam_lo, pol_lo, gamma_lo, cost_lo = mid, pol_m, gamma_m, metrics.avg_cost
+    lo = hi = None  # (multiplier, policy, threshold, cost) at each end of the bracket
+    lam, warm, doublings, bisections = 0.0, (True,), 0, 0
+    while True:
+        pol = rvi_solve(params, lam, warm)
+        warm = pol.transmit
+        end = (lam, pol, extract_threshold(pol), policy_cost_evaluate(warm, params)[1])
+        if end[3] > eta_s:
+            lo = end
         else:
-            lam_hi, pol_hi, gamma_hi, cost_hi = mid, pol_m, gamma_m, metrics.avg_cost
-    else:
-        raise BisectionError(
-            f"bracket did not shrink to consecutive thresholds within {MAX_BISECT} bisections"
-        )
-
-    if gamma_lo == gamma_hi:
-        mu = 1.0
-        gamma1 = gamma2 = gamma_lo
-    else:
-        gamma1, gamma2 = gamma_lo, gamma_hi
-        if cost_lo == eta_s:
-            mu = 1.0
+            hi = end
+        if hi is None:
+            if doublings == MAX_EXPAND:
+                raise BisectionError(
+                    f"no multiplier up to {2.0**doublings} satisfies the budget {eta_s}"
+                )
+            lam = 2.0**doublings
+            doublings += 1
+        elif lo is None or hi[2] - lo[2] <= 1:
+            break
         else:
-            mu = (1.0 / eta_s - 1.0 / cost_hi) / (1.0 / cost_lo - 1.0 / cost_hi)
+            if bisections == MAX_BISECT:
+                raise BisectionError(
+                    f"bracket did not shrink to consecutive thresholds within {MAX_BISECT} "
+                    "bisections"
+                )
+            lam = 0.5 * (lo[0] + hi[0])
+            bisections += 1
+    # lo is None only when lambda = 0 meets the budget: both ends are that policy
+    (lam_lo, pol_lo, gamma1, cost_lo), (lam_hi, pol_hi, gamma2, cost_hi) = lo or hi, hi
+    mu = 1.0
+    if gamma1 != gamma2:
+        mu = (1.0 / eta_s - 1.0 / cost_hi) / (1.0 / cost_lo - 1.0 / cost_hi)
     achieved_aoi, achieved_cost = mixed_policy_metrics(params, gamma1, mu)
     return ConstrainedSolution(
         lambda_low=lam_lo,
@@ -325,7 +289,7 @@ def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
         policy_high=pol_hi,
         gamma1=gamma1,
         gamma2=gamma2,
-        mu=float(mu),
+        mu=mu,
         achieved_cost=achieved_cost,
         achieved_aoi=achieved_aoi,
     )

@@ -73,10 +73,10 @@ class TestAverageAoi:
     def test_closed_form_matches_series(self, alpha, beta, phi_s, p0):
         # the exact evaluator sums the stationary series; Bernoulli access is the table [p0]
         params = SystemModel(rates=PuRates(alpha, beta), phi_s=phi_s)
-        series = policy_cost_evaluate([p0], params)
-        assert average_aoi_bernoulli(params, p0) == pytest.approx(series.avg_aoi, rel=1e-14, abs=0)
+        series_aoi, series_psi = policy_cost_evaluate([p0], params)
+        assert average_aoi_bernoulli(params, p0) == pytest.approx(series_aoi, rel=1e-14, abs=0)
         psi = collision_probability_bernoulli(params, p0)
-        assert psi == pytest.approx(series.avg_cost, rel=1e-14, abs=0)
+        assert psi == pytest.approx(series_psi, rel=1e-14, abs=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -15,13 +15,14 @@ from craoi import (
     slot_transition_matrix,
     transition_matrix_power,
 )
+from craoi.analysis import _tail
 
 from .conftest import expm_transition
 
 
 def occupancy_matrix(sig) -> np.ndarray:
-    """The slot occupancy matrix: the transmit block with no resets."""
-    return sig.transmit_block(0.0)
+    """The slot occupancy matrix, read off the row-major tuple."""
+    return np.array(sig).reshape(2, 2)
 
 
 rates_st = st.tuples(
@@ -129,9 +130,10 @@ class TestTransitionMatrixPower:
 class TestResolvent:
     def test_inverts_transmit_block(self):
         sig = slot_transition_matrix(PuRates(0.02, 0.4))
-        m = expm_transition(PuRates(0.02, 0.4)) - np.array([[0.3, 0.0], [0.0, 0.0]])
-        np.testing.assert_allclose(sig.transmit_block(0.3), m, rtol=0, atol=1e-15)
-        inv = np.array(sig.resolvent(0.3)).reshape(2, 2)
+        resets = np.array([[0.3, 0.0], [0.0, 0.0]])
+        m = expm_transition(PuRates(0.02, 0.4)) - resets
+        np.testing.assert_allclose(occupancy_matrix(sig) - resets, m, rtol=0, atol=1e-15)
+        inv = np.array(_tail(sig, 0.3)[0]).reshape(2, 2)
         np.testing.assert_allclose((np.eye(2) - m) @ inv, np.eye(2), rtol=0, atol=1e-12)
 
     def test_geometric_tail_matches_truncated_series(self):
@@ -143,7 +145,8 @@ class TestResolvent:
             mass += row.sum()
             weighted += (k + 1) * row.sum()
             row = row @ m
-        got = slot_transition_matrix(rates).geometric_tail(reset, *x)
+        _, v, w = _tail(slot_transition_matrix(rates), reset)
+        got = x @ v, x @ w
         assert got == pytest.approx((mass, weighted), rel=1e-12)
 
 

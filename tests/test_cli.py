@@ -149,6 +149,23 @@ class TestSolve:
         assert rc == 1
         assert "rvi_agreement MISMATCH (rvi gamma1=" in capsys.readouterr().out
 
+    def test_verify_compares_policies(self, monkeypatch, capsys):
+        # a mixing probability off by 2e-6 names another policy, even with the
+        # achieved metrics left as they were
+        solve = craoi.cli.lambda_bisection
+
+        def shifted(model):
+            sol = solve(model)
+            return dataclasses.replace(sol, mu=sol.mu + 2e-6)
+
+        monkeypatch.setattr(craoi.cli, "lambda_bisection", shifted)
+        rc = craoi.cli.main(
+            ["solve", "--alpha", "0.02", "--beta", "0.4", "--phi-s", "0.2",
+             "--eta-s", "0.002", "--verify"]
+        )  # fmt: skip
+        assert rc == 1
+        assert "rvi_agreement MISMATCH (rvi gamma1=" in capsys.readouterr().out
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "solve.csv"
         res = run_cli(

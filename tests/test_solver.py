@@ -21,12 +21,13 @@ from craoi import (
     rvi_solve,
     slot_transition_matrix,
 )
+from craoi.analysis import _tail
 from craoi.channel import BUSY, IDLE
 from craoi.solver import (
+    BisectionError,
     SolvedPolicy,
     ThresholdStructureError,
     _head_length,
-    mixed_transmit_probs,
     poisson_solve,
 )
 
@@ -71,7 +72,8 @@ class TestPrimitives:
         # Without a multiplier the gain is the average age alone.
         for probs in (threshold_probs(1, 60), mixed_probs(9, 0.4, 60)):
             gain, _, _ = poisson_solve(probs, MODEL, 0.0)
-            assert gain == pytest.approx(policy_cost_evaluate(probs, MODEL).avg_aoi, rel=1e-10)
+            aoi, _ = policy_cost_evaluate(probs, MODEL)
+            assert gain == pytest.approx(aoi, rel=1e-10)
         # a policy that never transmits has no finite gain
         with pytest.raises(ValueError, match="never renews"):
             poisson_solve(np.zeros(60), MODEL, 0.0)
@@ -82,7 +84,7 @@ class TestPrimitives:
         probs = mixed_probs(9, 0.4, 60)
         g0, _, _ = poisson_solve(probs, MODEL, 0.0)
         g1, _, _ = poisson_solve(probs, MODEL, 1e4)
-        avg_cost = policy_cost_evaluate(probs, MODEL).avg_cost
+        _, avg_cost = policy_cost_evaluate(probs, MODEL)
         assert g1 - g0 == pytest.approx(1e4 * avg_cost, rel=1e-9)
         with pytest.raises(ValueError, match="never renews"):
             poisson_solve(np.zeros(60), MODEL, 1e4)
@@ -146,8 +148,8 @@ class TestRvi:
     def test_gain_matches_policy_evaluation(self):
         lam = 1000.0
         pol = rvi_solve(MODEL, lam)
-        metrics = policy_cost_evaluate(pol.transmit, MODEL)
-        assert pol.gain == pytest.approx(metrics.avg_aoi + lam * metrics.avg_cost, rel=1e-10)
+        aoi, cost = policy_cost_evaluate(pol.transmit, MODEL)
+        assert pol.gain == pytest.approx(aoi + lam * cost, rel=1e-10)
 
     @pytest.mark.parametrize("init", [None, [False] * 19 + [True]])
     def test_short_truncation_through_absorbing_policy(self, init):
@@ -170,7 +172,7 @@ class TestRvi:
         # the same tables as rvi_solve.
         ages = 20_000
         tx_cost = lam * MODEL.collision_prob
-        slope = slot_transition_matrix(MODEL.rates).geometric_tail(MODEL.success_prob, 1.0, 0.0)[0]
+        slope = _tail(slot_transition_matrix(MODEL.rates), MODEL.success_prob)[1][0]
         table = np.ones(1, dtype=bool) if init is None else np.array(init)
         expected = []
         while True:
@@ -204,8 +206,8 @@ class TestRvi:
         pol = rvi_solve(MODEL, lam)
         costs = []
         for gamma in range(1, 401):
-            metrics = policy_cost_evaluate(threshold_probs(gamma, gamma), MODEL)
-            costs.append(metrics.avg_aoi + lam * metrics.avg_cost)
+            aoi, cost = policy_cost_evaluate(threshold_probs(gamma, gamma), MODEL)
+            costs.append(aoi + lam * cost)
         best = int(np.argmin(costs)) + 1
         assert best > 200
         assert extract_threshold(pol) == best
@@ -282,7 +284,7 @@ class TestPoissonEquation:
         # past the head the bias is affine in age: h(d) = h(head) + (d - head) v
         channel = slot_transition_matrix(MODEL.rates)
         reset = probs[-1] * MODEL.success_prob
-        v = channel.geometric_tail(reset, 1.0, 0.0)[0], channel.geometric_tail(reset, 0.0, 1.0)[0]
+        v = _tail(channel, reset)[1]
         steps = np.arange(n - head + 1)
         for bias, v_occ in zip((bias_idle, bias_busy), v):
             np.testing.assert_allclose(
@@ -298,7 +300,6 @@ class TestExtractThreshold:
             bias_idle=np.zeros(transmit.size),
             bias_busy=np.zeros(transmit.size),
             transmit=transmit,
-            lam=0.0,
             iterations=1,
         )
 
@@ -321,22 +322,22 @@ class TestExtractThreshold:
 
 class TestPolicyEvaluation:
     def test_threshold_cost_matches_closed_form(self):
-        metrics = policy_cost_evaluate(threshold_probs(20, 200), MODEL)
-        assert metrics.avg_cost == pytest.approx(collision_probability(20, CANON), rel=1e-12, abs=0)
+        _, cost = policy_cost_evaluate(threshold_probs(20, 200), MODEL)
+        assert cost == pytest.approx(collision_probability(20, CANON), rel=1e-12, abs=0)
 
     def test_threshold_aoi_matches_series(self):
-        metrics = policy_cost_evaluate(threshold_probs(20, 200), MODEL)
-        assert metrics.avg_aoi == pytest.approx(average_aoi_series(20, CANON), rel=1e-12)
+        aoi, _ = policy_cost_evaluate(threshold_probs(20, 200), MODEL)
+        assert aoi == pytest.approx(average_aoi_series(20, CANON), rel=1e-12)
 
     @pytest.mark.parametrize("gamma1,mu", [(1, 0.6), (9, 0.4), (20, 1.0), (150, 0.25), (250, 0.7)])
     @pytest.mark.parametrize("length", ["tail-age", "padded"])
     def test_mixed_matches_closed_form(self, gamma1, mu, length):
         # the table may stop at the tail age or run past it
         n = gamma1 + 1 if length == "tail-age" else gamma1 + 60
-        metrics = policy_cost_evaluate(mixed_probs(gamma1, mu, n), MODEL)
+        got_aoi, got_cost = policy_cost_evaluate(mixed_probs(gamma1, mu, n), MODEL)
         aoi, psi = mixed_policy_metrics(CANON, gamma1, mu)
-        assert metrics.avg_aoi == pytest.approx(aoi, rel=1e-12)
-        assert metrics.avg_cost == pytest.approx(psi, rel=1e-12, abs=0)
+        assert got_aoi == pytest.approx(aoi, rel=1e-12)
+        assert got_cost == pytest.approx(psi, rel=1e-12, abs=0)
 
     def test_never_transmit_diverges(self):
         # the age never renews, so the average age is infinite: rejected as by poisson_solve
@@ -365,10 +366,10 @@ class TestPolicyEvaluation:
         # the oracle pads the table with its last entry to 3000 ages, where
         # even the slowest tail here (reset 0.05 * 0.78 per idle slot) holds
         # no mass above rounding
-        metrics = policy_cost_evaluate(probs, MODEL)
+        got_aoi, got_cost = policy_cost_evaluate(probs, MODEL)
         aoi, psi = oracle_metrics(CANON, probs, 3000)
-        assert metrics.avg_aoi == pytest.approx(aoi, rel=1e-12)
-        assert metrics.avg_cost == pytest.approx(psi, rel=1e-12, abs=0)
+        assert got_aoi == pytest.approx(aoi, rel=1e-12)
+        assert got_cost == pytest.approx(psi, rel=1e-12, abs=0)
 
     def test_shape_validation(self):
         for probs in (np.array([]), np.ones((2, 3))):
@@ -382,6 +383,9 @@ class TestLambdaBisection:
         params = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=min(0.99, 2 * psi1))
         sol = lambda_bisection(params)
         assert (sol.gamma1, sol.gamma2, sol.mu) == (1, 1, 1.0)
+        # the slack case evaluates its policy as every other case does, so it is the closed form
+        pol = age_optimal_policy(params)
+        assert (sol.achieved_aoi, sol.achieved_cost) == (pol.avg_aoi, pol.psi_s)
 
     def test_eta_validation(self):
         # The budget travels in the params, which reject it before any search runs.
@@ -395,12 +399,17 @@ class TestLambdaBisection:
         assert sol.mu == pytest.approx(age_optimal_policy(CANON).mu, abs=1e-6)
         assert sol.achieved_cost == pytest.approx(CANON.eta_s, abs=1e-9)
 
-    def test_mixed_probs_layout(self):
-        sol = lambda_bisection(CANON)
-        probs = mixed_transmit_probs(sol.gamma1, sol.mu, 200)
-        assert probs[sol.gamma1 - 1] == pytest.approx(sol.mu)
-        assert np.all(probs[sol.gamma1 :] == 1.0)
-        assert np.all(probs[: sol.gamma1 - 1] == 0.0)
+    def test_gives_up_doubling(self, monkeypatch):
+        # the canonical budget needs a multiplier near 1e5, far past 1 and 2
+        monkeypatch.setattr(craoi.solver, "MAX_EXPAND", 2)
+        with pytest.raises(BisectionError, match=r"no multiplier up to 4\.0 satisfies"):
+            lambda_bisection(CANON)
+
+    def test_gives_up_bisecting(self, monkeypatch):
+        # one bisection leaves the doubling bracket's thresholds far apart
+        monkeypatch.setattr(craoi.solver, "MAX_BISECT", 1)
+        with pytest.raises(BisectionError, match="did not shrink to consecutive thresholds"):
+            lambda_bisection(CANON)
 
     @pytest.mark.parametrize("alpha,beta,phi_s,fraction", BINDING_GRID[:6])
     def test_grid_matches_closed_form(self, alpha, beta, phi_s, fraction):
@@ -451,4 +460,4 @@ class TestDeepThreshold:
         evaluated = policy_cost_evaluate(table, params)
         # abs=0: pytest's default abs 1e-12 would swamp psi, which is below 1e-8 here
         assert closed == pytest.approx(expected, rel=1e-14, abs=0)
-        assert (evaluated.avg_aoi, evaluated.avg_cost) == pytest.approx(expected, rel=1e-14, abs=0)
+        assert evaluated == pytest.approx(expected, rel=1e-14, abs=0)
