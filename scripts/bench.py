@@ -15,11 +15,12 @@ layers are timed in this process, best of ``REPEAT`` with fixed inputs: one
 ``rvi_solve`` at lambda = 1e3, a full ``lambda_bisection``, one
 ``age_optimal_policy``, one ``mixed_policy_metrics`` of the optimal policy and
 one ``slot_transition_matrix``, all on the canonical instance (alpha 0.02,
-beta 0.4, phi_s 0.2, eta_s 5e-4), and one
-``policy_cost_evaluate`` of the threshold table at Gamma = 5e4 on a slow PU
-(alpha 1e-4, beta 3e-4, phi_s 0.2).  Then the tree's ``perfbench/run.py``
-runs every workload untraced and traced on seed 1 as subprocesses, each for
-that script's default run length.  Wall times are recorded, never gated;
+beta 0.4, phi_s 0.2, eta_s 5e-4), and on a slow PU (alpha 1e-4, beta 3e-4,
+phi_s 0.2) one ``policy_cost_evaluate`` of the threshold table at
+Gamma = 5e4 and, best of ``DEEP_REPEAT``, one ``lambda_bisection`` whose
+budget lies halfway between psi_s(5e4) and psi_s(5e4 + 1).  Then the tree's
+``perfbench/run.py`` runs every workload untraced and traced on seed 1 as
+subprocesses, each for that script's default run length.  Wall times are recorded, never gated;
 the counts of a traced run (solver iterations and calls, evaluator calls)
 repeat exactly.
 The record replaces any earlier one of the same label in ``--out`` and
@@ -44,11 +45,12 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 WORKLOADS = ("sweep", "verify", "presets")
 SEED = 1
 REPEAT = 20  # best-of count per solver layer
+DEEP_REPEAT = 3  # best-of count of the deep multiplier search, which took seconds
 
 
-def best_ms(fn) -> float:
+def best_ms(fn, repeat: int = REPEAT) -> float:
     best = float("inf")
-    for _ in range(REPEAT):
+    for _ in range(repeat):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -63,6 +65,7 @@ def time_layers() -> dict[str, float]:
         SystemModel,
         SystemParams,
         age_optimal_policy,
+        collision_probability,
         lambda_bisection,
         mixed_policy_metrics,
         policy_cost_evaluate,
@@ -75,6 +78,8 @@ def time_layers() -> dict[str, float]:
     slow = SystemModel(rates=PuRates(1e-4, 3e-4), phi_s=0.2)
     threshold = np.zeros(50_000)
     threshold[-1] = 1.0
+    deep_eta = 0.5 * (collision_probability(50_000, slow) + collision_probability(50_001, slow))
+    deep = SystemParams(rates=slow.rates, phi_s=slow.phi_s, eta_s=deep_eta)
     return {
         "rvi_solve_lam1e3_ms": best_ms(lambda: rvi_solve(canon, 1e3)),
         "lambda_bisection_ms": best_ms(lambda: lambda_bisection(canon)),
@@ -84,6 +89,7 @@ def time_layers() -> dict[str, float]:
             lambda: policy_cost_evaluate(threshold, slow)
         ),
         "slot_transition_matrix_ms": best_ms(lambda: slot_transition_matrix(canon.rates)),
+        "lambda_bisection_gamma5e4_ms": best_ms(lambda: lambda_bisection(deep), DEEP_REPEAT),
     }
 
 

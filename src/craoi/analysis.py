@@ -7,7 +7,7 @@ occupancy simply mixes under the slot transition matrix, and at/above the
 threshold the pair (theta_idle, theta_busy) moves by one 2x2 block M of the
 transition matrix less the resets, so every tail sum is read off
 (I - M)^-1.  :func:`_tail` forms it, with its two geometric sums, for the
-walk below and for the CMDP solver's Poisson equation.  Everything here is
+walk below and for the CMDP solver's renewal sums.  Everything here is
 exact up to floating point: geometric tails are summed in closed form,
 never truncated.
 
@@ -15,7 +15,7 @@ The randomized policy transmits with probability mu at the boundary age
 Gamma1 and always past it; a threshold policy is the randomized one at
 mu = 1.  Both are runs of constant transmit probability for :func:`_walk`,
 the one routine that holds the model's dynamics; the Bernoulli baseline's
-per-age states and the CMDP solver's evaluation walk their runs too.  Only
+per-age states and ``policy_cost_evaluate`` walk their runs too.  Only
 the functions that meet the budget take :class:`SystemParams`; the rest take
 a :class:`SystemModel`, which has none.  The model caches nothing: each walk
 builds the slot matrix from the rates.
@@ -169,7 +169,7 @@ def _tail(channel: ChannelTransition, reset: float):
 
 
 def _walk(rates: PuRates, ok: float, runs, age: int = 0):
-    """Mass, average age, transmit rate and state at ``age`` of a run-length policy.
+    """Mass, average age and state at ``age`` of a run-length policy.
 
     ``runs`` lists (length, p) from age 1: transmit w.p. p at the run's idle
     ages.  The last run holds for every older age and must transmit.  From
@@ -179,14 +179,14 @@ def _walk(rates: PuRates, ok: float, runs, age: int = 0):
     p_BB]] (the package's only one is the mixed policy's boundary age, so
     there is no repeated squaring); the last run by (I - M)^-1 from
     :func:`_tail`.  A run costs a few roundings whatever its length.  Returns
-    the mass 1 / theta_(1,0), the average age, the probability that a slot
-    transmits and the normalized state at ``age`` (None unless age >= 1).
+    the mass 1 / theta_(1,0), which is the mean renewal length, the average
+    age and the normalized state at ``age`` (None unless age >= 1).
     """
     channel = slot_transition_matrix(rates)
     p_ii, p_ib, p_bi, p_bb = channel
     x0, x1 = 1.0, 0.0
     start = 1  # first age of the current run
-    mass = age_sum = transmit = 0.0
+    mass = age_sum = 0.0
     state = None
     for length, p in runs[:-1]:
         if length == 0:  # the mixed policy at gamma1 = 1 waits at no age
@@ -203,7 +203,6 @@ def _walk(rates: PuRates, ok: float, runs, age: int = 0):
                     state = x0, x1
                 mass += x0 + x1
                 age_sum += d * (x0 + x1)
-                transmit += p * x0
                 x0, x1 = _advance(x0, x1, p_ii - p * ok, p_ib, p_bi, p_bb)
         start += length
     p = runs[-1][1]
@@ -211,14 +210,13 @@ def _walk(rates: PuRates, ok: float, runs, age: int = 0):
         block = np.array([[p_ii - p * ok, p_ib], [p_bi, p_bb]])
         state = (np.array((x0, x1)) @ np.linalg.matrix_power(block, age - start)).tolist()
     # the tail's mass is x v and its age sum x w + (start - 1) x v
-    (m_ii, _, m_bi, _), (v0, v1), (w0, w1) = _tail(channel, p * ok)
+    _, (v0, v1), (w0, w1) = _tail(channel, p * ok)
     tail_mass = x0 * v0 + x1 * v1
     mass += tail_mass
     age_sum += x0 * w0 + x1 * w1 + (start - 1) * tail_mass
-    transmit += p * (x0 * m_ii + x1 * m_bi)
     if state is not None:
         state = state[0] / mass, state[1] / mass
-    return mass, age_sum / mass, transmit / mass, state
+    return mass, age_sum / mass, state
 
 
 def _mixed_walk(m: tuple, gamma1: int, mu: float, age: int = 0):
@@ -238,15 +236,15 @@ def mixed_policy_steady_state(
     Transmit with probability mu at (gamma1, idle), always at ages > gamma1.
     mu=1 is the pure threshold gamma1, mu=0 the threshold gamma1+1.
     """
-    return _mixed_walk(_scalars(params), gamma1, mu, _check_gamma(delta, "age"))[3]
+    return _mixed_walk(_scalars(params), gamma1, mu, _check_gamma(delta, "age"))[2]
 
 
 def _metrics(m: tuple, gamma1: int, mu: float) -> tuple[float, float]:
-    _, _, _, _, collision, _, _, _, _ = m
-    _, aoi, transmit, _ = _mixed_walk(m, gamma1, mu)
+    _, _, _, success, collision, _, _, _, _ = m
+    mass, aoi, _ = _mixed_walk(m, gamma1, mu)
     if aoi == math.inf:
         raise ValueError(f"the average age overflows a float at threshold {float(gamma1):.3g}")
-    return aoi, transmit * collision
+    return aoi, collision / (success * mass)
 
 
 def mixed_policy_metrics(params: SystemModel, gamma1: int, mu: float) -> tuple[float, float]:

@@ -58,5 +58,5 @@ def bernoulli_steady_state(params: SystemModel, p0: float, delta: int) -> tuple[
     """Stationary (theta_idle, theta_busy) at the given age under Bernoulli access: one run."""
     _check_p0(p0)
     delta = _check_gamma(delta, "age")
-    return _walk(params.rates, params.success_prob, ((math.inf, p0),), delta)[3]
+    return _walk(params.rates, params.success_prob, ((math.inf, p0),), delta)[2]
 

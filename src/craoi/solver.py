@@ -6,20 +6,19 @@ multiplier the unconstrained average-cost problem is solved by Howard policy
 iteration on the unbounded age space (Puterman 1994, *Markov Decision
 Processes*, section 8.6).  A policy is a table of decisions per idle age
 whose last entry holds for every older age and transmits, so the age renews.
-The age either goes up by one or resets to (1, idle), so the Poisson
-equation is one recursion over the table's head of per-age 2x2 occupancy
-blocks.  Past the head the action is constant: the closed form's tail
-primitive ``analysis._tail`` ((I - M)^-1 of one block and its two
-geometric sums) sums the tail exactly, the bias there is affine in age, and
-policy improvement finds the first tail age that should transmit in closed
-form.  No age grid is built.  Stationary metrics walk the table's runs of
-constant action, as the closed form does, and come back as (average age,
-collision cost), the closed form's shape.  The greedy policies are
-threshold-shaped, so one deterministic loop on the multiplier, doubling and
-then bisecting, brackets the budget with two consecutive thresholds, and a
-boundary randomization closes the gap exactly (Beutler & Ross 1985).  Only
-that search takes a budget; the rest reads the dynamics of a
-``SystemModel`` and builds its slot matrix once per call.
+A renewal holds the same expected collisions from every state, so the
+Poisson equation reduces to the expected slots and age sum to the next
+renewal, free of the multiplier, solved by one backward pass over the
+table's runs of constant action.  Past the head the closed form's tail
+primitive ``analysis._tail`` sums the tail exactly, the bias there is affine
+in age, and policy improvement finds the first tail age that should transmit
+in closed form.  No age grid is built.  The same sums give a policy's, and a
+two-threshold mixture's, (average age, collision cost).  The greedy policies
+are threshold-shaped, so one deterministic loop on the multiplier, doubling
+and then bisecting, brackets the budget with two consecutive thresholds, and
+a boundary randomization closes the gap exactly (Beutler & Ross 1985).  Only
+that search takes a budget.  ``policy_cost_evaluate`` walks any table
+forward, as the closed form does.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SystemModel, SystemParams, _tail, _walk, mixed_policy_metrics
-from .channel import slot_transition_matrix
+from .analysis import SystemModel, SystemParams, _tail, _walk
+from .channel import slot_transition_matrix, transition_matrix_power
 
 MAX_EXPAND = 60  # multiplier doublings from 1 before the search gives up
 MAX_BISECT = 200  # multiplier bisections before the search gives up
@@ -77,45 +76,62 @@ def _require_renewal(table: np.ndarray) -> None:
 
 def poisson_solve(
     probs: np.ndarray, model: SystemModel, lam: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Gain and bias of a fixed policy under cost age + lam * collisions.
+) -> tuple[float, np.ndarray, np.ndarray, tuple[float, float]]:
+    """Gain and bias of a fixed policy under cost age + lam * collisions, and its renewal sums.
 
     ``probs`` is a table of transmit probabilities per idle age 1..n; older
-    ages reuse its last entry, which must be positive.  Policy iteration
-    passes the policy's head.  Solves h + g = c + P h with reference
-    h(1, idle) = 0 by one backward recursion over the table.  The reset term
-    drops out because its target is the reference, so h = a + x * b with
-    one unknown x, the gain, fixed by the reference.  Past n the action is
-    constant, so the bias is affine in age, h(d) = h(n) + (d - n) v with
-    v = (I - M)^-1 1, which makes age n a nonsingular 2x2 system.  The bias
-    is returned on ages 1..n.
+    ages reuse its last entry, which must be positive.  A transmission
+    succeeds w.p. ok and collides w.p. coll, so k = coll / ok collisions
+    precede the next success, a renewal, from any state (Wald's identity).
+    With T and A the expected slots and age sum to it, h = A + lam k - g T,
+    and h(1, idle) = 0 gives g = (A + lam k) / T there: lam is in no
+    recursion.  One backward pass over the runs solves (T, A): at age n by
+    ``analysis._tail``, T = v and A = (n - 1) v + w; a wait run in closed
+    form by P^L = Pi + e^(-sL) (I - Pi); a transmit run age by age.  Returns
+    g, the bias on ages 1..n per occupancy and (T, A) at (1, idle).
     """
     _require_renewal(probs)
+    al, be = model.rates.alpha, model.rates.beta
+    s = al + be
     channel = slot_transition_matrix(model.rates)
-    n = probs.size
-    reset = probs * model.success_prob
-    stay, reset = (channel.p_II - reset).tolist(), reset.tolist()
-    c_idle = (np.arange(1, n + 1) + lam * model.collision_prob * probs).tolist()
-    # h(n) = (I - M)^-1 (c - x 1 + M v) and (I - M)^-1 M v = w - v
-    (m_ii, m_ib, m_bi, m_bb), (v_idle, v_busy), (w_idle, w_busy) = _tail(channel, reset[-1])
-    ai = m_ii * c_idle[-1] + m_ib * n + (w_idle - v_idle)
-    ab = m_bi * c_idle[-1] + m_bb * n + (w_busy - v_busy)
-    bi, bb = -v_idle, -v_busy
-    p_ib, p_bi, p_bb = channel.p_IB, channel.p_BI, channel.p_BB
-    a_idle, a_busy, b_idle, b_busy = [ai], [ab], [bi], [bb]
-    for d in range(n - 1, 0, -1):
-        s = stay[d - 1]
-        ai, ab = c_idle[d - 1] + s * ai + p_ib * ab, d + p_bi * ai + p_bb * ab
-        bi, bb = s * bi + p_ib * bb - 1.0, p_bi * bi + p_bb * bb - 1.0
-        a_idle.append(ai)
-        a_busy.append(ab)
-        b_idle.append(bi)
-        b_busy.append(bb)
-    x = -ai / bi
-    bias_idle = np.array(a_idle[::-1]) + x * np.array(b_idle[::-1])
-    bias_busy = np.array(a_busy[::-1]) + x * np.array(b_busy[::-1])
+    _, p_ib, p_bi, p_bb = channel
+    ok = model.success_prob
+    n, p = probs.size, probs[-1].item()
+    _, (ti, tb), (wi, wb) = _tail(channel, p * ok)
+    ai, ab = (n - 1) * ti + wi, (n - 1) * tb + wb
+    # (first, end, p, (T, A)) of the ages first + 1..end: past a wait run, at a transmit age
+    runs = [(n - 1, n, p, (ti, tb, ai, ab))]
+    bounds = [0, *(np.flatnonzero(probs[1:-1] != probs[:-2]) + 1).tolist(), n - 1]
+    for first, end in reversed(list(zip(bounds, bounds[1:]))):
+        p = probs[first].item()
+        if p == 0:
+            runs.append((first, end, p, (ti, tb, ai, ab)))
+            length = end - first
+            q_ii, q_ib, q_bi, q_bb = transition_matrix_power(model.rates, length)
+            ages = length * (end + 0.5 - 0.5 * length)  # ages first + 1..end
+            ti, tb = length + q_ii * ti + q_ib * tb, length + q_bi * ti + q_bb * tb
+            ai, ab = ages + q_ii * ai + q_ib * ab, ages + q_bi * ai + q_bb * ab
+        else:
+            stay = channel.p_II - p * ok
+            for d in range(end, first, -1):
+                ti, tb = 1.0 + stay * ti + p_ib * tb, 1.0 + p_bi * ti + p_bb * tb
+                ai, ab = d + stay * ai + p_ib * ab, d + p_bi * ai + p_bb * ab
+                runs.append((d - 1, d, p, (ti, tb, ai, ab)))
+    lam_k = lam * model.collision_prob / ok
+    gain = (ai + lam_k) / ti
+    bias_idle, bias_busy = np.empty(n), np.empty(n)
+    for first, end, p, (t_i, t_b, a_i, a_b) in runs:
+        if p == 0:
+            j = np.arange(end - first, 0, -1.0)  # steps from each age d of the run to end + 1
+            decay = np.expm1(-s * j)  # e^(-sj) - 1
+            net_ages = j * (end + 0.5 - gain - 0.5 * j)  # sum_i<j (d + i) - g j
+            diff = (a_i - a_b - gain * (t_i - t_b)) / s
+            bias_idle[first:end] = net_ages + (a_i + lam_k - gain * t_i) + al * diff * decay
+            bias_busy[first:end] = net_ages + (a_b + lam_k - gain * t_b) - be * diff * decay
+        else:
+            bias_idle[first], bias_busy[first] = a_i + lam_k - gain * t_i, a_b + lam_k - gain * t_b
     bias_idle[0] = 0.0
-    return x, bias_idle, bias_busy
+    return gain, bias_idle, bias_busy, (ti, ai)
 
 
 @dataclass(frozen=True)
@@ -127,6 +143,7 @@ class SolvedPolicy:
     bias_busy: np.ndarray  # per busy age of the head
     transmit: np.ndarray  # bool per idle age of the head; older ages transmit
     iterations: int  # improvement steps
+    renewal: tuple[float, float]  # expected slots and age sum of a renewal from (1, idle)
 
 
 def rvi_solve(model: SystemModel, lam: float, init=(True,)) -> SolvedPolicy:
@@ -160,7 +177,7 @@ def rvi_solve(model: SystemModel, lam: float, init=(True,)) -> SolvedPolicy:
         return np.where(np.abs(adv) <= 1e-12 * (tx_cost + np.abs(value)), current, adv > 0.0)
 
     for it in itertools.count(1):
-        gain, h_idle, h_busy = poisson_solve(transmit, model, lam)
+        gain, h_idle, h_busy, renewal = poisson_solve(transmit, model, lam)
         h_n = h_idle[-1]
         improved = improve(np.concatenate((h_idle[1:], (h_n + slope,))), transmit)
         if not improved[-1]:
@@ -180,6 +197,7 @@ def rvi_solve(model: SystemModel, lam: float, init=(True,)) -> SolvedPolicy:
                 bias_busy=h_busy,
                 transmit=transmit,
                 iterations=it,
+                renewal=renewal,
             )
         transmit = improved
 
@@ -213,8 +231,8 @@ def policy_cost_evaluate(probs, model: SystemModel) -> tuple[float, float]:
     firsts = [0, *(np.flatnonzero(table[1:] != table[:-1]) + 1).tolist()]
     lengths = [b - a for a, b in zip(firsts, firsts[1:])]
     runs = list(zip(lengths + [math.inf], table[firsts].tolist()))
-    _, aoi, transmit, _ = _walk(model.rates, model.success_prob, runs)
-    return aoi, transmit * model.collision_prob
+    mass, aoi, _ = _walk(model.rates, model.success_prob, runs)
+    return aoi, model.collision_prob / (model.success_prob * mass)
 
 
 @dataclass(frozen=True)
@@ -244,26 +262,25 @@ def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
     consecutive (or equal) thresholds.  When lambda = 0 already meets the
     budget, the loop stops there and both ends are that policy.  The
     boundary randomization sets the mixed policy's collision cost to the
-    budget (the reciprocal cost is linear in the mixing probability), and
-    the mixture is evaluated by :func:`mixed_policy_metrics`, as in the
-    closed form.
+    budget (the reciprocal cost is linear in the mixing probability).  Costs
+    k / T and metrics come from each end's renewal sums (T, A), which the
+    mixture mixes by mu, as it randomizes once per renewal (renewal-reward).
     """
     eta_s = params.eta_s
+    k = params.collision_prob / params.success_prob
     lo = hi = None  # (multiplier, policy, threshold, cost) at each end of the bracket
     lam, warm, doublings, bisections = 0.0, (True,), 0, 0
     while True:
         pol = rvi_solve(params, lam, warm)
         warm = pol.transmit
-        end = (lam, pol, extract_threshold(pol), policy_cost_evaluate(warm, params)[1])
+        end = (lam, pol, extract_threshold(pol), k / pol.renewal[0])
         if end[3] > eta_s:
             lo = end
         else:
             hi = end
         if hi is None:
             if doublings == MAX_EXPAND:
-                raise BisectionError(
-                    f"no multiplier up to {2.0**doublings} satisfies the budget {eta_s}"
-                )
+                raise BisectionError(f"no multiplier up to {lam} satisfies the budget {eta_s}")
             lam = 2.0**doublings
             doublings += 1
         elif lo is None or hi[2] - lo[2] <= 1:
@@ -281,7 +298,7 @@ def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
     mu = 1.0
     if gamma1 != gamma2:
         mu = (1.0 / eta_s - 1.0 / cost_hi) / (1.0 / cost_lo - 1.0 / cost_hi)
-    achieved_aoi, achieved_cost = mixed_policy_metrics(params, gamma1, mu)
+    slots, age_sum = (mu * x + (1.0 - mu) * y for x, y in zip(pol_lo.renewal, pol_hi.renewal))
     return ConstrainedSolution(
         lambda_low=lam_lo,
         lambda_high=lam_hi,
@@ -290,6 +307,6 @@ def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
         gamma1=gamma1,
         gamma2=gamma2,
         mu=mu,
-        achieved_cost=achieved_cost,
-        achieved_aoi=achieved_aoi,
+        achieved_cost=k / slots,
+        achieved_aoi=age_sum / slots,
     )

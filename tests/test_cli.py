@@ -7,7 +7,14 @@ import sys
 import pytest
 
 import craoi.cli
-from craoi import PuRates, SystemModel, SystemParams, age_optimal_policy, average_aoi_series
+from craoi import (
+    PuRates,
+    SystemModel,
+    SystemParams,
+    age_optimal_policy,
+    average_aoi_series,
+    collision_probability,
+)
 
 
 def run_cli(*args, **kwargs):
@@ -106,14 +113,18 @@ class TestSolve:
         assert res.returncode == 0
         assert "rvi_agreement ok" in res.stdout
 
-    def test_verify_agrees_at_deep_threshold(self, capsys):
-        # thresholds 20,000 and 20,001 on a slow PU: the solver's achieved
-        # age agrees with the closed form's within the CLI's 1e-12 at any depth
+    @pytest.mark.parametrize("gamma", [20_000, 50_000, 200_000])
+    def test_verify_agrees_at_deep_threshold(self, gamma, capsys):
+        # thresholds gamma and gamma + 1 on a slow PU, the budget halfway
+        # between their collision probabilities: the solver's achieved metrics
+        # agree with the closed form's within the CLI's 1e-12 at any depth
+        model = SystemModel(rates=PuRates(1e-4, 3e-4), phi_s=0.2)
+        eta = 0.5 * (collision_probability(gamma, model) + collision_probability(gamma + 1, model))
         argv = ["solve", "--alpha", "0.0001", "--beta", "0.0003", "--phi-s", "0.2",
-                "--eta-s", "5.99999650567391e-09", "--verify"]  # fmt: skip
+                "--eta-s", repr(eta), "--verify"]  # fmt: skip
         assert craoi.cli.main(argv) == 0
         out = capsys.readouterr().out
-        assert "gamma1 20000\n" in out
+        assert f"gamma1 {gamma}\n" in out
         assert "rvi_agreement ok" in out
 
     DEEP = ["solve", "--alpha", "0.002", "--beta", "0.006", "--phi-s", "0.2",

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import craoi.solver
 from craoi import (
@@ -21,7 +23,7 @@ from craoi import (
     rvi_solve,
     slot_transition_matrix,
 )
-from craoi.analysis import _tail
+from craoi.analysis import _tail, _walk
 from craoi.channel import BUSY, IDLE
 from craoi.solver import (
     BisectionError,
@@ -71,7 +73,7 @@ class TestPrimitives:
     def test_reward_is_age(self):
         # Without a multiplier the gain is the average age alone.
         for probs in (threshold_probs(1, 60), mixed_probs(9, 0.4, 60)):
-            gain, _, _ = poisson_solve(probs, MODEL, 0.0)
+            gain, _, _, _ = poisson_solve(probs, MODEL, 0.0)
             aoi, _ = policy_cost_evaluate(probs, MODEL)
             assert gain == pytest.approx(aoi, rel=1e-10)
         # a policy that never transmits has no finite gain
@@ -82,8 +84,8 @@ class TestPrimitives:
         assert MODEL.collision_prob == pytest.approx(1.0 - math.exp(-0.02), rel=1e-12, abs=0)
         # The multiplier is charged once per collision, on idle transmissions only.
         probs = mixed_probs(9, 0.4, 60)
-        g0, _, _ = poisson_solve(probs, MODEL, 0.0)
-        g1, _, _ = poisson_solve(probs, MODEL, 1e4)
+        g0, _, _, _ = poisson_solve(probs, MODEL, 0.0)
+        g1, _, _, _ = poisson_solve(probs, MODEL, 1e4)
         _, avg_cost = policy_cost_evaluate(probs, MODEL)
         assert g1 - g0 == pytest.approx(1e4 * avg_cost, rel=1e-9)
         with pytest.raises(ValueError, match="never renews"):
@@ -177,7 +179,7 @@ class TestRvi:
         expected = []
         while True:
             expected.append(table[: _head_length(table)])
-            _, h, _ = poisson_solve(expected[-1].astype(float), MODEL, lam)
+            _, h, _, _ = poisson_solve(expected[-1].astype(float), MODEL, lam)
             h = np.concatenate((h, h[-1] + slope * np.arange(1, ages - h.size + 2)))
             value = MODEL.success_prob * h[1:]
             tie = np.abs(value - tx_cost) <= 1e-12 * (tx_cost + np.abs(value))
@@ -263,17 +265,21 @@ class TestPoissonEquation:
         (threshold_probs(40, 40), 400, 40),
         (mixed_probs(3, 0.4, 400), 4000, 4),
         (np.full(400, 0.3), 4000, 1),
+        (np.array([0.3, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0]), 100, 10),
+        (np.array([1.0] + [0.0] * 7 + [0.7] * 3), 110, 9),
+        (np.array([0.5] * 5 + [0.0] * 30 + [1.0]), 360, 36),
         (np.zeros(40), 40, None),
         (silent_clamp(threshold_probs(30, 40)), 40, None),
     ], ids=["mixed", "mixed-at-one", "clamp-only", "short-head", "bernoulli",
-            "never", "silent-clamp"])  # fmt: skip
+            "interleaved", "padded-tail", "transmit-then-wait", "never",
+            "silent-clamp"])  # fmt: skip
     def test_gain_and_bias_solve_oracle_chain(self, probs, length, head):
         lam = 700.0
         if head is None:
             with pytest.raises(ValueError, match="never renews"):
                 poisson_solve(probs, MODEL, lam)
             return
-        gain, bias_idle, bias_busy = poisson_solve(probs, MODEL, lam)
+        gain, bias_idle, bias_busy, _ = poisson_solve(probs, MODEL, lam)
         o_gain, o_idle, o_busy = oracle_poisson(CANON, probs, lam, length)
         assert gain == pytest.approx(o_gain, rel=1e-12)
         n = probs.size
@@ -291,6 +297,26 @@ class TestPoissonEquation:
                 bias[head - 1 :], bias[head - 1] + steps * v_occ, rtol=0, atol=1e-12 * scale
             )
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        alpha=st.floats(1e-3, 1.0),
+        beta=st.floats(1e-3, 5.0),
+        phi_s=st.floats(0.0, 0.9),
+        runs=st.lists(
+            st.tuples(st.integers(1, 40), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+            max_size=6,
+        ),
+        last=st.floats(0.05, 1.0),
+    )
+    def test_renewal_sums_match_walk(self, alpha, beta, phi_s, runs, last):
+        # the backward solve's expected slots and age sum per renewal are the
+        # forward walk's mass and mass times average age
+        model = SystemModel(rates=PuRates(alpha, beta), phi_s=phi_s)
+        table = np.array([p for length, p in runs for _ in range(length)] + [last])
+        _, _, _, (slots, age_sum) = poisson_solve(table, model, 0.0)
+        mass, aoi, _ = _walk(model.rates, model.success_prob, [*runs, (math.inf, last)])
+        assert (slots, age_sum) == pytest.approx((mass, mass * aoi), rel=1e-12, abs=0)
+
 
 class TestExtractThreshold:
     def _policy(self, transmit):
@@ -301,6 +327,7 @@ class TestExtractThreshold:
             bias_busy=np.zeros(transmit.size),
             transmit=transmit,
             iterations=1,
+            renewal=(1.0, 1.0),
         )
 
     def test_always_transmit(self):
@@ -400,10 +427,22 @@ class TestLambdaBisection:
         assert sol.achieved_cost == pytest.approx(CANON.eta_s, abs=1e-9)
 
     def test_gives_up_doubling(self, monkeypatch):
-        # the canonical budget needs a multiplier near 1e5, far past 1 and 2
+        # the canonical budget needs a multiplier near 1e5, far past 0, 1 and 2
         monkeypatch.setattr(craoi.solver, "MAX_EXPAND", 2)
-        with pytest.raises(BisectionError, match=r"no multiplier up to 4\.0 satisfies"):
+        with pytest.raises(BisectionError, match=r"no multiplier up to 2\.0 satisfies"):
             lambda_bisection(CANON)
+
+    def test_evaluates_its_own_policies(self, monkeypatch):
+        # the search reads its bracket costs and achieved metrics off its own
+        # Poisson solves, never off the closed form's walk
+        def refuse(*args, **kwargs):
+            raise AssertionError("the multiplier search called an outside evaluator")
+
+        for name in ("policy_cost_evaluate", "_walk", "mixed_policy_metrics"):
+            monkeypatch.setattr(craoi.solver, name, refuse, raising=False)
+        sol = lambda_bisection(CANON)
+        assert (sol.gamma1, sol.gamma2) == optimal_thresholds(CANON)
+        assert sol.achieved_cost == pytest.approx(CANON.eta_s, rel=1e-12, abs=0)
 
     def test_gives_up_bisecting(self, monkeypatch):
         # one bisection leaves the doubling bracket's thresholds far apart
@@ -442,7 +481,8 @@ class TestDeepThreshold:
 
     The budget sits halfway between psi_s(gamma) and psi_s(gamma + 1).  An
     evaluation that steps one 2x2 block per age loses about 1e-13 relative
-    per 10^4 ages; the run walk costs a few roundings per run at any depth.
+    per 10^4 ages; the forward run walk and the backward Poisson solve cost a
+    few roundings per run at any depth.
     """
 
     RATES = PuRates(1e-4, 3e-4)
@@ -461,3 +501,10 @@ class TestDeepThreshold:
         # abs=0: pytest's default abs 1e-12 would swamp psi, which is below 1e-8 here
         assert closed == pytest.approx(expected, rel=1e-14, abs=0)
         assert evaluated == pytest.approx(expected, rel=1e-14, abs=0)
+        aoi, psi = expected
+        collisions = params.collision_prob / params.success_prob  # per renewal
+        for lam in (0.0, 1e3, 1e6):
+            gain, _, _, (slots, age_sum) = poisson_solve(table, params, lam)
+            assert gain == pytest.approx(aoi + lam * psi, rel=1e-14, abs=0)
+        solved = (age_sum / slots, collisions / slots)
+        assert solved == pytest.approx(expected, rel=1e-14, abs=0)
