@@ -18,7 +18,10 @@ one ``slot_transition_matrix``, all on the canonical instance (alpha 0.02,
 beta 0.4, phi_s 0.2, eta_s 5e-4), and on a slow PU (alpha 1e-4, beta 3e-4,
 phi_s 0.2) one ``policy_cost_evaluate`` of the threshold table at
 Gamma = 5e4 and, best of ``DEEP_REPEAT``, one ``lambda_bisection`` whose
-budget lies halfway between psi_s(5e4) and psi_s(5e4 + 1).  Then the tree's
+budget lies halfway between psi_s(5e4) and psi_s(5e4 + 1).  The closed form
+per instance is the microseconds per ``age_optimal_policy`` over the first
+``SWEEP_SAMPLE`` inputs of ``perfbench.workloads.sweep_inputs(SEED)``, best of
+``REPEAT`` passes over the sample.  Then the tree's
 ``perfbench/run.py`` runs every workload untraced and traced on seed 1 as
 subprocesses, each for that script's default run length.  Wall times are recorded, never gated;
 the counts of a traced run (solver iterations and calls, evaluator calls)
@@ -46,6 +49,7 @@ WORKLOADS = ("sweep", "verify", "presets")
 SEED = 1
 REPEAT = 20  # best-of count per solver layer
 DEEP_REPEAT = 3  # best-of count of the deep multiplier search, which took seconds
+SWEEP_SAMPLE = 2_000  # closed-form instances timed per pass
 
 
 def best_ms(fn, repeat: int = REPEAT) -> float:
@@ -58,7 +62,7 @@ def best_ms(fn, repeat: int = REPEAT) -> float:
 
 
 def time_layers() -> dict[str, float]:
-    """Best-of-``REPEAT`` milliseconds of each layer on its fixed instance."""
+    """Best-of-``REPEAT`` time of each layer on its fixed inputs, in the unit its name ends in."""
     import numpy as np
     from craoi import (
         PuRates,
@@ -72,6 +76,7 @@ def time_layers() -> dict[str, float]:
         rvi_solve,
         slot_transition_matrix,
     )
+    from perfbench.workloads import sweep_inputs
 
     canon = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=5e-4)
     pol = age_optimal_policy(canon)
@@ -80,6 +85,12 @@ def time_layers() -> dict[str, float]:
     threshold[-1] = 1.0
     deep_eta = 0.5 * (collision_probability(50_000, slow) + collision_probability(50_001, slow))
     deep = SystemParams(rates=slow.rates, phi_s=slow.phi_s, eta_s=deep_eta)
+    sample = sweep_inputs(SEED)[:SWEEP_SAMPLE]
+
+    def closed_forms():
+        for params in sample:
+            age_optimal_policy(params)
+
     return {
         "rvi_solve_lam1e3_ms": best_ms(lambda: rvi_solve(canon, 1e3)),
         "lambda_bisection_ms": best_ms(lambda: lambda_bisection(canon)),
@@ -90,6 +101,7 @@ def time_layers() -> dict[str, float]:
         ),
         "slot_transition_matrix_ms": best_ms(lambda: slot_transition_matrix(canon.rates)),
         "lambda_bisection_gamma5e4_ms": best_ms(lambda: lambda_bisection(deep), DEEP_REPEAT),
+        "age_optimal_policy_sweep_us": best_ms(closed_forms) * 1e3 / SWEEP_SAMPLE,
     }
 
 
@@ -144,7 +156,7 @@ def main(argv=None) -> int:
 
     blas_found = {k: os.environ[k] for k in BLAS_THREAD_VARS if k in os.environ}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))  # before numpy loads
-    sys.path.insert(0, str(tree / "src"))
+    sys.path[:0] = [str(tree / "src"), str(tree)]  # the package, and perfbench's inputs
     import numpy as np
 
     record = {

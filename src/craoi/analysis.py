@@ -1,30 +1,36 @@
 """Closed-form analysis of threshold and randomized-threshold access policies.
 
 Under a threshold policy the device transmits whenever the channel is sensed
-idle and the current age is at least Gamma.  The induced age/occupancy chain
-has a stationary distribution with an explicit form: below the threshold the
-occupancy simply mixes under the slot transition matrix, and at/above the
-threshold the pair (theta_idle, theta_busy) moves by one 2x2 block M of the
-transition matrix less the resets, so every tail sum is read off
-(I - M)^-1.  :func:`_tail` forms it, with its two geometric sums, for the
-walk below and for the CMDP solver's renewal sums.  Everything here is
-exact up to floating point: geometric tails are summed in closed form,
-never truncated.
+idle and the current age is at least Gamma.  A success renews the process at
+(1, idle), so a policy's metrics are ratios of renewal sums: the expected
+slots T and age sum A from (1, idle) to the next success give the average
+age A / T, and by Wald's identity psi_s = (collision / success) / T.  At and
+above the threshold the pair (theta_idle, theta_busy) moves by one 2x2 block
+M of the transition matrix less the resets, so the tail's sums are read off
+(I - M)^-1, which :func:`_tail` forms; below it the occupancy only mixes, and
+:func:`_wait_sums` crosses the whole wait run in closed form.  The CMDP
+solver's Poisson solve takes both steps from here.  Everything here is exact
+up to floating point: geometric tails are summed in closed form, never
+truncated, and no sum cancels.
 
 The randomized policy transmits with probability mu at the boundary age
 Gamma1 and always past it; a threshold policy is the randomized one at
-mu = 1.  Both are runs of constant transmit probability for :func:`_walk`,
-the one routine that holds the model's dynamics; the Bernoulli baseline's
-per-age states and ``policy_cost_evaluate`` walk their runs too.  Only
-the functions that meet the budget take :class:`SystemParams`; the rest take
-a :class:`SystemModel`, which has none.  The model caches nothing: each walk
-builds the slot matrix from the rates.
+mu = 1.  It randomizes once per renewal, so its renewal sums are the
+mu-mixture of those of Gamma1 and Gamma1 + 1 (renewal-reward), and the
+age-optimal policy evaluates each bracketing threshold once, for the
+bracket, mu and the metrics.  :func:`_walk` is the forward evaluator of run
+tables and of per-age states: it holds the model's one-step dynamics, and
+the mixed and Bernoulli steady states and ``policy_cost_evaluate`` walk
+their runs.  Only the functions that meet the budget take
+:class:`SystemParams`; the rest take a :class:`SystemModel`, which has none.
+The model caches nothing: each call builds the slot matrix from the rates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,13 +110,14 @@ def _check_gamma(gamma: int, name: str = "threshold") -> int:
 def _scalars(params: SystemModel) -> tuple:
     """The model scalars of one instance, formed once per public call.
 
-    (alpha, beta, s, success, collision, s/(beta*success), alpha/beta,
-    expm1(-s), rates) with s = alpha + beta.  A plain tuple that lives only
-    for that call: the closed form caches nothing on the model, so a sweep
-    that keeps many models alive holds no extra memory.  s/(beta*success) is
-    the mean time between successes of threshold 1, the shortest any policy
-    has; when it is no float, as when e^-alpha underflows, the instance has
-    no average age to compute.
+    (alpha, beta, s, success, collision, s/(beta*success), expm1(-s), rates,
+    tail) with s = alpha + beta and tail the (v, w) of :func:`_tail` at reset
+    ``success``, which every threshold's renewal sums share.  A plain tuple
+    that lives only for that call: the closed form caches nothing on the
+    model, so a sweep that keeps many models alive holds no extra memory.
+    s/(beta*success) is the mean time between successes of threshold 1, the
+    shortest any policy has; when it is no float, as when e^-alpha
+    underflows, the instance has no average age to compute.
     """
     rates = params.rates
     al, be = rates.alpha, rates.beta
@@ -122,26 +129,8 @@ def _scalars(params: SystemModel) -> tuple:
             f"success probability (1 - phi_s) e^-alpha = {success:.3g} is too small: "
             f"the mean renewal time s/(beta*success) overflows at alpha={al}, beta={be}"
         )
-    return al, be, s, success, collision, b_term, al / be, math.expm1(-s), rates
-
-
-def _normalizer(m: tuple, gamma1: int, mu: float) -> float:
-    """1 / theta_(1,0) of the policy transmitting w.p. mu at (gamma1, idle), always past gamma1.
-
-    With N(G) = G - 1 + s/(beta*success) + alpha(1 - e^(-s(G-1)))/((1 - e^-s)beta)
-    for the threshold G, it is affine in mu like the boundary vector:
-    N(gamma1 + 1) at mu = 0 and N(gamma1) at mu = 1.
-    """
-    al, be, s, _, _, b_term, a_over_b, expm1_s, _ = m
-    # (1 - e^(-s gamma1)) / (1 - e^-s) by expm1: no cancellation for slow PUs
-    upper = gamma1 + b_term + a_over_b * (math.expm1(-s * gamma1) / expm1_s)
-    return upper - mu * (1.0 + al * math.exp(-s * (gamma1 - 1.0)) / be)
-
-
-def _psi(m: tuple, gamma: int) -> float:
-    """Per-slot collision probability of the threshold gamma: theta_(1,0) * collision / success."""
-    _, _, _, success, collision, _, _, _, _ = m
-    return 1.0 / _normalizer(m, gamma, 1.0) * collision / success
+    tail = _tail(slot_transition_matrix(rates), success)[1:]
+    return al, be, s, success, collision, b_term, math.expm1(-s), rates, tail
 
 
 def _advance(x0: float, x1: float, p_ii: float, p_ib: float, p_bi: float, p_bb: float):
@@ -166,6 +155,58 @@ def _tail(channel: ChannelTransition, reset: float):
     m_ii, m_ib, m_bi, m_bb = p_bi / det, p_ib / det, p_bi / det, (p_ib + reset) / det
     v0, v1 = m_ii + m_ib, m_bi + m_bb
     return (m_ii, m_ib, m_bi, m_bb), (v0, v1), (m_ii * v0 + m_ib * v1, m_bi * v0 + m_bb * v1)
+
+
+def _wait_sums(rates: PuRates, length: int, end: int, sums: tuple) -> tuple:
+    """Renewal sums at age end - length + 1 from those at end + 1, across a wait run.
+
+    ``sums`` is (T_idle, T_busy, A_idle, A_busy): the expected slots and age
+    sum to the next success from each occupancy at age end + 1.  Waiting,
+    the occupancy only mixes, so the run's ``length`` ages add their count to
+    T and their sum to A and hand on P^L of the sums past them, P^L in
+    closed form.  Every term is nonnegative, so nothing cancels at any
+    length.  The closed form and the solver's Poisson solve both cross wait
+    runs here.
+    """
+    t_i, t_b, a_i, a_b = sums
+    q_ii, q_ib, q_bi, q_bb = transition_matrix_power(rates, length)
+    ages = length * (end + 0.5 - 0.5 * length)  # ages end - length + 1..end
+    return (
+        length + q_ii * t_i + q_ib * t_b,
+        length + q_bi * t_i + q_bb * t_b,
+        ages + q_ii * a_i + q_ib * a_b,
+        ages + q_bi * a_i + q_bb * a_b,
+    )
+
+
+def _threshold_sums(m: tuple, gamma: int) -> tuple[float, float]:
+    """(T, A) of the threshold gamma: expected slots and age sum from (1, idle) to the next success.
+
+    From age gamma on the policy transmits, so there T = v and
+    A = (gamma - 1) v + w by the shared tail; the wait run of ages
+    1..gamma - 1 before it is crossed by :func:`_wait_sums`.  T is the mean
+    renewal length 1 / theta_(1,0), so psi_s = (collision / success) / T by
+    Wald's identity, and A / T is the average age (renewal-reward).
+    """
+    _, _, _, _, _, _, _, rates, ((v0, v1), (w0, w1)) = m
+    sums = (v0, v1, (gamma - 1) * v0 + w0, (gamma - 1) * v1 + w1)
+    if gamma > 1:
+        sums = _wait_sums(rates, gamma - 1, gamma - 1, sums)
+    return sums[0], sums[2]
+
+
+def _mixture(m: tuple, gamma1: int, mu: float, lo: tuple, hi: tuple) -> tuple[float, float]:
+    """(average age, psi_s) of the policy mixing the renewal sums lo of gamma1 and hi of gamma1 + 1.
+
+    It randomizes once per renewal, at (gamma1, idle), so its renewal is in
+    law the mu-mixture of the two thresholds' (renewal-reward).
+    """
+    _, _, _, success, collision, _, _, _, _ = m
+    slots = mu * lo[0] + (1.0 - mu) * hi[0]
+    aoi = (mu * lo[1] + (1.0 - mu) * hi[1]) / slots
+    if not aoi < math.inf:  # an overflowing age sum; 0 * inf mixes to NaN
+        raise ValueError(f"the average age overflows a float at threshold {float(gamma1):.3g}")
+    return aoi, collision / success / slots
 
 
 def _walk(rates: PuRates, ok: float, runs, age: int = 0):
@@ -219,13 +260,10 @@ def _walk(rates: PuRates, ok: float, runs, age: int = 0):
     return mass, age_sum / mass, state
 
 
-def _mixed_walk(m: tuple, gamma1: int, mu: float, age: int = 0):
-    """:func:`_walk` of the policy transmitting w.p. mu at (gamma1, idle), always past gamma1."""
-    if not (0.0 <= mu <= 1.0):
+def _check_mu(mu: float) -> float:
+    if not (0.0 <= mu <= 1.0):  # NaN fails too
         raise ValueError(f"mu must be in [0, 1], got {mu}")
-    _, _, _, success, _, _, _, _, rates = m
-    runs = ((_check_gamma(gamma1) - 1, 0.0), (1, mu), (math.inf, 1.0))
-    return _walk(rates, success, runs, age)
+    return mu
 
 
 def mixed_policy_steady_state(
@@ -234,32 +272,37 @@ def mixed_policy_steady_state(
     """Stationary (theta_idle, theta_busy) under the boundary-randomized policy.
 
     Transmit with probability mu at (gamma1, idle), always at ages > gamma1.
-    mu=1 is the pure threshold gamma1, mu=0 the threshold gamma1+1.
+    mu=1 is the pure threshold gamma1, mu=0 the threshold gamma1+1.  A state
+    read, so :func:`_walk` carries the state forward through the policy's
+    three runs.
     """
-    return _mixed_walk(_scalars(params), gamma1, mu, _check_gamma(delta, "age"))[2]
-
-
-def _metrics(m: tuple, gamma1: int, mu: float) -> tuple[float, float]:
-    _, _, _, success, collision, _, _, _, _ = m
-    mass, aoi, _ = _mixed_walk(m, gamma1, mu)
-    if aoi == math.inf:
-        raise ValueError(f"the average age overflows a float at threshold {float(gamma1):.3g}")
-    return aoi, collision / (success * mass)
+    _, _, _, success, _, _, _, rates, _ = _scalars(params)
+    runs = ((_check_gamma(gamma1) - 1, 0.0), (1, _check_mu(mu)), (math.inf, 1.0))
+    return _walk(rates, success, runs, _check_gamma(delta, "age"))[2]
 
 
 def mixed_policy_metrics(params: SystemModel, gamma1: int, mu: float) -> tuple[float, float]:
-    """(average age, per-slot collision probability) of the randomized policy."""
-    return _metrics(_scalars(params), gamma1, mu)
+    """(average age, per-slot collision probability) of the randomized policy.
+
+    The mu-mixture of the renewal sums of the thresholds gamma1 and gamma1 + 1;
+    mu = 1 needs only the first.
+    """
+    m = _scalars(params)
+    gamma1, mu = _check_gamma(gamma1), _check_mu(mu)
+    lo = _threshold_sums(m, gamma1)
+    hi = lo if mu == 1.0 else _threshold_sums(m, gamma1 + 1)
+    return _mixture(m, gamma1, mu, lo, hi)
 
 
 def collision_probability(gamma: int, params: SystemModel) -> float:
     """Per-slot collision probability psi_s of the threshold policy."""
-    gamma = _check_gamma(gamma)
-    return _psi(_scalars(params), gamma)
+    m = _scalars(params)
+    _, _, _, success, collision, _, _, _, _ = m
+    return collision / success / _threshold_sums(m, _check_gamma(gamma))[0]
 
 
 def average_aoi_series(gamma: int, params: SystemModel) -> float:
-    """Average age from the stationary distribution, geometric tail in closed form."""
+    """Average age of the threshold policy, its geometric tail in closed form."""
     return mixed_policy_metrics(params, gamma, 1.0)[0]
 
 
@@ -310,16 +353,17 @@ def _lambert_w0_exp(z: float) -> float:
     return w
 
 
-def _thresholds(m: tuple, eta: float) -> tuple[int, int, float, float]:
-    """(Gamma1, Gamma2, psi_s(Gamma1), psi_s(Gamma2)); see :func:`optimal_thresholds`.
+def _thresholds(m: tuple, eta: float) -> tuple[int, int, tuple, tuple]:
+    """(Gamma1, Gamma2, sums(Gamma1), sums(Gamma2)); see :func:`optimal_thresholds`.
 
-    The two collision probabilities verify the bracket and are returned, so
-    that mu is interpolated from them rather than from a second evaluation.
+    Each bracketing threshold is evaluated once, as its renewal sums (T, A)
+    from :func:`_threshold_sums`: psi_s = (collision / success) / T verifies
+    the bracket, and the sums are returned for mu and the metrics.
     """
-    psi_one = _psi(m, 1)
-    if psi_one <= eta:
-        return 1, 1, psi_one, psi_one
-    al, be, s, success, collision, b_term, _, expm1_s, _ = m
+    al, be, s, success, collision, b_term, expm1_s, _, _ = m
+    one = _threshold_sums(m, 1)
+    if collision / success / one[0] <= eta:
+        return 1, 1, one, one
     k = al / (be * -expm1_s)
     tau = eta * success / collision  # theta_(1,0) at the budget
     r = 1.0 / tau - b_term - k
@@ -338,14 +382,14 @@ def _thresholds(m: tuple, eta: float) -> tuple[int, int, float, float]:
     g1, g2 = int(math.floor(g_real)), int(math.ceil(g_real))
     g1 = max(g1, 1)
     g2 = max(g2, g1)
-    psi1 = _psi(m, g1)
-    psi2 = psi1 if g2 == g1 else _psi(m, g2)
-    if not (psi1 >= eta >= psi2):
+    lo = _threshold_sums(m, g1)
+    hi = lo if g2 == g1 else _threshold_sums(m, g2)
+    if not (collision / success / lo[0] >= eta >= collision / success / hi[0]):
         raise ValueError(
             f"threshold bracket verification failed at (G1, G2)=({g1}, {g2}); "
             "Lambert W argument is numerically suspect for these parameters"
         )
-    return g1, g2, psi1, psi2
+    return g1, g2, lo, hi
 
 
 def optimal_thresholds(params: SystemParams) -> tuple[int, int]:
@@ -373,8 +417,7 @@ def _mu(eta: float, gamma1: int, psi1: float, psi2: float) -> float:
     return mu
 
 
-@dataclass(frozen=True)
-class AgeOptimalPolicy:
+class AgeOptimalPolicy(NamedTuple):
     """Closed-form age-optimal policy and its analytical performance."""
 
     gamma1: int
@@ -390,12 +433,16 @@ def age_optimal_policy(params: SystemParams) -> AgeOptimalPolicy:
 
     A single bracketing threshold (the budget is slack at threshold 1, or met
     exactly) is the mixed policy at mu = 1.  The instance's scalars are formed
-    once, and mu comes from the two collision probabilities that verified
-    the bracket.
+    once, and each bracketing threshold is evaluated once: its renewal sums
+    verify the bracket, give mu by their collision probabilities, and mix by
+    mu into the policy's metrics.
     """
     m = _scalars(params)
-    g1, g2, psi1, psi2 = _thresholds(m, params.eta_s)
-    mu = 1.0 if g1 == g2 else _mu(params.eta_s, g1, psi1, psi2)
-    aoi, psi = _metrics(m, g1, mu)
-    binds = g1 != g2 or math.isclose(psi, params.eta_s, rel_tol=1e-12)
-    return AgeOptimalPolicy(gamma1=g1, gamma2=g2, mu=mu, avg_aoi=aoi, psi_s=psi, constraint_binds=binds)
+    eta = params.eta_s
+    g1, g2, lo, hi = _thresholds(m, eta)
+    _, _, _, success, collision, _, _, _, _ = m
+    k = collision / success  # collisions per renewal
+    mu = 1.0 if g1 == g2 else _mu(eta, g1, k / lo[0], k / hi[0])
+    aoi, psi = _mixture(m, g1, mu, lo, hi)
+    binds = g1 != g2 or math.isclose(psi, eta, rel_tol=1e-12)
+    return AgeOptimalPolicy(g1, g2, mu, aoi, psi, binds)

@@ -8,12 +8,14 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import SystemModel, SystemParams, age_optimal_policy
 from .channel import PuRates, expected_cycle_length
 from .experiments import DEFAULT_SEED, PRESETS, run_preset, write_csv
 from .policies import BernoulliAccessPolicy, RandomizedThresholdPolicy, ThresholdPolicy
 from .sim import SimConfig, run_config
-from .solver import lambda_bisection
+from .solver import lambda_bisection, policy_cost_evaluate
 
 
 def _parse_policy(text: str, parser: argparse.ArgumentParser):
@@ -68,11 +70,16 @@ def _cmd_solve(args, parser) -> int:
         # policy: it transmits w.p. min(1, max(0, d - (gamma1 - mu))) at idle
         # age d, so no age's probability differs by more than the difference
         # of gamma1 - mu (the integer part is exact).  Compare that, then the
-        # exact average age and collision probability.
-        ok = (
-            abs((sol.gamma1 - pol.gamma1) - (sol.mu - pol.mu)) <= 1e-6
-            and math.isclose(sol.achieved_aoi, pol.avg_aoi, rel_tol=1e-12)
-            and math.isclose(sol.achieved_cost, pol.psi_s, rel_tol=1e-12)
+        # solver's exact average age and collision probability with the
+        # closed form's, and with a forward walk of the closed-form policy's
+        # table: the closed form and the solver both sum renewals backward.
+        table = np.zeros(pol.gamma1 + 1)
+        table[-2:] = pol.mu, 1.0
+        walked = policy_cost_evaluate(table, params)
+        ok = abs((sol.gamma1 - pol.gamma1) - (sol.mu - pol.mu)) <= 1e-6 and all(
+            math.isclose(sol.achieved_aoi, aoi, rel_tol=1e-12)
+            and math.isclose(sol.achieved_cost, psi, rel_tol=1e-12)
+            for aoi, psi in ((pol.avg_aoi, pol.psi_s), walked)
         )
         print(
             f"rvi_agreement {'ok' if ok else 'MISMATCH'} "

@@ -10,7 +10,6 @@ independent outage draw clears.  Everything is deterministic given the seed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -262,6 +261,9 @@ def replicate(config: SimConfig, n_reps: int, n_workers: int = 1) -> ReplicatedR
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     indices = list(range(n_reps))
     if n_workers > 1:
+        # imported here: the process pool costs every `import craoi` time and memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(run_config, [config] * n_reps, indices))
     else:

@@ -9,16 +9,19 @@ whose last entry holds for every older age and transmits, so the age renews.
 A renewal holds the same expected collisions from every state, so the
 Poisson equation reduces to the expected slots and age sum to the next
 renewal, free of the multiplier, solved by one backward pass over the
-table's runs of constant action.  Past the head the closed form's tail
-primitive ``analysis._tail`` sums the tail exactly, the bias there is affine
-in age, and policy improvement finds the first tail age that should transmit
-in closed form.  No age grid is built.  The same sums give a policy's, and a
-two-threshold mixture's, (average age, collision cost).  The greedy policies
-are threshold-shaped, so one deterministic loop on the multiplier, doubling
-and then bisecting, brackets the budget with two consecutive thresholds, and
-a boundary randomization closes the gap exactly (Beutler & Ross 1985).  Only
-that search takes a budget.  ``policy_cost_evaluate`` walks any table
-forward, as the closed form does.
+table's runs of constant action.  It shares the closed form's steps: past
+the head ``analysis._tail`` sums the tail exactly, formed once per solve,
+and ``analysis._wait_sums`` crosses each wait run.  The bias past the head
+is affine in age, with the slope the solve returns, and policy improvement
+finds the first tail age that should transmit in closed form.  No age grid
+is built.  The same sums give a policy's, and a two-threshold mixture's,
+(average age, collision cost).  The greedy policies are threshold-shaped, so
+one deterministic loop on the multiplier, doubling and then bisecting,
+brackets the budget with two consecutive thresholds, and a boundary
+randomization closes the gap exactly (Beutler & Ross 1985).  Only that
+search takes a budget.  ``policy_cost_evaluate`` walks any table forward
+with ``analysis._walk``, the package's forward evaluator, so it checks the
+backward sums of the solver and of the closed form independently.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SystemModel, SystemParams, _tail, _walk
-from .channel import slot_transition_matrix, transition_matrix_power
+from .analysis import SystemModel, SystemParams, _tail, _wait_sums, _walk
+from .channel import slot_transition_matrix
 
 MAX_EXPAND = 60  # multiplier doublings from 1 before the search gives up
 MAX_BISECT = 200  # multiplier bisections before the search gives up
@@ -76,7 +79,7 @@ def _require_renewal(table: np.ndarray) -> None:
 
 def poisson_solve(
     probs: np.ndarray, model: SystemModel, lam: float
-) -> tuple[float, np.ndarray, np.ndarray, tuple[float, float]]:
+) -> tuple[float, np.ndarray, np.ndarray, tuple[float, float], float]:
     """Gain and bias of a fixed policy under cost age + lam * collisions, and its renewal sums.
 
     ``probs`` is a table of transmit probabilities per idle age 1..n; older
@@ -87,8 +90,10 @@ def poisson_solve(
     and h(1, idle) = 0 gives g = (A + lam k) / T there: lam is in no
     recursion.  One backward pass over the runs solves (T, A): at age n by
     ``analysis._tail``, T = v and A = (n - 1) v + w; a wait run in closed
-    form by P^L = Pi + e^(-sL) (I - Pi); a transmit run age by age.  Returns
-    g, the bias on ages 1..n per occupancy and (T, A) at (1, idle).
+    form by ``analysis._wait_sums``, the closed form's own step; a transmit
+    run age by age.  Returns g, the bias on ages 1..n per occupancy, (T, A)
+    at (1, idle) and the idle bias's slope past n, h(d + 1) - h(d) = v_idle,
+    since A rises by v per age there and T does not change.
     """
     _require_renewal(probs)
     al, be = model.rates.alpha, model.rates.beta
@@ -98,6 +103,7 @@ def poisson_solve(
     ok = model.success_prob
     n, p = probs.size, probs[-1].item()
     _, (ti, tb), (wi, wb) = _tail(channel, p * ok)
+    slope = ti
     ai, ab = (n - 1) * ti + wi, (n - 1) * tb + wb
     # (first, end, p, (T, A)) of the ages first + 1..end: past a wait run, at a transmit age
     runs = [(n - 1, n, p, (ti, tb, ai, ab))]
@@ -106,11 +112,7 @@ def poisson_solve(
         p = probs[first].item()
         if p == 0:
             runs.append((first, end, p, (ti, tb, ai, ab)))
-            length = end - first
-            q_ii, q_ib, q_bi, q_bb = transition_matrix_power(model.rates, length)
-            ages = length * (end + 0.5 - 0.5 * length)  # ages first + 1..end
-            ti, tb = length + q_ii * ti + q_ib * tb, length + q_bi * ti + q_bb * tb
-            ai, ab = ages + q_ii * ai + q_ib * ab, ages + q_bi * ai + q_bb * ab
+            ti, tb, ai, ab = _wait_sums(model.rates, end - first, end, (ti, tb, ai, ab))
         else:
             stay = channel.p_II - p * ok
             for d in range(end, first, -1):
@@ -131,7 +133,7 @@ def poisson_solve(
         else:
             bias_idle[first], bias_busy[first] = a_i + lam_k - gain * t_i, a_b + lam_k - gain * t_b
     bias_idle[0] = 0.0
-    return gain, bias_idle, bias_busy, (ti, ai)
+    return gain, bias_idle, bias_busy, (ti, ai), slope
 
 
 @dataclass(frozen=True)
@@ -165,8 +167,6 @@ def rvi_solve(model: SystemModel, lam: float, init=(True,)) -> SolvedPolicy:
     transmit = transmit[: _head_length(transmit)]
     ok = model.success_prob
     tx_cost = lam * model.collision_prob
-    # h(d + 1) - h(d) past the head, where the policy transmits
-    slope = _tail(slot_transition_matrix(model.rates), ok)[1][0]
 
     def improve(h_next, current):
         # A transmission pays tx_cost and, with mass ok, swaps the move to
@@ -177,7 +177,8 @@ def rvi_solve(model: SystemModel, lam: float, init=(True,)) -> SolvedPolicy:
         return np.where(np.abs(adv) <= 1e-12 * (tx_cost + np.abs(value)), current, adv > 0.0)
 
     for it in itertools.count(1):
-        gain, h_idle, h_busy, renewal = poisson_solve(transmit, model, lam)
+        # slope is h(d + 1) - h(d) past the head, where the policy transmits
+        gain, h_idle, h_busy, renewal, slope = poisson_solve(transmit, model, lam)
         h_n = h_idle[-1]
         improved = improve(np.concatenate((h_idle[1:], (h_n + slope,))), transmit)
         if not improved[-1]:

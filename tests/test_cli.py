@@ -160,6 +160,28 @@ class TestSolve:
         assert rc == 1
         assert "rvi_agreement MISMATCH (rvi gamma1=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("evaluator", ["age_optimal_policy", "policy_cost_evaluate"])
+    def test_verify_compares_forward_walk(self, evaluator, monkeypatch, capsys):
+        # the closed form and the solver both sum renewals backward, so the
+        # solver's metrics are also held to a forward walk of the closed-form
+        # policy's table: an average age off by 1e-9 relative on either side
+        # must not pass
+        evaluate = getattr(craoi.cli, evaluator)
+
+        def skewed(*args):
+            out = evaluate(*args)
+            if evaluator == "age_optimal_policy":
+                return out._replace(avg_aoi=out.avg_aoi * (1.0 + 1e-9))
+            return out[0] * (1.0 + 1e-9), out[1]
+
+        monkeypatch.setattr(craoi.cli, evaluator, skewed)
+        rc = craoi.cli.main(
+            ["solve", "--alpha", "0.02", "--beta", "0.4", "--phi-s", "0.2",
+             "--eta-s", "0.002", "--verify"]
+        )  # fmt: skip
+        assert rc == 1
+        assert "rvi_agreement MISMATCH (rvi gamma1=" in capsys.readouterr().out
+
     def test_verify_compares_policies(self, monkeypatch, capsys):
         # a mixing probability off by 2e-6 names another policy, even with the
         # achieved metrics left as they were

@@ -1,6 +1,8 @@
 """Every module-level import in the package, the tests and the scripts is read in its file."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,12 @@ def test_every_tree_is_checked():
 @pytest.mark.parametrize("path", CHECKED, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_import_leaves_out_the_process_pool():
+    # only replicate(n_workers > 1) uses it, and it imports it there
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, craoi; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )  # fmt: skip
+    assert res.stdout.strip() == "False"
