@@ -21,7 +21,11 @@ Gamma = 5e4 and, best of ``DEEP_REPEAT``, one ``lambda_bisection`` whose
 budget lies halfway between psi_s(5e4) and psi_s(5e4 + 1).  The closed form
 per instance is the microseconds per ``age_optimal_policy`` over the first
 ``SWEEP_SAMPLE`` inputs of ``perfbench.workloads.sweep_inputs(SEED)``, best of
-``REPEAT`` passes over the sample.  Then the tree's
+``REPEAT`` passes over the sample.  Two layers time the set-up side, where
+work moved out of an op would show: ``sweep_inputs_ms``, building all of
+``sweep_inputs(SEED)``, best of ``REPEAT``, and ``import_craoi_ms``, the
+median over ``IMPORT_RUNS`` fresh interpreters of ``import craoi`` alone.
+Then the tree's
 ``perfbench/run.py`` runs every workload untraced and traced on seed 1 as
 subprocesses, each for that script's default run length.  Wall times are recorded, never gated;
 the counts of a traced run (solver iterations and calls, evaluator calls)
@@ -37,6 +41,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -50,6 +55,11 @@ SEED = 1
 REPEAT = 20  # best-of count per solver layer
 DEEP_REPEAT = 3  # best-of count of the deep multiplier search, which took seconds
 SWEEP_SAMPLE = 2_000  # closed-form instances timed per pass
+IMPORT_RUNS = 11  # fresh interpreters timed per import
+IMPORT_SNIPPET = (
+    "import time; start = time.perf_counter(); import craoi; "
+    "print(time.perf_counter() - start)"
+)
 
 
 def best_ms(fn, repeat: int = REPEAT) -> float:
@@ -61,7 +71,17 @@ def best_ms(fn, repeat: int = REPEAT) -> float:
     return best * 1e3
 
 
-def time_layers() -> dict[str, float]:
+def import_ms(tree: Path) -> float:
+    """Median milliseconds of ``import craoi`` in a fresh interpreter, over ``IMPORT_RUNS``."""
+    times = []
+    for _ in range(IMPORT_RUNS):
+        _, done = timed_run(tree, [sys.executable, "-c", IMPORT_SNIPPET])
+        done.check_returncode()
+        times.append(float(done.stdout))
+    return statistics.median(times) * 1e3
+
+
+def time_layers(tree: Path) -> dict[str, float]:
     """Best-of-``REPEAT`` time of each layer on its fixed inputs, in the unit its name ends in."""
     import numpy as np
     from craoi import (
@@ -102,6 +122,8 @@ def time_layers() -> dict[str, float]:
         "slot_transition_matrix_ms": best_ms(lambda: slot_transition_matrix(canon.rates)),
         "lambda_bisection_gamma5e4_ms": best_ms(lambda: lambda_bisection(deep), DEEP_REPEAT),
         "age_optimal_policy_sweep_us": best_ms(closed_forms) * 1e3 / SWEEP_SAMPLE,
+        "sweep_inputs_ms": best_ms(lambda: sweep_inputs(SEED)),
+        "import_craoi_ms": import_ms(tree),
     }
 
 
@@ -168,7 +190,7 @@ def main(argv=None) -> int:
             "blas_threads": {"set": 1, "env_found": blas_found},
         },
         "end_to_end": time_end_to_end(tree),
-        "layers": time_layers(),
+        "layers": time_layers(tree),
         "workloads": {
             name: {
                 "untraced": run_workload(tree, name, 0),

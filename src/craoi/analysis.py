@@ -23,7 +23,10 @@ tables and of per-age states: it holds the model's one-step dynamics, and
 the mixed and Bernoulli steady states and ``policy_cost_evaluate`` walk
 their runs.  Only the functions that meet the budget take
 :class:`SystemParams`; the rest take a :class:`SystemModel`, which has none.
-The model caches nothing: each call builds the slot matrix from the rates.
+The model caches nothing.  Each call forms the occupancy probabilities it
+needs from the rates by the channel's private core ``_occupancy``, as plain
+tuples: the one-slot block of the shared tail and each wait run's P^L.
+Of this module, only :func:`_walk` builds the public, validated matrices.
 """
 
 from __future__ import annotations
@@ -35,22 +38,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (
-    ChannelTransition,
     PuRates,
+    _occupancy,
     convert_collision_budget,
     slot_transition_matrix,
     transition_matrix_power,
 )
-
-
-def _outcome_probs(phi_s: float, alpha: float) -> tuple[float, float]:
-    """(success, collision) probabilities of a transmission from an idle-sensed slot.
-
-    It succeeds if the PU stays idle through the slot and the device has no
-    outage; it collides if the PU returns within the slot.
-    """
-    # 1 - e^-alpha by expm1: no cancellation for small alpha
-    return (1.0 - phi_s) * math.exp(-alpha), -math.expm1(-alpha)
 
 
 @dataclass(frozen=True)
@@ -74,13 +67,18 @@ class SystemModel:
 
     @property
     def success_prob(self) -> float:
-        """Probability a transmission from an idle-sensed slot succeeds."""
-        return _outcome_probs(self.phi_s, self.rates.alpha)[0]
+        """Probability a transmission from an idle-sensed slot succeeds.
+
+        It succeeds if the PU stays idle through the slot and the device has
+        no outage.
+        """
+        return (1.0 - self.phi_s) * math.exp(-self.rates.alpha)
 
     @property
     def collision_prob(self) -> float:
         """Probability a transmission from an idle-sensed slot collides with the PU's return."""
-        return _outcome_probs(self.phi_s, self.rates.alpha)[1]
+        # 1 - e^-alpha by expm1: no cancellation for small alpha
+        return -math.expm1(-self.rates.alpha)
 
 
 @dataclass(frozen=True)
@@ -107,30 +105,39 @@ def _check_gamma(gamma: int, name: str = "threshold") -> int:
     return int(gamma)
 
 
-def _scalars(params: SystemModel) -> tuple:
-    """The model scalars of one instance, formed once per public call.
+def _checked_success(params: SystemModel) -> tuple[float, float]:
+    """(success, s/(beta*success)) of the instance, s = alpha + beta.
 
-    (alpha, beta, s, success, collision, s/(beta*success), expm1(-s), rates,
-    tail) with s = alpha + beta and tail the (v, w) of :func:`_tail` at reset
-    ``success``, which every threshold's renewal sums share.  A plain tuple
-    that lives only for that call: the closed form caches nothing on the
-    model, so a sweep that keeps many models alive holds no extra memory.
     s/(beta*success) is the mean time between successes of threshold 1, the
     shortest any policy has; when it is no float, as when e^-alpha
-    underflows, the instance has no average age to compute.
+    underflows, the instance has no average age to compute, and this raises.
     """
-    rates = params.rates
-    al, be = rates.alpha, rates.beta
-    s = al + be
-    success, collision = _outcome_probs(params.phi_s, al)
-    b_term = s / (be * success) if be * success > 0.0 else math.inf
+    al, be = params.rates.alpha, params.rates.beta
+    success = params.success_prob
+    b_term = (al + be) / (be * success) if be * success > 0.0 else math.inf
     if b_term == math.inf:
         raise ValueError(
             f"success probability (1 - phi_s) e^-alpha = {success:.3g} is too small: "
             f"the mean renewal time s/(beta*success) overflows at alpha={al}, beta={be}"
         )
-    tail = _tail(slot_transition_matrix(rates), success)[1:]
-    return al, be, s, success, collision, b_term, math.expm1(-s), rates, tail
+    return success, b_term
+
+
+def _scalars(params: SystemModel) -> tuple:
+    """The model scalars of one instance, formed once per public call.
+
+    (alpha, beta, s, success, collision, s/(beta*success), expm1(-s), tail)
+    with s = alpha + beta and tail the (v, w) of :func:`_tail` at reset
+    ``success``, which every threshold's renewal sums share; the domain check
+    is :func:`_checked_success`'s.  A plain tuple that lives only for that
+    call: the closed form caches nothing on the model, so a sweep that keeps
+    many models alive holds no extra memory.
+    """
+    success, b_term = _checked_success(params)
+    al, be = params.rates.alpha, params.rates.beta
+    s = al + be
+    tail = _tail(_occupancy(al, be, s, 1.0), success)[1:]
+    return al, be, s, success, params.collision_prob, b_term, math.expm1(-s), tail
 
 
 def _advance(x0: float, x1: float, p_ii: float, p_ib: float, p_bi: float, p_bb: float):
@@ -138,7 +145,7 @@ def _advance(x0: float, x1: float, p_ii: float, p_ib: float, p_bi: float, p_bb: 
     return x0 * p_ii + x1 * p_bi, x0 * p_ib + x1 * p_bb
 
 
-def _tail(channel: ChannelTransition, reset: float):
+def _tail(channel: tuple, reset: float):
     """((I - M)^-1 row-major, v, w) for M = [[p_II - reset, p_IB], [p_BI, p_BB]]; reset > 0.
 
     M is one age step of (theta_idle, theta_busy) when an idle-sensed slot
@@ -157,19 +164,19 @@ def _tail(channel: ChannelTransition, reset: float):
     return (m_ii, m_ib, m_bi, m_bb), (v0, v1), (m_ii * v0 + m_ib * v1, m_bi * v0 + m_bb * v1)
 
 
-def _wait_sums(rates: PuRates, length: int, end: int, sums: tuple) -> tuple:
+def _wait_sums(al: float, be: float, s: float, length: int, end: int, sums: tuple) -> tuple:
     """Renewal sums at age end - length + 1 from those at end + 1, across a wait run.
 
     ``sums`` is (T_idle, T_busy, A_idle, A_busy): the expected slots and age
     sum to the next success from each occupancy at age end + 1.  Waiting,
     the occupancy only mixes, so the run's ``length`` ages add their count to
-    T and their sum to A and hand on P^L of the sums past them, P^L in
-    closed form.  Every term is nonnegative, so nothing cancels at any
-    length.  The closed form and the solver's Poisson solve both cross wait
-    runs here.
+    T and their sum to A and hand on P^L of the sums past them, P^L by the
+    channel's occupancy core from alpha, beta and s = alpha + beta.  Every
+    term is nonnegative, so nothing cancels at any length.  The closed form
+    and the solver's Poisson solve both cross wait runs here.
     """
     t_i, t_b, a_i, a_b = sums
-    q_ii, q_ib, q_bi, q_bb = transition_matrix_power(rates, length)
+    q_ii, q_ib, q_bi, q_bb = _occupancy(al, be, s, length)
     ages = length * (end + 0.5 - 0.5 * length)  # ages end - length + 1..end
     return (
         length + q_ii * t_i + q_ib * t_b,
@@ -188,10 +195,10 @@ def _threshold_sums(m: tuple, gamma: int) -> tuple[float, float]:
     renewal length 1 / theta_(1,0), so psi_s = (collision / success) / T by
     Wald's identity, and A / T is the average age (renewal-reward).
     """
-    _, _, _, _, _, _, _, rates, ((v0, v1), (w0, w1)) = m
+    al, be, s, _, _, _, _, ((v0, v1), (w0, w1)) = m
     sums = (v0, v1, (gamma - 1) * v0 + w0, (gamma - 1) * v1 + w1)
     if gamma > 1:
-        sums = _wait_sums(rates, gamma - 1, gamma - 1, sums)
+        sums = _wait_sums(al, be, s, gamma - 1, gamma - 1, sums)
     return sums[0], sums[2]
 
 
@@ -201,7 +208,7 @@ def _mixture(m: tuple, gamma1: int, mu: float, lo: tuple, hi: tuple) -> tuple[fl
     It randomizes once per renewal, at (gamma1, idle), so its renewal is in
     law the mu-mixture of the two thresholds' (renewal-reward).
     """
-    _, _, _, success, collision, _, _, _, _ = m
+    _, _, _, success, collision, _, _, _ = m
     slots = mu * lo[0] + (1.0 - mu) * hi[0]
     aoi = (mu * lo[1] + (1.0 - mu) * hi[1]) / slots
     if not aoi < math.inf:  # an overflowing age sum; 0 * inf mixes to NaN
@@ -276,9 +283,9 @@ def mixed_policy_steady_state(
     read, so :func:`_walk` carries the state forward through the policy's
     three runs.
     """
-    _, _, _, success, _, _, _, rates, _ = _scalars(params)
+    success, _ = _checked_success(params)
     runs = ((_check_gamma(gamma1) - 1, 0.0), (1, _check_mu(mu)), (math.inf, 1.0))
-    return _walk(rates, success, runs, _check_gamma(delta, "age"))[2]
+    return _walk(params.rates, success, runs, _check_gamma(delta, "age"))[2]
 
 
 def mixed_policy_metrics(params: SystemModel, gamma1: int, mu: float) -> tuple[float, float]:
@@ -297,7 +304,7 @@ def mixed_policy_metrics(params: SystemModel, gamma1: int, mu: float) -> tuple[f
 def collision_probability(gamma: int, params: SystemModel) -> float:
     """Per-slot collision probability psi_s of the threshold policy."""
     m = _scalars(params)
-    _, _, _, success, collision, _, _, _, _ = m
+    _, _, _, success, collision, _, _, _ = m
     return collision / success / _threshold_sums(m, _check_gamma(gamma))[0]
 
 
@@ -360,7 +367,7 @@ def _thresholds(m: tuple, eta: float) -> tuple[int, int, tuple, tuple]:
     from :func:`_threshold_sums`: psi_s = (collision / success) / T verifies
     the bracket, and the sums are returned for mu and the metrics.
     """
-    al, be, s, success, collision, b_term, expm1_s, _, _ = m
+    al, be, s, success, collision, b_term, expm1_s, _ = m
     one = _threshold_sums(m, 1)
     if collision / success / one[0] <= eta:
         return 1, 1, one, one
@@ -440,7 +447,7 @@ def age_optimal_policy(params: SystemParams) -> AgeOptimalPolicy:
     m = _scalars(params)
     eta = params.eta_s
     g1, g2, lo, hi = _thresholds(m, eta)
-    _, _, _, success, collision, _, _, _, _ = m
+    _, _, _, success, collision, _, _, _ = m
     k = collision / success  # collisions per renewal
     mu = 1.0 if g1 == g2 else _mu(eta, g1, k / lo[0], k / hi[0])
     aoi, psi = _mixture(m, g1, mu, lo, hi)

@@ -4,10 +4,13 @@ The primary user (PU) alternates between idle and busy sojourns with
 exponential durations (rates ``alpha``: idle -> busy, ``beta``: busy -> idle).
 The secondary device senses the channel once per unit slot, so everything the
 rest of the toolkit needs reduces to the slot-level transition matrix of the
-occupancy chain and a few derived scalars.  The matrix is a plain named tuple
-with one builder, :func:`transition_matrix_power`; callers build it from the
-rates where they need it, and nothing caches it.  The device's resets are not
-the PU's: the age chain's blocks and their tail sums live in ``analysis``.
+occupancy chain and a few derived scalars.  The occupancy formula is written
+once, in the private core ``_occupancy``, which returns a plain tuple from the
+rates' scalars; the public builder :func:`transition_matrix_power` checks its
+interval and wraps the core's tuple in the named :class:`ChannelTransition`.
+The closed form's hot loops call the core directly, and nothing caches a
+matrix.  The device's resets are not the PU's: the age chain's blocks and
+their tail sums live in ``analysis``.
 """
 
 from __future__ import annotations
@@ -50,15 +53,23 @@ class ChannelTransition(NamedTuple):
     p_BB: float
 
 
+def _occupancy(al: float, be: float, s: float, t: float) -> tuple[float, float, float, float]:
+    """(p_II, p_IB, p_BI, p_BB) across an interval of length t, with s = al + be: the formula.
+
+    Unchecked and a plain tuple, for callers that hold the rates' scalars and
+    a valid t; :func:`transition_matrix_power` checks t and names the entries.
+    """
+    e = math.exp(-s * t)
+    mixed = -math.expm1(-s * t)  # 1 - e without cancellation for small s * t
+    return (be + al * e) / s, al * mixed / s, be * mixed / s, (al + be * e) / s
+
+
 def transition_matrix_power(rates: PuRates, t: float) -> ChannelTransition:
     """Occupancy transition probabilities across an interval of length t >= 0."""
     if not t >= 0:  # NaN fails too
         raise ValueError(f"t must be nonnegative, got {t}")
     al, be = rates.alpha, rates.beta
-    s = al + be
-    e = math.exp(-s * t)
-    mixed = -math.expm1(-s * t)  # 1 - e without cancellation for small s * t
-    return ChannelTransition((be + al * e) / s, al * mixed / s, be * mixed / s, (al + be * e) / s)
+    return ChannelTransition._make(_occupancy(al, be, al + be, t))
 
 
 def slot_transition_matrix(rates: PuRates) -> ChannelTransition:

@@ -112,7 +112,7 @@ def poisson_solve(
         p = probs[first].item()
         if p == 0:
             runs.append((first, end, p, (ti, tb, ai, ab)))
-            ti, tb, ai, ab = _wait_sums(model.rates, end - first, end, (ti, tb, ai, ab))
+            ti, tb, ai, ab = _wait_sums(al, be, s, end - first, end, (ti, tb, ai, ab))
         else:
             stay = channel.p_II - p * ok
             for d in range(end, first, -1):

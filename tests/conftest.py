@@ -19,8 +19,16 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import strategies as st
 
 from craoi import IDLE, PuRates, SimResult, SystemModel, SystemParams, split_seed
+from perfbench.workloads import SWEEP_DOMAIN
+
+
+def sweep_domain(key: str):
+    """Floats over one parameter of the benchmark's closed-form fuzz domain."""
+    lo, hi, log = SWEEP_DOMAIN[key]
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp) if log else st.floats(lo, hi)
 
 
 def expm_transition(rates: PuRates, t: float = 1.0) -> np.ndarray:

@@ -24,9 +24,9 @@ from craoi import (
     mixed_policy_steady_state,
     optimal_thresholds,
     optimal_transmit_probability,
+    slot_transition_matrix,
 )
-from craoi.analysis import _scalars, _threshold_sums, _walk
-from perfbench.workloads import SWEEP_DOMAIN
+from craoi.analysis import _scalars, _tail, _threshold_sums, _walk
 
 from .conftest import (
     BINDING_GRID,
@@ -35,6 +35,7 @@ from .conftest import (
     brute_threshold_scan,
     mixed_probs,
     oracle_stationary,
+    sweep_domain,
     threshold_probs,
 )
 
@@ -43,12 +44,6 @@ CANON = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.0005)
 
 def make_params(alpha, beta, phi_s, eta_s=0.01):
     return SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=eta_s)
-
-
-def sweep_domain(key: str):
-    """Floats over one parameter of the benchmark's closed-form fuzz domain."""
-    lo, hi, log = SWEEP_DOMAIN[key]
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp) if log else st.floats(lo, hi)
 
 
 class TestSystemParams:
@@ -114,6 +109,14 @@ class TestTheta10:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             mixed_policy_steady_state(CANON, 0, 1.0, 1)
+
+    def test_rejects_underflowing_success(self):
+        # e^-800 underflows to 0: no transmission succeeds, so no state renews
+        with pytest.raises(ValueError, match=re.escape(
+            "success probability (1 - phi_s) e^-alpha = 0 is too small: the mean renewal "
+            "time s/(beta*success) overflows at alpha=800.0, beta=0.4"
+        )):  # fmt: skip
+            mixed_policy_steady_state(make_params(800.0, 0.4, 0.2), 5, 1.0, 1)
 
 
 class TestSteadyState:
@@ -378,6 +381,15 @@ class TestRenewalSums:
             mass, aoi, _ = _walk(params.rates, params.success_prob, runs)
             assert abs(slots / mass - 1.0) <= self.BOUND
             assert abs(age_sum / (mass * aoi) - 1.0) <= self.BOUND
+
+    @settings(deadline=None)
+    @given(alpha=sweep_domain("alpha"), beta=sweep_domain("beta"), phi_s=sweep_domain("phi_s"))
+    def test_scalars_tail_equals_public_composition(self, alpha, beta, phi_s):
+        # the shared tail comes from the occupancy core, not the public
+        # builder; it must equal the tail of the built slot matrix exactly
+        params = make_params(alpha, beta, phi_s)
+        expected = _tail(slot_transition_matrix(params.rates), params.success_prob)[1:]
+        assert _scalars(params)[-1] == expected
 
 
 class TestAgeOptimalPolicy:

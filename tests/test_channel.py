@@ -16,8 +16,9 @@ from craoi import (
     transition_matrix_power,
 )
 from craoi.analysis import _tail
+from craoi.channel import _occupancy
 
-from .conftest import expm_transition
+from .conftest import expm_transition, sweep_domain
 
 
 def occupancy_matrix(sig) -> np.ndarray:
@@ -125,6 +126,27 @@ class TestTransitionMatrixPower:
         # NaN as well: the builder checks no entry it returns
         with pytest.raises(ValueError, match="nonnegative"):
             transition_matrix_power(PuRates(0.02, 0.4), math.nan)
+
+
+class TestOccupancyCore:
+    @settings(deadline=None)
+    @given(
+        alpha=sweep_domain("alpha"),
+        beta=sweep_domain("beta"),
+        t=st.one_of(
+            st.sampled_from([0, 1, 0.0, 1.0]),
+            st.integers(min_value=2, max_value=2**53),
+            st.floats(min_value=0.0, max_value=1e6).filter(lambda t: t % 1 != 0),
+        ),
+    )
+    def test_builder_wraps_core_bit_for_bit(self, alpha, beta, t):
+        # the formula is written once: the validated builder only names the
+        # core's entries, for whole and fractional intervals alike
+        core = _occupancy(alpha, beta, alpha + beta, t)
+        assert type(core) is tuple
+        assert tuple(transition_matrix_power(PuRates(alpha, beta), t)) == core
+        if t == 1:
+            assert tuple(slot_transition_matrix(PuRates(alpha, beta))) == core
 
 
 class TestResolvent:
