@@ -22,7 +22,7 @@ def _parse_policy(text: str, parser: argparse.ArgumentParser):
     kind, _, arg = text.partition(":")
     try:
         if kind == "threshold":
-            return ThresholdPolicy(gamma=int(arg))
+            return ThresholdPolicy(int(arg))
         if kind == "mixed":
             g, mu = arg.split(",")
             return RandomizedThresholdPolicy(gamma1=int(g), mu=float(mu))

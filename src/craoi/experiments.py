@@ -18,8 +18,7 @@ from .analysis import (
     SystemModel,
     SystemParams,
     age_optimal_policy,
-    average_aoi_series,
-    collision_probability,
+    mixed_policy_metrics,
     optimal_thresholds,
 )
 from .baseline import average_aoi_bernoulli, optimal_transmit_probability
@@ -110,8 +109,7 @@ def run_fig4(out_dir: Path, seed: int = DEFAULT_SEED, sim_slots: int = 10**6) ->
     model = SystemModel(rates=PuRates(0.02, 0.4), phi_s=0.2)
     rows = []
     for gamma in range(1, 101):
-        aoi_an = average_aoi_series(gamma, model)
-        psi_an = collision_probability(gamma, model)
+        aoi_an, psi_an = mixed_policy_metrics(model, gamma, 1.0)
         if gamma in FIG4_SIM_GAMMAS:
             cfg = SimConfig(
                 params=model, policy=ThresholdPolicy(gamma), seed=seed + gamma, slots=sim_slots

@@ -2,32 +2,16 @@
 
 Each policy maps the current age to a transmit probability, applied only when
 the channel is sensed idle; busy-sensed slots never transmit.  Its
-``tail_age`` is an age from which that probability no longer changes, so the
-simulator reads ages 1..tail_age and treats every older age as tail_age.
+``tail_age`` is the first age from which that probability no longer changes,
+so the simulator reads ages 1..tail_age and treats every older age as
+tail_age.  A threshold policy is the randomized one at mu = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .analysis import _check_gamma
-
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """Transmit iff sensed idle and age >= gamma."""
-
-    gamma: int
-
-    def __post_init__(self):
-        _check_gamma(self.gamma)
-
-    @property
-    def tail_age(self) -> int:
-        return self.gamma
-
-    def transmit_probability(self, delta: int) -> float:
-        return 1.0 if delta >= self.gamma else 0.0
+from .analysis import _check_gamma, _check_mu
 
 
 @dataclass(frozen=True)
@@ -39,17 +23,23 @@ class RandomizedThresholdPolicy:
 
     def __post_init__(self):
         _check_gamma(self.gamma1)
-        if not (0.0 <= self.mu <= 1.0):
-            raise ValueError(f"mu must be in [0, 1], got {self.mu}")
+        _check_mu(self.mu)
 
     @property
     def tail_age(self) -> int:
-        return self.gamma1 + 1
+        return self.gamma1 if self.mu == 1.0 else self.gamma1 + 1
 
     def transmit_probability(self, delta: int) -> float:
         if delta > self.gamma1:
             return 1.0
         return self.mu if delta == self.gamma1 else 0.0
+
+
+@dataclass(frozen=True)
+class ThresholdPolicy(RandomizedThresholdPolicy):
+    """Transmit iff sensed idle and age >= gamma1: the randomized policy at mu = 1."""
+
+    mu: float = field(default=1.0, init=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -100,11 +100,6 @@ def _slot_arrays(trajectory: PuTrajectory, n_slots: int):
     return idle, prone, int(np.searchsorted(entries, float(n_slots)))
 
 
-def _transmits(p, policy_u: np.ndarray) -> np.ndarray:
-    """The per-slot decision rule at transmit probability p (scalar or per slot)."""
-    return (p > 0.0) & ((p >= 1.0) | (policy_u < p))
-
-
 def _success_slots(clear: np.ndarray, policy_u: np.ndarray, probs: list[float]) -> np.ndarray:
     """Slots where the replay succeeds, by jumping from renewal to renewal.
 
@@ -116,7 +111,7 @@ def _success_slots(clear: np.ndarray, policy_u: np.ndarray, probs: list[float]) 
     a < tail_age succeeds first.  h[n] = n marks "no success within the horizon".
     """
     n, tail = len(clear), len(probs)
-    succeeds = clear & _transmits(probs[-1], policy_u)
+    succeeds = clear & (policy_u < probs[-1])
     if tail == 1:  # every renewal is at its tail age, so every tail success is one
         return np.flatnonzero(succeeds)
     # nxt[m]: the first slot at or after m where a tail-age transmission succeeds
@@ -125,7 +120,7 @@ def _success_slots(clear: np.ndarray, policy_u: np.ndarray, probs: list[float]) 
     h = nxt[np.minimum(np.arange(n + 1) + (tail - 1), n)]
     for age in range(tail - 1, 0, -1):  # the youngest succeeding age wins
         if probs[age - 1] > 0.0:
-            succeeds = clear & _transmits(probs[age - 1], policy_u)
+            succeeds = clear & (policy_u < probs[age - 1])
             starts = np.flatnonzero(succeeds[age - 1 :])
             h[starts] = starts + (age - 1)
     slots: list[int] = []
@@ -150,10 +145,12 @@ def run_policy(
     The trailing partial slot is discarded; metrics divide by whole slots.
     Randomized policy decisions and outage draws use child seeds derived from
     ``seed`` (indices 1 and 2 of the splitting rule); slot n draws element n
-    of each stream.  The replay is event-skipping: the age restarts at 1
-    after each success and the decision depends on the age only below
-    ``policy.tail_age``, so the successes follow from a precomputed renewal
-    map and everything else from vectorized masks over the slots.
+    of each stream and transmits iff sensed idle with decision draw u < p
+    (u lies in [0, 1), so p = 0 never transmits and p = 1 always).  The
+    replay is event-skipping: the age restarts at 1 after each success and
+    the decision depends on the age only below ``policy.tail_age``, so the
+    successes follow from a precomputed renewal map and everything else from
+    vectorized masks over the slots.
     """
     total_time = float(trajectory.boundaries[-1])
     n_slots = int(math.floor(total_time))
@@ -180,7 +177,7 @@ def run_policy(
     lengths = np.diff(edges)
     age = np.arange(1, n_slots + 1) - np.repeat(edges[:-1], lengths)
     p_slot = np.asarray(probs)[np.minimum(age, len(probs)) - 1]
-    transmit = idle & _transmits(p_slot, policy_u)
+    transmit = idle & (policy_u < p_slot)
     collisions = np.flatnonzero(transmit & prone).tolist()
 
     n_coll = len(collisions)

@@ -11,10 +11,11 @@ Poisson equation reduces to the expected slots and age sum to the next
 renewal, free of the multiplier, solved by one backward pass over the
 table's runs of constant action.  It shares the closed form's steps: past
 the head ``analysis._tail`` sums the tail exactly, formed once per solve,
-and ``analysis._wait_sums`` crosses each wait run.  The bias past the head
-is affine in age, with the slope the solve returns, and policy improvement
-finds the first tail age that should transmit in closed form.  No age grid
-is built.  The same sums give a policy's, and a two-threshold mixture's,
+and ``analysis._wait_sums`` crosses each wait run.  Policy improvement
+reads the idle bias alone, so the solve forms no other; past the head it is
+affine in age, with the slope the solve returns, and the improvement finds
+the first tail age that should transmit in closed form.  No age grid is
+built.  The same sums give a policy's, and a two-threshold mixture's,
 (average age, collision cost).  The greedy policies are threshold-shaped, so
 one deterministic loop on the multiplier, doubling and then bisecting,
 brackets the budget with two consecutive thresholds, and a boundary
@@ -79,8 +80,8 @@ def _require_renewal(table: np.ndarray) -> None:
 
 def poisson_solve(
     probs: np.ndarray, model: SystemModel, lam: float
-) -> tuple[float, np.ndarray, np.ndarray, tuple[float, float], float]:
-    """Gain and bias of a fixed policy under cost age + lam * collisions, and its renewal sums.
+) -> tuple[float, np.ndarray, tuple[float, float], float]:
+    """Gain and idle bias of a policy under cost age + lam * collisions, and its renewal sums.
 
     ``probs`` is a table of transmit probabilities per idle age 1..n; older
     ages reuse its last entry, which must be positive.  A transmission
@@ -91,9 +92,10 @@ def poisson_solve(
     recursion.  One backward pass over the runs solves (T, A): at age n by
     ``analysis._tail``, T = v and A = (n - 1) v + w; a wait run in closed
     form by ``analysis._wait_sums``, the closed form's own step; a transmit
-    run age by age.  Returns g, the bias on ages 1..n per occupancy, (T, A)
-    at (1, idle) and the idle bias's slope past n, h(d + 1) - h(d) = v_idle,
-    since A rises by v per age there and T does not change.
+    run age by age.  Returns g, the bias on idle ages 1..n, the only one
+    policy improvement reads, (T, A) at (1, idle) and that bias's slope past
+    n, h(d + 1) - h(d) = v_idle, since A rises by v per age there and T does
+    not change.
     """
     _require_renewal(probs)
     al, be = model.rates.alpha, model.rates.beta
@@ -121,28 +123,25 @@ def poisson_solve(
                 runs.append((d - 1, d, p, (ti, tb, ai, ab)))
     lam_k = lam * model.collision_prob / ok
     gain = (ai + lam_k) / ti
-    bias_idle, bias_busy = np.empty(n), np.empty(n)
+    bias = np.empty(n)
     for first, end, p, (t_i, t_b, a_i, a_b) in runs:
         if p == 0:
             j = np.arange(end - first, 0, -1.0)  # steps from each age d of the run to end + 1
             decay = np.expm1(-s * j)  # e^(-sj) - 1
             net_ages = j * (end + 0.5 - gain - 0.5 * j)  # sum_i<j (d + i) - g j
             diff = (a_i - a_b - gain * (t_i - t_b)) / s
-            bias_idle[first:end] = net_ages + (a_i + lam_k - gain * t_i) + al * diff * decay
-            bias_busy[first:end] = net_ages + (a_b + lam_k - gain * t_b) - be * diff * decay
+            bias[first:end] = net_ages + (a_i + lam_k - gain * t_i) + al * diff * decay
         else:
-            bias_idle[first], bias_busy[first] = a_i + lam_k - gain * t_i, a_b + lam_k - gain * t_b
-    bias_idle[0] = 0.0
-    return gain, bias_idle, bias_busy, (ti, ai), slope
+            bias[first] = a_i + lam_k - gain * t_i
+    bias[0] = 0.0
+    return gain, bias, (ti, ai), slope
 
 
 @dataclass(frozen=True)
 class SolvedPolicy:
-    """Policy-iteration output: average Lagrangian cost, bias values, greedy decisions."""
+    """Policy-iteration output: average Lagrangian cost, greedy decisions, renewal sums."""
 
     gain: float
-    bias_idle: np.ndarray  # per idle age of the head
-    bias_busy: np.ndarray  # per busy age of the head
     transmit: np.ndarray  # bool per idle age of the head; older ages transmit
     iterations: int  # improvement steps
     renewal: tuple[float, float]  # expected slots and age sum of a renewal from (1, idle)
@@ -178,7 +177,7 @@ def rvi_solve(model: SystemModel, lam: float, init=(True,)) -> SolvedPolicy:
 
     for it in itertools.count(1):
         # slope is h(d + 1) - h(d) past the head, where the policy transmits
-        gain, h_idle, h_busy, renewal, slope = poisson_solve(transmit, model, lam)
+        gain, h_idle, renewal, slope = poisson_solve(transmit, model, lam)
         h_n = h_idle[-1]
         improved = improve(np.concatenate((h_idle[1:], (h_n + slope,))), transmit)
         if not improved[-1]:
@@ -192,14 +191,7 @@ def rvi_solve(model: SystemModel, lam: float, init=(True,)) -> SolvedPolicy:
             improved = np.concatenate((improved, np.zeros(m - 2, dtype=bool), [True]))
         improved = improved[: _head_length(improved)]
         if np.array_equal(improved, transmit):
-            return SolvedPolicy(
-                gain=gain,
-                bias_idle=h_idle,
-                bias_busy=h_busy,
-                transmit=transmit,
-                iterations=it,
-                renewal=renewal,
-            )
+            return SolvedPolicy(gain=gain, transmit=transmit, iterations=it, renewal=renewal)
         transmit = improved
 
 

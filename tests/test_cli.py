@@ -231,6 +231,8 @@ class TestSimulate:
     def test_invalid_threshold_rejected(self):
         res = run_cli(*self.BASE, "--policy", "threshold:0", "--slots", "1000")
         assert res.returncode != 0
+        message = "invalid policy 'threshold:0': threshold must be an integer >= 1, got 0"
+        assert message in res.stderr
 
     def test_unknown_policy_rejected(self):
         res = run_cli(*self.BASE, "--policy", "sos:1", "--slots", "1000")

@@ -160,10 +160,17 @@ ORACLE_POLICIES = (
 )
 
 
+def _policy_id(policy) -> str:
+    # a threshold policy's case ids predate its field's rename to gamma1
+    if isinstance(policy, ThresholdPolicy):
+        return f"ThresholdPolicy(gamma={policy.gamma1})"
+    return repr(policy)
+
+
 class TestOracleEquivalence:
     """The event-skipping replay equals the slot-by-slot oracle, field for field."""
 
-    @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=repr)
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=_policy_id)
     @pytest.mark.parametrize("horizon", [7, 20_000, None], ids=["7", "20000", "cycles"])
     def test_matches_oracle(self, policy, horizon):
         traj = generate_pu_trajectory(CANON.rates, 600, seed=8)
@@ -213,6 +220,7 @@ class TestTailAge:
             (RandomizedThresholdPolicy(gamma1=7, mu=0.4), 8),
             (BernoulliAccessPolicy(0.3), 1),
             (TabularPolicy((0.0, 0.5, 1.0, 0.25)), 4),
+            (RandomizedThresholdPolicy(gamma1=7, mu=1.0), 7),
         ],
     )
     def test_constant_from_tail_age(self, policy, tail_age):
@@ -220,6 +228,26 @@ class TestTailAge:
         p_tail = policy.transmit_probability(tail_age)
         ages = range(tail_age, tail_age + 100)
         assert all(policy.transmit_probability(a) == p_tail for a in ages)
+
+
+class TestThresholdIsRandomizedAtOne:
+    @pytest.mark.parametrize("gamma", FIG4_SIM_GAMMAS)
+    def test_same_policy_and_replay(self, gamma):
+        threshold, mixed = ThresholdPolicy(gamma), RandomizedThresholdPolicy(gamma, 1.0)
+        assert isinstance(threshold, RandomizedThresholdPolicy)
+        assert threshold.mu == 1.0
+        assert threshold.tail_age == gamma
+        ages = range(1, gamma + 3)
+        assert [threshold.transmit_probability(a) for a in ages] == [
+            mixed.transmit_probability(a) for a in ages
+        ]
+        policies = [threshold, mixed] + ([BernoulliAccessPolicy(1.0)] if gamma == 1 else [])
+        replays = [
+            run_config(SimConfig(params=CANON, policy=policy, seed=31 + gamma, slots=20_000))
+            for policy in policies
+        ]
+        # dataclass equality compares every field, collision_slots included
+        assert all(res == replays[0] for res in replays[1:])
 
 
 class TestPolicyValidation:

@@ -73,7 +73,7 @@ class TestPrimitives:
     def test_reward_is_age(self):
         # Without a multiplier the gain is the average age alone.
         for probs in (threshold_probs(1, 60), mixed_probs(9, 0.4, 60)):
-            gain, _, _, _, _ = poisson_solve(probs, MODEL, 0.0)
+            gain, _, _, _ = poisson_solve(probs, MODEL, 0.0)
             aoi, _ = policy_cost_evaluate(probs, MODEL)
             assert gain == pytest.approx(aoi, rel=1e-10)
         # a policy that never transmits has no finite gain
@@ -84,8 +84,8 @@ class TestPrimitives:
         assert MODEL.collision_prob == pytest.approx(1.0 - math.exp(-0.02), rel=1e-12, abs=0)
         # The multiplier is charged once per collision, on idle transmissions only.
         probs = mixed_probs(9, 0.4, 60)
-        g0, _, _, _, _ = poisson_solve(probs, MODEL, 0.0)
-        g1, _, _, _, _ = poisson_solve(probs, MODEL, 1e4)
+        g0, _, _, _ = poisson_solve(probs, MODEL, 0.0)
+        g1, _, _, _ = poisson_solve(probs, MODEL, 1e4)
         _, avg_cost = policy_cost_evaluate(probs, MODEL)
         assert g1 - g0 == pytest.approx(1e4 * avg_cost, rel=1e-9)
         with pytest.raises(ValueError, match="never renews"):
@@ -179,7 +179,7 @@ class TestRvi:
         expected = []
         while True:
             expected.append(table[: _head_length(table)])
-            _, h, _, _, _ = poisson_solve(expected[-1].astype(float), MODEL, lam)
+            _, h, _, _ = poisson_solve(expected[-1].astype(float), MODEL, lam)
             h = np.concatenate((h, h[-1] + slope * np.arange(1, ages - h.size + 2)))
             value = MODEL.success_prob * h[1:]
             tie = np.abs(value - tx_cost) <= 1e-12 * (tx_cost + np.abs(value))
@@ -213,7 +213,7 @@ class TestRvi:
         best = int(np.argmin(costs)) + 1
         assert best > 200
         assert extract_threshold(pol) == best
-        assert pol.transmit.size == pol.bias_idle.size == best
+        assert pol.transmit.size == best
         assert pol.gain == pytest.approx(costs[best - 1], rel=1e-12)
 
     def test_validation(self):
@@ -279,25 +279,23 @@ class TestPoissonEquation:
             with pytest.raises(ValueError, match="never renews"):
                 poisson_solve(probs, MODEL, lam)
             return
-        gain, bias_idle, bias_busy, _, slope = poisson_solve(probs, MODEL, lam)
-        o_gain, o_idle, o_busy = oracle_poisson(CANON, probs, lam, length)
+        gain, bias, _, slope = poisson_solve(probs, MODEL, lam)
+        o_gain, o_idle, _ = oracle_poisson(CANON, probs, lam, length)
         assert gain == pytest.approx(o_gain, rel=1e-12)
         n = probs.size
         scale = np.abs(o_idle[:n]).max()
-        np.testing.assert_allclose(bias_idle, o_idle[:n], rtol=0, atol=1e-12 * scale)
-        np.testing.assert_allclose(bias_busy, o_busy[:n], rtol=0, atol=1e-12 * scale)
-        assert bias_idle[0] == 0.0
+        np.testing.assert_allclose(bias, o_idle[:n], rtol=0, atol=1e-12 * scale)
+        assert bias[0] == 0.0
         # the returned slope carries the idle bias on past the table
         assert slope == pytest.approx(o_idle[n] - o_idle[n - 1], rel=0, abs=1e-12 * scale)
         # past the head the bias is affine in age: h(d) = h(head) + (d - head) v
         channel = slot_transition_matrix(MODEL.rates)
         reset = probs[-1] * MODEL.success_prob
-        v = _tail(channel, reset)[1]
+        v_idle = _tail(channel, reset)[1][0]
         steps = np.arange(n - head + 1)
-        for bias, v_occ in zip((bias_idle, bias_busy), v):
-            np.testing.assert_allclose(
-                bias[head - 1 :], bias[head - 1] + steps * v_occ, rtol=0, atol=1e-12 * scale
-            )
+        np.testing.assert_allclose(
+            bias[head - 1 :], bias[head - 1] + steps * v_idle, rtol=0, atol=1e-12 * scale
+        )
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -315,7 +313,7 @@ class TestPoissonEquation:
         # forward walk's mass and mass times average age
         model = SystemModel(rates=PuRates(alpha, beta), phi_s=phi_s)
         table = np.array([p for length, p in runs for _ in range(length)] + [last])
-        _, _, _, (slots, age_sum), _ = poisson_solve(table, model, 0.0)
+        _, _, (slots, age_sum), _ = poisson_solve(table, model, 0.0)
         mass, aoi, _ = _walk(model.rates, model.success_prob, [*runs, (math.inf, last)])
         assert (slots, age_sum) == pytest.approx((mass, mass * aoi), rel=1e-12, abs=0)
 
@@ -323,14 +321,7 @@ class TestPoissonEquation:
 class TestExtractThreshold:
     def _policy(self, transmit):
         transmit = np.asarray(transmit, dtype=bool)
-        return SolvedPolicy(
-            gain=0.0,
-            bias_idle=np.zeros(transmit.size),
-            bias_busy=np.zeros(transmit.size),
-            transmit=transmit,
-            iterations=1,
-            renewal=(1.0, 1.0),
-        )
+        return SolvedPolicy(gain=0.0, transmit=transmit, iterations=1, renewal=(1.0, 1.0))
 
     def test_always_transmit(self):
         assert extract_threshold(self._policy([True] * 8)) == 1
@@ -506,7 +497,7 @@ class TestDeepThreshold:
         aoi, psi = expected
         collisions = params.collision_prob / params.success_prob  # per renewal
         for lam in (0.0, 1e3, 1e6):
-            gain, _, _, (slots, age_sum), _ = poisson_solve(table, params, lam)
+            gain, _, (slots, age_sum), _ = poisson_solve(table, params, lam)
             assert gain == pytest.approx(aoi + lam * psi, rel=1e-14, abs=0)
         solved = (age_sum / slots, collisions / slots)
         assert solved == pytest.approx(expected, rel=1e-14, abs=0)
