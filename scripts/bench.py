@@ -25,6 +25,14 @@ per instance is the microseconds per ``age_optimal_policy`` over the first
 work moved out of an op would show: ``sweep_inputs_ms``, building all of
 ``sweep_inputs(SEED)``, best of ``REPEAT``, and ``import_craoi_ms``, the
 median over ``IMPORT_RUNS`` fresh interpreters of ``import craoi`` alone.
+The simulator layers are the six fig4 replays (``run_config`` of each of
+``fig4_sim_configs``, the configurations ``run_fig4`` replays, at 20,000
+slots), best of ``REPEAT``; the slots per second of one
+``RandomizedThresholdPolicy(5, 0.5)`` replay over 10^6 slots of the canonical
+channel, best of ``REPEAT``; one replay of the dense-head table (2,000 ages at
+0.001, then 1) over 2 * 10^6 slots of the slow PU, best of ``DEEP_REPEAT``;
+and the peak RSS of a fresh interpreter that replays the randomized policy
+over 4 * 10^6 slots.
 Then the tree's
 ``perfbench/run.py`` runs every workload untraced and traced on seed 1 as
 subprocesses, each for that script's default run length.  Wall times are recorded, never gated;
@@ -60,6 +68,16 @@ IMPORT_SNIPPET = (
     "import time; start = time.perf_counter(); import craoi; "
     "print(time.perf_counter() - start)"
 )
+MIXED_SLOTS = 10**6  # slots of the timed randomized-policy replay
+DENSE_SLOTS = 2 * 10**6  # slots of the dense-head replay on the slow PU
+RSS_SLOTS = 4 * 10**6  # slots of the replay whose peak RSS is measured
+RSS_SNIPPET = (
+    "import resource; from craoi import *; "
+    "model = SystemModel(rates=PuRates(0.02, 0.4), phi_s=0.2); "
+    "run_config(SimConfig(params=model, policy=RandomizedThresholdPolicy(5, 0.5), "
+    f"seed=1, slots={RSS_SLOTS})); "
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"
+)
 
 
 def best_ms(fn, repeat: int = REPEAT) -> float:
@@ -81,22 +99,34 @@ def import_ms(tree: Path) -> float:
     return statistics.median(times) * 1e3
 
 
+def replay_peak_rss_mb(tree: Path) -> float:
+    """Peak RSS in MB of a fresh interpreter replaying ``RSS_SLOTS`` slots."""
+    _, done = timed_run(tree, [sys.executable, "-c", RSS_SNIPPET])
+    done.check_returncode()
+    return float(done.stdout)
+
+
 def time_layers(tree: Path) -> dict[str, float]:
     """Best-of-``REPEAT`` time of each layer on its fixed inputs, in the unit its name ends in."""
     import numpy as np
     from craoi import (
         PuRates,
+        RandomizedThresholdPolicy,
+        SimConfig,
         SystemModel,
         SystemParams,
+        TabularPolicy,
         age_optimal_policy,
         collision_probability,
         lambda_bisection,
         mixed_policy_metrics,
         policy_cost_evaluate,
+        run_config,
         rvi_solve,
         slot_transition_matrix,
     )
-    from perfbench.workloads import sweep_inputs
+    from craoi.experiments import fig4_sim_configs
+    from perfbench.workloads import FIG4_SIM_SLOTS, sweep_inputs
 
     canon = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=5e-4)
     pol = age_optimal_policy(canon)
@@ -111,6 +141,21 @@ def time_layers(tree: Path) -> dict[str, float]:
         for params in sample:
             age_optimal_policy(params)
 
+    fig4 = fig4_sim_configs(sim_slots=FIG4_SIM_SLOTS).values()
+    mixed = SimConfig(
+        params=SystemModel(rates=canon.rates, phi_s=canon.phi_s),
+        policy=RandomizedThresholdPolicy(5, 0.5),
+        seed=SEED,
+        slots=MIXED_SLOTS,
+    )
+    dense = SimConfig(
+        params=slow, policy=TabularPolicy((0.001,) * 2000 + (1.0,)), seed=SEED, slots=DENSE_SLOTS
+    )
+
+    def fig4_replays():
+        for config in fig4:
+            run_config(config)
+
     return {
         "rvi_solve_lam1e3_ms": best_ms(lambda: rvi_solve(canon, 1e3)),
         "lambda_bisection_ms": best_ms(lambda: lambda_bisection(canon)),
@@ -124,6 +169,10 @@ def time_layers(tree: Path) -> dict[str, float]:
         "age_optimal_policy_sweep_us": best_ms(closed_forms) * 1e3 / SWEEP_SAMPLE,
         "sweep_inputs_ms": best_ms(lambda: sweep_inputs(SEED)),
         "import_craoi_ms": import_ms(tree),
+        "fig4_replays_ms": best_ms(fig4_replays),
+        "mixed_replay_mslots_per_s": MIXED_SLOTS / best_ms(lambda: run_config(mixed)) / 1e3,
+        "dense_head_replay_s": best_ms(lambda: run_config(dense), DEEP_REPEAT) / 1e3,
+        "mixed_replay_4e6_peak_rss_mb": replay_peak_rss_mb(tree),
     }
 
 

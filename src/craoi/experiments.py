@@ -102,19 +102,27 @@ def run_fig3(out_dir: Path, seed: int = DEFAULT_SEED) -> Path:
 
 
 FIG4_SIM_GAMMAS = (1, 5, 10, 20, 40, 80)
+FIG4_MODEL = SystemModel(rates=PuRates(0.02, 0.4), phi_s=0.2)
+
+
+def fig4_sim_configs(seed: int = DEFAULT_SEED, sim_slots: int = 10**6) -> dict[int, SimConfig]:
+    """fig4's replays by threshold: ``ThresholdPolicy(gamma)`` seeded ``seed + gamma``."""
+    return {
+        gamma: SimConfig(
+            params=FIG4_MODEL, policy=ThresholdPolicy(gamma), seed=seed + gamma, slots=sim_slots
+        )
+        for gamma in FIG4_SIM_GAMMAS
+    }
 
 
 def run_fig4(out_dir: Path, seed: int = DEFAULT_SEED, sim_slots: int = 10**6) -> Path:
     """Analytical vs simulated age and collision probability over thresholds."""
-    model = SystemModel(rates=PuRates(0.02, 0.4), phi_s=0.2)
+    configs = fig4_sim_configs(seed, sim_slots)
     rows = []
     for gamma in range(1, 101):
-        aoi_an, psi_an = mixed_policy_metrics(model, gamma, 1.0)
-        if gamma in FIG4_SIM_GAMMAS:
-            cfg = SimConfig(
-                params=model, policy=ThresholdPolicy(gamma), seed=seed + gamma, slots=sim_slots
-            )
-            res = run_config(cfg)
+        aoi_an, psi_an = mixed_policy_metrics(FIG4_MODEL, gamma, 1.0)
+        if gamma in configs:
+            res = run_config(configs[gamma])
             aoi_sim, psi_sim = res.avg_aoi, res.psi_s_hat
         else:
             aoi_sim = psi_sim = float("nan")

@@ -22,7 +22,8 @@ class RandomizedThresholdPolicy:
     mu: float
 
     def __post_init__(self):
-        _check_gamma(self.gamma1)
+        # a whole float such as 3.0 is kept as the int the table is read by
+        object.__setattr__(self, "gamma1", _check_gamma(self.gamma1))
         _check_mu(self.mu)
 
     @property

@@ -82,7 +82,7 @@ class SimResult:
 
 
 def _slot_arrays(trajectory: PuTrajectory, n_slots: int):
-    """Idle-sensed and collision-prone flags per slot, and busy entries before n_slots.
+    """Idle-sensed flags per slot, the collision-prone slots, and busy entries before n_slots.
 
     Segment k holds the slots that start in [b[k-1], b[k]), which are slots
     ceil(b[k-1]) .. ceil(b[k]) - 1.  A busy entry e (the right end of an idle
@@ -95,40 +95,78 @@ def _slot_arrays(trajectory: PuTrajectory, n_slots: int):
     idle = np.repeat(seg_occ == IDLE, np.diff(seg_ends, prepend=0))
     entries = bounds[seg_occ == IDLE]
     inside = entries[(entries < n_slots) & (entries != np.floor(entries))]
-    prone = np.zeros(n_slots, dtype=bool)
-    prone[np.floor(inside).astype(np.int64)] = True
+    prone = np.floor(inside).astype(np.int64)
+    prone = prone[np.diff(prone, prepend=-1) > 0]  # two entries can share a slot
     return idle, prone, int(np.searchsorted(entries, float(n_slots)))
 
 
-def _success_slots(clear: np.ndarray, policy_u: np.ndarray, probs: list[float]) -> np.ndarray:
+def _uniforms(seed: int, index: int, n: int) -> np.ndarray:
+    """The first n draws of the seed's child stream ``index``; slot k reads draw k."""
+    return np.random.Generator(np.random.PCG64(split_seed(seed, index))).random(n)
+
+
+def _runs(probs: list[float], n: int) -> list[tuple[int, int, float]]:
+    """The table as runs (j0, j1, p) of constant p, over ages j0 + 1 .. j1.
+
+    A renewal is at offset j = age - 1 in its (j + 1)-th slot.  The last run,
+    the tail, holds at every offset below the horizon n.
+    """
+    firsts = [0] + [j for j in range(1, len(probs)) if probs[j] != probs[j - 1]]
+    return list(zip(firsts, firsts[1:] + [n], [probs[j] for j in firsts]))
+
+
+def _below(mask: np.ndarray, policy_u: np.ndarray, p: float) -> np.ndarray:
+    """The slots of ``mask`` whose decision draw is below p: all of them at p = 1."""
+    return mask if p >= 1.0 else mask & (policy_u < p)
+
+
+def _first_hits(mask: np.ndarray, offset: int) -> np.ndarray:
+    """For r = 0..n, the first slot at or after r + offset where ``mask`` holds, else n."""
+    ends = np.flatnonzero(np.append(mask[offset:], True))  # n - offset closes the list
+    ends += offset
+    # ends[k] serves the r from ends[k-1] - offset + 1 to ends[k] - offset, n the rest
+    gaps = np.diff(ends, prepend=offset - 1)
+    gaps[-1] += offset
+    return np.repeat(ends, gaps)
+
+
+def _success_slots(clear: np.ndarray, policy_u: np.ndarray, runs) -> np.ndarray:
     """Slots where the replay succeeds, by jumping from renewal to renewal.
 
-    A transmission succeeds in the ``clear`` slots.  A renewal begins at age 1
-    in slot 0 or right after a success, so a renewal begun at slot r is at
-    age a in slot r + a - 1, and from age len(probs) = tail_age on it decides
-    with the tail probability.  h[r] is the success slot of that renewal: the
-    first tail success at or after slot r + tail_age - 1, unless a head age
-    a < tail_age succeeds first.  h[n] = n marks "no success within the horizon".
+    A transmission succeeds in the ``clear`` slots whose decision draw is
+    below its run's p.  A renewal begins in slot 0 or right after a success,
+    so a renewal begun at slot r is at offset j (age j + 1) in slot r + j.
+    h[r] is the success slot of that renewal: the first tail success at or
+    after slot r + j0 of the tail run, unless a younger run succeeds first.
+    Each positive head run writes its successes into the renewals they are
+    the first for, in one pass over the slots whatever the run's length;
+    the head runs go from the oldest to the youngest, so the youngest
+    succeeding age wins.  h[n] = n marks "no success within the horizon".
     """
-    n, tail = len(clear), len(probs)
-    succeeds = clear & (policy_u < probs[-1])
-    if tail == 1:  # every renewal is at its tail age, so every tail success is one
-        return np.flatnonzero(succeeds)
-    # nxt[m]: the first slot at or after m where a tail-age transmission succeeds
-    nxt = np.append(np.where(succeeds, np.arange(n), n), n)
-    nxt = np.minimum.accumulate(nxt[::-1])[::-1]
-    h = nxt[np.minimum(np.arange(n + 1) + (tail - 1), n)]
-    for age in range(tail - 1, 0, -1):  # the youngest succeeding age wins
-        if probs[age - 1] > 0.0:
-            succeeds = clear & (policy_u < probs[age - 1])
-            starts = np.flatnonzero(succeeds[age - 1 :])
-            h[starts] = starts + (age - 1)
+    n = len(clear)
+    *head, (j0, _, p) = runs
+    if not head:  # every renewal is at its tail age, so every tail success is one
+        return np.flatnonzero(_below(clear, policy_u, p))
+    h = _first_hits(_below(clear, policy_u, p), j0)
+    for j0, j1, p in reversed(head):
+        if p > 0.0:
+            # the renewals that meet the run's success at slot q + j0 within the
+            # run, after its previous success, are q - served + 1 .. q
+            q = np.flatnonzero(_below(clear[j0:], policy_u[j0:], p))
+            served = np.diff(q, prepend=-1)
+            np.minimum(served, j1 - j0, out=served)
+            # entry i of r, in block k, is i + 1 + q[k] - (served[0] + ... + served[k])
+            r = np.repeat(q - np.cumsum(served), served)
+            r += np.arange(1, len(r) + 1)
+            q += j0
+            h[r] = np.repeat(q, served)
     slots: list[int] = []
-    append, hops = slots.append, memoryview(h)
-    r = hops[0]
-    while r < n:
-        append(r)
-        r = hops[r + 1]
+    # a success at slot s starts the next renewal at s + 1
+    append, hops = slots.append, memoryview(h[1:])
+    s = int(h[0])
+    while s < n:
+        append(s)
+        s = hops[s]
     return np.array(slots, dtype=np.int64)
 
 
@@ -147,10 +185,14 @@ def run_policy(
     ``seed`` (indices 1 and 2 of the splitting rule); slot n draws element n
     of each stream and transmits iff sensed idle with decision draw u < p
     (u lies in [0, 1), so p = 0 never transmits and p = 1 always).  The
-    replay is event-skipping: the age restarts at 1 after each success and
-    the decision depends on the age only below ``policy.tail_age``, so the
-    successes follow from a precomputed renewal map and everything else from
-    vectorized masks over the slots.
+    decision stream is drawn only when some run has 0 < p < 1; otherwise no
+    draw is read.  The replay is event-skipping: the age restarts at 1 after
+    each success and the policy's table up to ``policy.tail_age`` splits into
+    runs of constant p, so the successes follow from a renewal map built run
+    by run.  The age sum is the sum of L(L + 1)/2 over renewal lengths L,
+    transmits are counted per positive run from one prefix sum gathered at
+    each renewal's run bounds, and collisions are checked at the
+    collision-prone slots only.
     """
     total_time = float(trajectory.boundaries[-1])
     n_slots = int(math.floor(total_time))
@@ -163,30 +205,40 @@ def run_policy(
 
     idle, prone, cycles = _slot_arrays(trajectory, n_slots)
     cycles = max(cycles, 1)  # busy-idle cycles begun within the walked span
-    policy_u = np.random.Generator(np.random.PCG64(split_seed(seed, 1))).random(n_slots)
-    outage_u = np.random.Generator(np.random.PCG64(split_seed(seed, 2))).random(n_slots)
-
-    clear = idle & ~prone & (outage_u >= params.phi_s)
     # ages past n_slots never occur, so the table can stop there
-    tail_age = min(policy.tail_age, n_slots)
-    probs = [policy.transmit_probability(a) for a in range(1, tail_age + 1)]
-    successes = _success_slots(clear, policy_u, probs)
+    probs = [policy.transmit_probability(a) for a in range(1, min(policy.tail_age, n_slots) + 1)]
+    runs = _runs(probs, n_slots)
+    if any(0.0 < p < 1.0 for _, _, p in runs):
+        policy_u = _uniforms(seed, 1, n_slots)
+    else:  # every u in [0, 1) decides alike, so an unread zero stands in
+        policy_u = np.broadcast_to(0.0, n_slots)
+    clear = idle & (_uniforms(seed, 2, n_slots) >= params.phi_s)
+    clear[prone] = False
+    successes = _success_slots(clear, policy_u, runs)
 
-    # renewal i covers slots edges[i] .. edges[i+1] - 1; the last one is unfinished
+    # renewal i covers slots starts[i] .. ends[i] - 1; the last one is unfinished
     edges = np.concatenate(([0], successes + 1, [n_slots]))
-    lengths = np.diff(edges)
-    age = np.arange(1, n_slots + 1) - np.repeat(edges[:-1], lengths)
-    p_slot = np.asarray(probs)[np.minimum(age, len(probs)) - 1]
-    transmit = idle & (policy_u < p_slot)
-    collisions = np.flatnonzero(transmit & prone).tolist()
+    starts, ends = edges[:-1], edges[1:]
+    lengths = ends - starts
+    transmit_count = 0
+    sent = np.zeros(n_slots + 1, dtype=np.int64)  # sent[0] stays 0
+    for j0, j1, p in runs:
+        if p > 0.0:
+            np.cumsum(_below(idle, policy_u, p), out=sent[1:])
+            lo = np.minimum(starts + j0, ends)
+            transmit_count += int((sent[np.minimum(starts + j1, ends)] - sent[lo]).sum())
+    # a prone slot collides iff it transmits, at its renewal's age
+    offsets = prone - starts[np.searchsorted(starts, prone, side="right") - 1]
+    p_prone = np.asarray(probs)[np.minimum(offsets, len(probs) - 1)]
+    collisions = prone[idle[prone] & (policy_u[prone] < p_prone)].tolist()
 
     n_coll = len(collisions)
     return SimResult(
-        avg_aoi=int(age.sum()) / n_slots,
+        avg_aoi=int((lengths * (lengths + 1) // 2).sum()) / n_slots,
         psi_s_hat=n_coll / n_slots,
         psi_p_hat=n_coll / cycles,
         success_count=len(successes),
-        transmit_count=int(np.count_nonzero(transmit)),
+        transmit_count=transmit_count,
         collision_count=n_coll,
         slots=n_slots,
         cycles=cycles,

@@ -1,5 +1,6 @@
 """Simulator tests: determinism, hand-checkable bookkeeping, statistical agreement."""
 
+import itertools
 import math
 
 import numpy as np
@@ -157,6 +158,8 @@ ORACLE_POLICIES = (
     + [RandomizedThresholdPolicy(gamma1=5, mu=mu) for mu in (0.0, 0.3, 1.0)]
     + [BernoulliAccessPolicy(p0) for p0 in (1.0, 0.5, 0.01)]
     + [TabularPolicy((0.0, 0.7, 1.0, 0.2, 0.0))]
+    # a positive run longer than one age, and a dense head before the tail
+    + [TabularPolicy((0.0, 0.4, 0.4, 0.4, 1.0)), TabularPolicy((0.001,) * 2000 + (1.0,))]
 )
 
 
@@ -164,6 +167,9 @@ def _policy_id(policy) -> str:
     # a threshold policy's case ids predate its field's rename to gamma1
     if isinstance(policy, ThresholdPolicy):
         return f"ThresholdPolicy(gamma={policy.gamma1})"
+    if isinstance(policy, TabularPolicy) and len(policy.probs) > 12:  # a long table by its runs
+        runs = [f"({p},) * {len(list(ps))}" for p, ps in itertools.groupby(policy.probs)]
+        return f"TabularPolicy({' + '.join(runs)})"
     return repr(policy)
 
 
@@ -263,6 +269,16 @@ class TestPolicyValidation:
                 make(gamma)
         for gamma in (np.int64(3), 3.0):
             assert make(gamma).tail_age >= 3
+
+    @pytest.mark.parametrize("make", [
+        lambda gamma: ThresholdPolicy(gamma),
+        lambda gamma: RandomizedThresholdPolicy(gamma, 0.5),
+    ], ids=["threshold", "randomized"])  # fmt: skip
+    def test_whole_float_threshold_replays_as_its_int(self, make):
+        policy, twin = make(3.0), make(3)
+        configs = [SimConfig(params=CANON, policy=p, seed=5, slots=5_000) for p in (policy, twin)]
+        assert run_config(configs[0]) == run_config(configs[1])
+        assert policy == twin and type(policy.gamma1) is int
 
 
 class TestRunConfig:
