@@ -32,7 +32,9 @@ slots), best of ``REPEAT``; the slots per second of one
 channel, best of ``REPEAT``; one replay of the dense-head table (2,000 ages at
 0.001, then 1) over 2 * 10^6 slots of the slow PU, best of ``DEEP_REPEAT``;
 and the peak RSS of a fresh interpreter that replays the randomized policy
-over 4 * 10^6 slots.
+over 4 * 10^6 slots.  ``src_lines`` counts the lines of the tree's
+``src/craoi/*.py``: in total, and as code, the lines that are neither blank,
+comment nor docstring (docstrings found by ``ast``).
 Then the tree's
 ``perfbench/run.py`` runs every workload untraced and traced on seed 1 as
 subprocesses, each for that script's default run length.  Wall times are recorded, never gated;
@@ -45,6 +47,7 @@ leaves the others.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -176,6 +179,26 @@ def time_layers(tree: Path) -> dict[str, float]:
     }
 
 
+def src_lines(tree: Path) -> dict[str, int]:
+    """Lines of the tree's ``src/craoi/*.py``: all, and code (not blank, comment or docstring)."""
+    total = code = 0
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted((tree / "src" / "craoi").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, scopes) and ast.get_docstring(node, clean=False) is not None:
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        lines = text.splitlines()
+        total += len(lines)
+        code += sum(
+            1
+            for number, line in enumerate(lines, 1)
+            if number not in docs and line.strip() and not line.lstrip().startswith("#")
+        )
+    return {"total": total, "code": code}
+
+
 def timed_run(tree: Path, argv: list[str]) -> tuple[float, subprocess.CompletedProcess]:
     """Wall seconds and result of one command in the tree, with its ``src`` importable."""
     env = dict(os.environ)
@@ -240,6 +263,7 @@ def main(argv=None) -> int:
         },
         "end_to_end": time_end_to_end(tree),
         "layers": time_layers(tree),
+        "src_lines": src_lines(tree),
         "workloads": {
             name: {
                 "untraced": run_workload(tree, name, 0),
@@ -251,7 +275,8 @@ def main(argv=None) -> int:
     merged = json.loads(args.out.read_text()) if args.out.exists() else {}
     merged[args.label] = record
     args.out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-    print(json.dumps({**record["end_to_end"], **record["layers"]}, sort_keys=True))
+    summary = {**record["end_to_end"], **record["layers"], "src_lines": record["src_lines"]}
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 

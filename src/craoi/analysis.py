@@ -18,15 +18,16 @@ Gamma1 and always past it; a threshold policy is the randomized one at
 mu = 1.  It randomizes once per renewal, so its renewal sums are the
 mu-mixture of those of Gamma1 and Gamma1 + 1 (renewal-reward), and the
 age-optimal policy evaluates each bracketing threshold once, for the
-bracket, mu and the metrics.  :func:`_walk` is the forward evaluator of run
-tables and of per-age states: it holds the model's one-step dynamics, and
-the mixed and Bernoulli steady states and ``policy_cost_evaluate`` walk
-their runs.  Only the functions that meet the budget take
-:class:`SystemParams`; the rest take a :class:`SystemModel`, which has none.
-The model caches nothing.  Each call forms the occupancy probabilities it
-needs from the rates by the channel's private core ``_occupancy``, as plain
-tuples: the one-slot block of the shared tail and each wait run's P^L.
-Of this module, only :func:`_walk` builds the public, validated matrices.
+bracket, mu and the metrics.  :func:`_runs`, the package's one split of a
+table into runs of constant p, feeds the solver, the replay and
+:func:`_walk`, the forward evaluator of runs and of per-age states, which
+holds the model's one-step dynamics.  Only the functions that meet the
+budget take :class:`SystemParams`; the rest take a :class:`SystemModel`,
+which has none.  The model caches nothing.  Each call forms the occupancy
+probabilities it needs from the rates by the channel's private core
+``_occupancy``, as plain tuples: the one-slot block of the shared tail and
+each wait run's P^L.  Of this module, only :func:`_walk` builds the public,
+validated matrices.
 """
 
 from __future__ import annotations
@@ -202,18 +203,31 @@ def _threshold_sums(m: tuple, gamma: int) -> tuple[float, float]:
     return sums[0], sums[2]
 
 
-def _mixture(m: tuple, gamma1: int, mu: float, lo: tuple, hi: tuple) -> tuple[float, float]:
+def _mixture(k: float, gamma1: int, mu: float, lo: tuple, hi: tuple) -> tuple[float, float]:
     """(average age, psi_s) of the policy mixing the renewal sums lo of gamma1 and hi of gamma1 + 1.
 
     It randomizes once per renewal, at (gamma1, idle), so its renewal is in
-    law the mu-mixture of the two thresholds' (renewal-reward).
+    law the mu-mixture of the two thresholds' and holds k collisions.
     """
-    _, _, _, success, collision, _, _, _ = m
     slots = mu * lo[0] + (1.0 - mu) * hi[0]
     aoi = (mu * lo[1] + (1.0 - mu) * hi[1]) / slots
     if not aoi < math.inf:  # an overflowing age sum; 0 * inf mixes to NaN
         raise ValueError(f"the average age overflows a float at threshold {float(gamma1):.3g}")
-    return aoi, collision / success / slots
+    return aoi, k / slots
+
+
+def _runs(table) -> list[tuple[float, float]]:
+    """A policy table as runs ((length, p), ..., (inf, p_last)) of constant p from age 1.
+
+    Older ages reuse the table's last entry.  One comparison of neighbouring
+    entries splits it and equal neighbours merge, so every finite run holds
+    an age, neighbouring runs differ in p, and the last run begins at the
+    head length n, from which the action holds for every older age.
+    """
+    table = np.asarray(table)
+    firsts = [0, *(np.flatnonzero(table[1:] != table[:-1]) + 1).tolist()]
+    ps = table[firsts].tolist()
+    return [*zip([b - a for a, b in zip(firsts, firsts[1:])], ps), (math.inf, ps[-1])]
 
 
 def _walk(rates: PuRates, ok: float, runs, age: int = 0):
@@ -237,8 +251,6 @@ def _walk(rates: PuRates, ok: float, runs, age: int = 0):
     mass = age_sum = 0.0
     state = None
     for length, p in runs[:-1]:
-        if length == 0:  # the mixed policy at gamma1 = 1 waits at no age
-            continue
         if p == 0.0:
             if 0 <= age - start < length:
                 state = _advance(x0, x1, *transition_matrix_power(rates, age - start))
@@ -284,6 +296,7 @@ def mixed_policy_steady_state(
     three runs.
     """
     success, _ = _checked_success(params)
+    # at gamma1 = 1 the wait run has no ages: P^0 is exactly the identity, and it adds 0
     runs = ((_check_gamma(gamma1) - 1, 0.0), (1, _check_mu(mu)), (math.inf, 1.0))
     return _walk(params.rates, success, runs, _check_gamma(delta, "age"))[2]
 
@@ -298,7 +311,8 @@ def mixed_policy_metrics(params: SystemModel, gamma1: int, mu: float) -> tuple[f
     gamma1, mu = _check_gamma(gamma1), _check_mu(mu)
     lo = _threshold_sums(m, gamma1)
     hi = lo if mu == 1.0 else _threshold_sums(m, gamma1 + 1)
-    return _mixture(m, gamma1, mu, lo, hi)
+    _, _, _, success, collision, _, _, _ = m
+    return _mixture(collision / success, gamma1, mu, lo, hi)
 
 
 def collision_probability(gamma: int, params: SystemModel) -> float:
@@ -450,6 +464,6 @@ def age_optimal_policy(params: SystemParams) -> AgeOptimalPolicy:
     _, _, _, success, collision, _, _, _ = m
     k = collision / success  # collisions per renewal
     mu = 1.0 if g1 == g2 else _mu(eta, g1, k / lo[0], k / hi[0])
-    aoi, psi = _mixture(m, g1, mu, lo, hi)
+    aoi, psi = _mixture(k, g1, mu, lo, hi)
     binds = g1 != g2 or math.isclose(psi, eta, rel_tol=1e-12)
     return AgeOptimalPolicy(g1, g2, mu, aoi, psi, binds)

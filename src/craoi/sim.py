@@ -9,13 +9,14 @@ independent outage draw clears.  Everything is deterministic given the seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .analysis import SystemModel
+from .analysis import SystemModel, _check_gamma, _runs
 from .channel import IDLE, PuRates, expected_cycle_length
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -105,16 +106,6 @@ def _uniforms(seed: int, index: int, n: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(split_seed(seed, index))).random(n)
 
 
-def _runs(probs: list[float], n: int) -> list[tuple[int, int, float]]:
-    """The table as runs (j0, j1, p) of constant p, over ages j0 + 1 .. j1.
-
-    A renewal is at offset j = age - 1 in its (j + 1)-th slot.  The last run,
-    the tail, holds at every offset below the horizon n.
-    """
-    firsts = [0] + [j for j in range(1, len(probs)) if probs[j] != probs[j - 1]]
-    return list(zip(firsts, firsts[1:] + [n], [probs[j] for j in firsts]))
-
-
 def _below(mask: np.ndarray, policy_u: np.ndarray, p: float) -> np.ndarray:
     """The slots of ``mask`` whose decision draw is below p: all of them at p = 1."""
     return mask if p >= 1.0 else mask & (policy_u < p)
@@ -187,12 +178,13 @@ def run_policy(
     (u lies in [0, 1), so p = 0 never transmits and p = 1 always).  The
     decision stream is drawn only when some run has 0 < p < 1; otherwise no
     draw is read.  The replay is event-skipping: the age restarts at 1 after
-    each success and the policy's table up to ``policy.tail_age`` splits into
-    runs of constant p, so the successes follow from a renewal map built run
-    by run.  The age sum is the sum of L(L + 1)/2 over renewal lengths L,
-    transmits are counted per positive run from one prefix sum gathered at
-    each renewal's run bounds, and collisions are checked at the
-    collision-prone slots only.
+    each success and ``analysis._runs`` splits the policy's table up to
+    ``policy.tail_age`` into runs (j0, j1, p) of constant p over the offsets
+    j = age - 1 from j0 to j1 - 1, the tail's up to the horizon, so the
+    successes follow from a renewal map built run by run.  The age sum is
+    the sum of L(L + 1)/2 over renewal lengths L, transmits are counted per
+    positive run from one prefix sum gathered at each renewal's run bounds,
+    and collisions are checked at the collision-prone slots only.
     """
     total_time = float(trajectory.boundaries[-1])
     n_slots = int(math.floor(total_time))
@@ -206,9 +198,12 @@ def run_policy(
     idle, prone, cycles = _slot_arrays(trajectory, n_slots)
     cycles = max(cycles, 1)  # busy-idle cycles begun within the walked span
     # ages past n_slots never occur, so the table can stop there
-    probs = [policy.transmit_probability(a) for a in range(1, min(policy.tail_age, n_slots) + 1)]
-    runs = _runs(probs, n_slots)
-    if any(0.0 < p < 1.0 for _, _, p in runs):
+    ages = range(1, min(policy.tail_age, n_slots) + 1)
+    probs = np.array([policy.transmit_probability(a) for a in ages])
+    run_lengths, ps = zip(*_runs(probs))
+    firsts = [0, *itertools.accumulate(run_lengths[:-1])]
+    runs = list(zip(firsts, [*firsts[1:], n_slots], ps))
+    if any(0.0 < p < 1.0 for p in ps):
         policy_u = _uniforms(seed, 1, n_slots)
     else:  # every u in [0, 1) decides alike, so an unread zero stands in
         policy_u = np.broadcast_to(0.0, n_slots)
@@ -229,7 +224,7 @@ def run_policy(
             transmit_count += int((sent[np.minimum(starts + j1, ends)] - sent[lo]).sum())
     # a prone slot collides iff it transmits, at its renewal's age
     offsets = prone - starts[np.searchsorted(starts, prone, side="right") - 1]
-    p_prone = np.asarray(probs)[np.minimum(offsets, len(probs) - 1)]
+    p_prone = probs[np.minimum(offsets, probs.size - 1)]
     collisions = prone[idle[prone] & (policy_u[prone] < p_prone)].tolist()
 
     n_coll = len(collisions)
@@ -250,7 +245,7 @@ def run_policy(
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One reproducible simulation setup; horizon is slots or cycles."""
+    """One reproducible simulation setup; horizon is slots or cycles, a whole number."""
 
     params: SystemModel
     policy: object
@@ -261,9 +256,9 @@ class SimConfig:
     def __post_init__(self):
         if (self.slots is None) == (self.cycles is None):
             raise ValueError("specify exactly one of slots or cycles")
-        horizon = self.slots if self.slots is not None else self.cycles
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        # a whole float such as 1000.0 is kept as the int the replay counts by
+        field = "slots" if self.slots is not None else "cycles"
+        object.__setattr__(self, field, _check_gamma(getattr(self, field), field))
 
 
 def _cycles_for_slots(rates: PuRates, slots: int) -> int:
@@ -306,8 +301,7 @@ def replicate(config: SimConfig, n_reps: int, n_workers: int = 1) -> ReplicatedR
     Replication i runs under split_seed(config.seed, 1000 + i) (replication 0
     uses the base seed itself), so parallel and serial execution agree.
     """
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    n_reps = _check_gamma(n_reps, "n_reps")
     indices = list(range(n_reps))
     if n_workers > 1:
         # imported here: the process pool costs every `import craoi` time and memory

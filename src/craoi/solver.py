@@ -9,20 +9,22 @@ whose last entry holds for every older age and transmits, so the age renews.
 A renewal holds the same expected collisions from every state, so the
 Poisson equation reduces to the expected slots and age sum to the next
 renewal, free of the multiplier, solved by one backward pass over the
-table's runs of constant action.  It shares the closed form's steps: past
-the head ``analysis._tail`` sums the tail exactly, formed once per solve,
-and ``analysis._wait_sums`` crosses each wait run.  Policy improvement
-reads the idle bias alone, so the solve forms no other; past the head it is
-affine in age, with the slope the solve returns, and the improvement finds
-the first tail age that should transmit in closed form.  No age grid is
-built.  The same sums give a policy's, and a two-threshold mixture's,
-(average age, collision cost).  The greedy policies are threshold-shaped, so
-one deterministic loop on the multiplier, doubling and then bisecting,
-brackets the budget with two consecutive thresholds, and a boundary
-randomization closes the gap exactly (Beutler & Ross 1985).  Only that
-search takes a budget.  ``policy_cost_evaluate`` walks any table forward
-with ``analysis._walk``, the package's forward evaluator, so it checks the
-backward sums of the solver and of the closed form independently.
+table's runs of constant action, which ``analysis._runs`` splits, as it
+does every table here.  The solve shares the closed form's steps: past the
+head ``analysis._tail`` sums the tail exactly, formed once per solve, and
+``analysis._wait_sums`` crosses each wait run.  Policy improvement reads
+the idle bias alone, on the head, so the solve forms no other; past the
+head it is affine in age, with the slope the solve returns, and the
+improvement finds the first tail age that should transmit in closed form.
+No age grid is built.  The same sums give a policy's, and by
+``analysis._mixture`` a two-threshold mixture's, (average age, collision
+cost).  The greedy policies are threshold-shaped, so one deterministic loop
+on the multiplier, doubling and then bisecting, brackets the budget with
+two consecutive thresholds, and a boundary randomization closes the gap
+exactly (Beutler & Ross 1985).  Only that search takes a budget.
+``policy_cost_evaluate`` walks any table forward with ``analysis._walk``,
+the package's forward evaluator, so it checks the backward sums of the
+solver and of the closed form independently.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SystemModel, SystemParams, _tail, _wait_sums, _walk
+from .analysis import SystemModel, SystemParams, _mixture, _mu, _runs, _tail, _wait_sums, _walk
 from .channel import slot_transition_matrix
 
 MAX_EXPAND = 60  # multiplier doublings from 1 before the search gives up
@@ -48,12 +50,6 @@ class ThresholdStructureError(ValueError):
 
 class BisectionError(RuntimeError):
     pass
-
-
-def _head_length(probs: np.ndarray) -> int:
-    """Length of the shortest prefix of ``probs`` whose last entry holds for every older age."""
-    differs = np.flatnonzero(probs != probs[-1])
-    return int(differs[-1]) + 2 if differs.size else 1
 
 
 def _require_renewal(table: np.ndarray) -> None:
@@ -83,19 +79,20 @@ def poisson_solve(
 ) -> tuple[float, np.ndarray, tuple[float, float], float]:
     """Gain and idle bias of a policy under cost age + lam * collisions, and its renewal sums.
 
-    ``probs`` is a table of transmit probabilities per idle age 1..n; older
-    ages reuse its last entry, which must be positive.  A transmission
-    succeeds w.p. ok and collides w.p. coll, so k = coll / ok collisions
-    precede the next success, a renewal, from any state (Wald's identity).
-    With T and A the expected slots and age sum to it, h = A + lam k - g T,
-    and h(1, idle) = 0 gives g = (A + lam k) / T there: lam is in no
-    recursion.  One backward pass over the runs solves (T, A): at age n by
-    ``analysis._tail``, T = v and A = (n - 1) v + w; a wait run in closed
-    form by ``analysis._wait_sums``, the closed form's own step; a transmit
-    run age by age.  Returns g, the bias on idle ages 1..n, the only one
-    policy improvement reads, (T, A) at (1, idle) and that bias's slope past
-    n, h(d + 1) - h(d) = v_idle, since A rises by v per age there and T does
-    not change.
+    ``probs`` is a table of transmit probabilities per idle age; older ages
+    reuse its last entry, which must be positive.  ``analysis._runs`` splits
+    it, and its last run, the tail, begins at the head length n.  A
+    transmission succeeds w.p. ok and collides w.p. coll, so k = coll / ok
+    collisions precede the next success, a renewal, from any state (Wald's
+    identity).  With T and A the expected slots and age sum to it,
+    h = A + lam k - g T, and h(1, idle) = 0 gives g = (A + lam k) / T there:
+    lam is in no recursion.  One backward pass over the head's runs solves
+    (T, A): at age n by ``analysis._tail``, T = v and A = (n - 1) v + w; a
+    wait run in closed form by ``analysis._wait_sums``, the closed form's own
+    step; a transmit run age by age.  Returns g, the bias on the head's idle
+    ages 1..n (``bias.size == n``), the only one policy improvement reads,
+    (T, A) at (1, idle) and that bias's slope past n, h(d + 1) - h(d) =
+    v_idle, since A rises by v per age there and T does not change.
     """
     _require_renewal(probs)
     al, be = model.rates.alpha, model.rates.beta
@@ -103,18 +100,19 @@ def poisson_solve(
     channel = slot_transition_matrix(model.rates)
     _, p_ib, p_bi, p_bb = channel
     ok = model.success_prob
-    n, p = probs.size, probs[-1].item()
+    *head, (_, p) = _runs(probs)
+    n = 1 + sum(length for length, _ in head)
     _, (ti, tb), (wi, wb) = _tail(channel, p * ok)
     slope = ti
     ai, ab = (n - 1) * ti + wi, (n - 1) * tb + wb
     # (first, end, p, (T, A)) of the ages first + 1..end: past a wait run, at a transmit age
     runs = [(n - 1, n, p, (ti, tb, ai, ab))]
-    bounds = [0, *(np.flatnonzero(probs[1:-1] != probs[:-2]) + 1).tolist(), n - 1]
-    for first, end in reversed(list(zip(bounds, bounds[1:]))):
-        p = probs[first].item()
+    first = n - 1
+    for length, p in reversed(head):
+        first, end = first - length, first
         if p == 0:
             runs.append((first, end, p, (ti, tb, ai, ab)))
-            ti, tb, ai, ab = _wait_sums(al, be, s, end - first, end, (ti, tb, ai, ab))
+            ti, tb, ai, ab = _wait_sums(al, be, s, length, end, (ti, tb, ai, ab))
         else:
             stay = channel.p_II - p * ok
             for d in range(end, first, -1):
@@ -157,13 +155,11 @@ def rvi_solve(model: SystemModel, lam: float, init=(True,)) -> SolvedPolicy:
     multiplier search can warm-start from the previous multiplier's policy.
     Each step evaluates the policy exactly and switches an age's action only
     when the other action is better by more than rounding, which also ends
-    the iteration.  The returned table is cut to the policy's head.
+    the iteration.  Each table is cut to the head its solve's bias covers.
     """
     if not (0.0 <= lam < math.inf):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     transmit = np.array(init, dtype=bool)
-    _require_renewal(transmit)
-    transmit = transmit[: _head_length(transmit)]
     ok = model.success_prob
     tx_cost = lam * model.collision_prob
 
@@ -178,6 +174,7 @@ def rvi_solve(model: SystemModel, lam: float, init=(True,)) -> SolvedPolicy:
     for it in itertools.count(1):
         # slope is h(d + 1) - h(d) past the head, where the policy transmits
         gain, h_idle, renewal, slope = poisson_solve(transmit, model, lam)
+        transmit = transmit[: h_idle.size]
         h_n = h_idle[-1]
         improved = improve(np.concatenate((h_idle[1:], (h_n + slope,))), transmit)
         if not improved[-1]:
@@ -189,7 +186,7 @@ def rvi_solve(model: SystemModel, lam: float, init=(True,)) -> SolvedPolicy:
             while not improve(h_n + m * slope, True):
                 m += 1
             improved = np.concatenate((improved, np.zeros(m - 2, dtype=bool), [True]))
-        improved = improved[: _head_length(improved)]
+        # a head transmits at its last age, so a longer improved table differs
         if np.array_equal(improved, transmit):
             return SolvedPolicy(gain=gain, transmit=transmit, iterations=it, renewal=renewal)
         transmit = improved
@@ -212,19 +209,15 @@ def policy_cost_evaluate(probs, model: SystemModel) -> tuple[float, float]:
     ``probs`` is a non-empty table of transmit probabilities per idle age
     1..n; older ages reuse the last entry, as in ``TabularPolicy``.  So a
     Bernoulli policy is ``[p0]`` and a threshold or mixed policy is its table
-    up to its ``tail_age``.  One comparison of neighbouring entries splits
-    the table into runs of constant probability for the closed form's walk,
-    so a threshold table costs two runs whatever its threshold.  A table
-    with an entry outside [0, 1] is rejected, and so is one whose last entry
-    is 0: its age never renews, so its average age is infinite.
+    up to its ``tail_age``.  ``analysis._runs`` splits the table into runs
+    of constant probability for the closed form's walk, so a threshold table
+    costs two runs whatever its threshold.  A table with an entry outside
+    [0, 1] is rejected, and so is one whose last entry is 0: its age never
+    renews, so its average age is infinite.
     """
     table = np.asarray(probs)
     _require_renewal(table)
-    # 0-based first age of each run: 0, then every entry that differs from the one before
-    firsts = [0, *(np.flatnonzero(table[1:] != table[:-1]) + 1).tolist()]
-    lengths = [b - a for a, b in zip(firsts, firsts[1:])]
-    runs = list(zip(lengths + [math.inf], table[firsts].tolist()))
-    mass, aoi, _ = _walk(model.rates, model.success_prob, runs)
+    mass, aoi, _ = _walk(model.rates, model.success_prob, _runs(table))
     return aoi, model.collision_prob / (model.success_prob * mass)
 
 
@@ -257,10 +250,10 @@ def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
     boundary randomization sets the mixed policy's collision cost to the
     budget (the reciprocal cost is linear in the mixing probability).  Costs
     k / T and metrics come from each end's renewal sums (T, A), which the
-    mixture mixes by mu, as it randomizes once per renewal (renewal-reward).
+    closed form's mixture mixes by mu, as it randomizes once per renewal.
     """
     eta_s = params.eta_s
-    k = params.collision_prob / params.success_prob
+    k = params.collision_prob / params.success_prob  # collisions per renewal
     lo = hi = None  # (multiplier, policy, threshold, cost) at each end of the bracket
     lam, warm, doublings, bisections = 0.0, (True,), 0, 0
     while True:
@@ -288,10 +281,8 @@ def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
             bisections += 1
     # lo is None only when lambda = 0 meets the budget: both ends are that policy
     (lam_lo, pol_lo, gamma1, cost_lo), (lam_hi, pol_hi, gamma2, cost_hi) = lo or hi, hi
-    mu = 1.0
-    if gamma1 != gamma2:
-        mu = (1.0 / eta_s - 1.0 / cost_hi) / (1.0 / cost_lo - 1.0 / cost_hi)
-    slots, age_sum = (mu * x + (1.0 - mu) * y for x, y in zip(pol_lo.renewal, pol_hi.renewal))
+    mu = 1.0 if gamma1 == gamma2 else _mu(eta_s, gamma1, cost_lo, cost_hi)
+    aoi, cost = _mixture(k, gamma1, mu, pol_lo.renewal, pol_hi.renewal)
     return ConstrainedSolution(
         lambda_low=lam_lo,
         lambda_high=lam_hi,
@@ -300,6 +291,6 @@ def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
         gamma1=gamma1,
         gamma2=gamma2,
         mu=mu,
-        achieved_cost=k / slots,
-        achieved_aoi=age_sum / slots,
+        achieved_cost=cost,
+        achieved_aoi=aoi,
     )

@@ -292,6 +292,18 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             SimConfig(params=CANON, policy=ThresholdPolicy(20), seed=1, slots=10, cycles=10)
 
+    @pytest.mark.parametrize("field,horizon", [("slots", 1_000), ("cycles", 40)])
+    def test_whole_float_horizon_replays_as_its_int(self, field, horizon):
+        # the replay counts slots and cycles with range() and numpy sizes, which
+        # a float horizon would fail deep inside run_config
+        make = lambda h: SimConfig(params=CANON, policy=ThresholdPolicy(5), seed=9, **{field: h})
+        config, twin = make(float(horizon)), make(horizon)
+        assert config == twin and type(getattr(config, field)) is int
+        assert run_config(config) == run_config(twin)
+        for bad in (2.5, math.nan, 0):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                make(bad)
+
     def test_slot_horizon_exact(self):
         cfg = SimConfig(params=CANON, policy=ThresholdPolicy(20), seed=3, slots=12_345)
         assert run_config(cfg).slots == 12_345
@@ -341,6 +353,13 @@ class TestReplicate:
     def test_validation(self):
         with pytest.raises(ValueError):
             replicate(self._config(), n_reps=0)
+        for bad in (2.5, math.nan):
+            with pytest.raises(ValueError, match="n_reps must be an integer"):
+                replicate(self._config(), n_reps=bad)
+
+    def test_whole_float_reps_run_as_their_int(self):
+        cfg = SimConfig(params=CANON, policy=ThresholdPolicy(20), seed=11, slots=2_000)
+        assert replicate(cfg, 2.0) == replicate(cfg, 2)
 
 
 class TestStatisticalAgreement:

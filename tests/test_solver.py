@@ -23,13 +23,12 @@ from craoi import (
     rvi_solve,
     slot_transition_matrix,
 )
-from craoi.analysis import _tail, _walk
+from craoi.analysis import _runs, _tail, _walk
 from craoi.channel import BUSY, IDLE
 from craoi.solver import (
     BisectionError,
     SolvedPolicy,
     ThresholdStructureError,
-    _head_length,
     poisson_solve,
 )
 
@@ -47,6 +46,12 @@ from .conftest import (
 CANON = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.0005)
 MODEL = SystemModel(rates=CANON.rates, phi_s=CANON.phi_s)
 ORACLE_AGES = 200  # ages of the oracle chain that kernel rows are held to
+
+
+def head_of(table: np.ndarray) -> np.ndarray:
+    """The table cut to its head: up to the first age of its last run."""
+    *head, _ = _runs(table)
+    return table[: 1 + sum(length for length, _ in head)]
 
 
 def kernel_row(model, delta, occ, p) -> np.ndarray:
@@ -171,14 +176,14 @@ class TestRvi:
         # Every step must be the greedy policy of the last one's bias at every
         # age.  The reference extends the bias affinely over a grid far longer
         # than any head here, applies the tie rule age by age, and must visit
-        # the same tables as rvi_solve.
+        # the same heads as rvi_solve's solves cover.
         ages = 20_000
         tx_cost = lam * MODEL.collision_prob
         slope = _tail(slot_transition_matrix(MODEL.rates), MODEL.success_prob)[1][0]
         table = np.ones(1, dtype=bool) if init is None else np.array(init)
         expected = []
         while True:
-            expected.append(table[: _head_length(table)])
+            expected.append(head_of(table))
             _, h, _, _ = poisson_solve(expected[-1].astype(float), MODEL, lam)
             h = np.concatenate((h, h[-1] + slope * np.arange(1, ages - h.size + 2)))
             value = MODEL.success_prob * h[1:]
@@ -191,8 +196,9 @@ class TestRvi:
         seen = []
 
         def recorded(probs, model, lam):
-            seen.append(probs.astype(bool))
-            return poisson_solve(probs, model, lam)
+            solved = poisson_solve(probs, model, lam)
+            seen.append(probs[: solved[1].size].astype(bool))  # the head the bias covers
+            return solved
 
         monkeypatch.setattr(craoi.solver, "poisson_solve", recorded)
         pol = rvi_solve(MODEL, lam) if init is None else rvi_solve(MODEL, lam, init)
@@ -239,6 +245,8 @@ def silent_clamp(probs: np.ndarray) -> np.ndarray:
 
 
 class TestHeadLength:
+    """``analysis._runs``: where the head ends, and the split's round trip."""
+
     @pytest.mark.parametrize("probs,head", [
         ([0.7], 1),
         ([0.3] * 5, 1),
@@ -250,15 +258,40 @@ class TestHeadLength:
         (np.zeros(40), 1),
     ])  # fmt: skip
     def test_head_ends_where_last_entry_holds(self, probs, head):
-        assert _head_length(np.asarray(probs, dtype=float)) == head
+        # the last run of the split begins at the head length
+        *runs, (length, _) = _runs(np.asarray(probs, dtype=float))
+        assert 1 + sum(length for length, _ in runs) == head
+        assert length == math.inf
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        blocks=st.lists(
+            st.tuples(st.integers(1, 6), st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=8,
+        ),
+        dtype=st.sampled_from([float, bool]),
+    )
+    def test_runs_round_trip(self, blocks, dtype):
+        # expanding the runs over the table's length gives the table back;
+        # every finite run holds an age, and neighbouring runs differ in p
+        table = np.array([p for length, p in blocks for _ in range(length)], dtype=dtype)
+        runs = _runs(table)
+        *head, (last, p_last) = runs
+        assert last == math.inf and all(length >= 1 for length, _ in head)
+        expanded = [p for length, p in head for _ in range(length)]
+        expanded += [p_last] * (table.size - len(expanded))
+        np.testing.assert_array_equal(np.array(expanded, dtype=dtype), table)
+        assert all(a != b for (_, a), (_, b) in zip(runs, runs[1:]))
 
 
 class TestPoissonEquation:
     # Each table is checked against an oracle chain padded with its tail
     # entry to ten times the table's length, where the oracle's clamp holds
-    # no mass.  The head cases end long before the table does, and past the
-    # head the bias must be the affine tail.  A table whose last entry never
-    # transmits is rejected.
+    # no mass.  The solve returns the bias on the head alone; the head cases
+    # end long before the table does, and past the head the oracle's bias
+    # must be the affine tail the returned slope extends.  A table whose
+    # last entry never transmits is rejected.
     @pytest.mark.parametrize("probs,length,head", [
         (mixed_probs(7, 0.3, 40), 400, 8),
         (mixed_probs(1, 0.6, 40), 400, 2),
@@ -284,18 +317,17 @@ class TestPoissonEquation:
         assert gain == pytest.approx(o_gain, rel=1e-12)
         n = probs.size
         scale = np.abs(o_idle[:n]).max()
-        np.testing.assert_allclose(bias, o_idle[:n], rtol=0, atol=1e-12 * scale)
+        assert bias.size == head
+        np.testing.assert_allclose(bias, o_idle[:head], rtol=0, atol=1e-12 * scale)
         assert bias[0] == 0.0
-        # the returned slope carries the idle bias on past the table
-        assert slope == pytest.approx(o_idle[n] - o_idle[n - 1], rel=0, abs=1e-12 * scale)
-        # past the head the bias is affine in age: h(d) = h(head) + (d - head) v
+        # past the head the bias is affine in age: h(d) = h(head) + (d - head) slope
+        extended = np.concatenate((bias, bias[-1] + np.arange(1, n - head + 1) * slope))
+        np.testing.assert_allclose(extended, o_idle[:n], rtol=0, atol=1e-12 * scale)
+        # the slope is the tail's v_idle, and the oracle's step at the head
         channel = slot_transition_matrix(MODEL.rates)
         reset = probs[-1] * MODEL.success_prob
-        v_idle = _tail(channel, reset)[1][0]
-        steps = np.arange(n - head + 1)
-        np.testing.assert_allclose(
-            bias[head - 1 :], bias[head - 1] + steps * v_idle, rtol=0, atol=1e-12 * scale
-        )
+        assert slope == pytest.approx(_tail(channel, reset)[1][0], rel=1e-15, abs=0)
+        assert slope == pytest.approx(o_idle[head] - o_idle[head - 1], rel=0, abs=1e-12 * scale)
 
     @settings(deadline=None, max_examples=100)
     @given(
