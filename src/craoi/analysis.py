@@ -23,11 +23,13 @@ table into runs of constant p, feeds the solver, the replay and
 :func:`_walk`, the forward evaluator of runs and of per-age states, which
 holds the model's one-step dynamics.  Only the functions that meet the
 budget take :class:`SystemParams`; the rest take a :class:`SystemModel`,
-which has none.  The model caches nothing.  Each call forms the occupancy
-probabilities it needs from the rates by the channel's private core
-``_occupancy``, as plain tuples: the one-slot block of the shared tail and
-each wait run's P^L.  Of this module, only :func:`_walk` builds the public,
-validated matrices.
+which has none.  The model caches nothing.  :func:`_scalars` is the one
+place that forms and checks an instance: every evaluator here, in the
+solver and in the baseline reads its success and collision probabilities
+and its one-slot occupancy block from it, so each raises the same domain
+error.  Wait runs take their P^L from the channel's private core
+``_occupancy``, as plain tuples; no evaluator builds the public, validated
+matrices.
 """
 
 from __future__ import annotations
@@ -38,13 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (
-    PuRates,
-    _occupancy,
-    convert_collision_budget,
-    slot_transition_matrix,
-    transition_matrix_power,
-)
+from .channel import PuRates, _occupancy, convert_collision_budget
 
 
 @dataclass(frozen=True)
@@ -106,39 +102,32 @@ def _check_gamma(gamma: int, name: str = "threshold") -> int:
     return int(gamma)
 
 
-def _checked_success(params: SystemModel) -> tuple[float, float]:
-    """(success, s/(beta*success)) of the instance, s = alpha + beta.
+def _scalars(params: SystemModel) -> tuple:
+    """The model scalars of one instance, formed and checked once per public call.
 
+    (alpha, beta, s, success, collision, s/(beta*success), expm1(-s), slot,
+    tail) with s = alpha + beta, slot the one-slot occupancy block
+    (p_II, p_IB, p_BI, p_BB) and tail the (v, w) of :func:`_tail` at reset
+    ``success``, which every threshold's renewal sums share.
     s/(beta*success) is the mean time between successes of threshold 1, the
     shortest any policy has; when it is no float, as when e^-alpha
-    underflows, the instance has no average age to compute, and this raises.
+    underflows, the instance has no average age to compute, and this
+    raises.  A plain tuple that lives only for that call: nothing caches it
+    on the model, so a sweep that keeps many models alive holds no extra
+    memory.
     """
     al, be = params.rates.alpha, params.rates.beta
+    s = al + be
     success = params.success_prob
-    b_term = (al + be) / (be * success) if be * success > 0.0 else math.inf
+    b_term = s / (be * success) if be * success > 0.0 else math.inf
     if b_term == math.inf:
         raise ValueError(
             f"success probability (1 - phi_s) e^-alpha = {success:.3g} is too small: "
             f"the mean renewal time s/(beta*success) overflows at alpha={al}, beta={be}"
         )
-    return success, b_term
-
-
-def _scalars(params: SystemModel) -> tuple:
-    """The model scalars of one instance, formed once per public call.
-
-    (alpha, beta, s, success, collision, s/(beta*success), expm1(-s), tail)
-    with s = alpha + beta and tail the (v, w) of :func:`_tail` at reset
-    ``success``, which every threshold's renewal sums share; the domain check
-    is :func:`_checked_success`'s.  A plain tuple that lives only for that
-    call: the closed form caches nothing on the model, so a sweep that keeps
-    many models alive holds no extra memory.
-    """
-    success, b_term = _checked_success(params)
-    al, be = params.rates.alpha, params.rates.beta
-    s = al + be
-    tail = _tail(_occupancy(al, be, s, 1.0), success)[1:]
-    return al, be, s, success, params.collision_prob, b_term, math.expm1(-s), tail
+    slot = _occupancy(al, be, s, 1.0)
+    tail = _tail(slot, success)[1:]
+    return al, be, s, success, params.collision_prob, b_term, math.expm1(-s), slot, tail
 
 
 def _advance(x0: float, x1: float, p_ii: float, p_ib: float, p_bi: float, p_bb: float):
@@ -196,7 +185,7 @@ def _threshold_sums(m: tuple, gamma: int) -> tuple[float, float]:
     renewal length 1 / theta_(1,0), so psi_s = (collision / success) / T by
     Wald's identity, and A / T is the average age (renewal-reward).
     """
-    al, be, s, _, _, _, _, ((v0, v1), (w0, w1)) = m
+    al, be, s, _, _, _, _, _, ((v0, v1), (w0, w1)) = m
     sums = (v0, v1, (gamma - 1) * v0 + w0, (gamma - 1) * v1 + w1)
     if gamma > 1:
         sums = _wait_sums(al, be, s, gamma - 1, gamma - 1, sums)
@@ -210,10 +199,14 @@ def _mixture(k: float, gamma1: int, mu: float, lo: tuple, hi: tuple) -> tuple[fl
     law the mu-mixture of the two thresholds' and holds k collisions.
     """
     slots = mu * lo[0] + (1.0 - mu) * hi[0]
-    aoi = (mu * lo[1] + (1.0 - mu) * hi[1]) / slots
+    return _finite_age((mu * lo[1] + (1.0 - mu) * hi[1]) / slots, gamma1), k / slots
+
+
+def _finite_age(aoi: float, gamma: int) -> float:
+    """``aoi`` if it is a float; else the one error for an average age that overflows."""
     if not aoi < math.inf:  # an overflowing age sum; 0 * inf mixes to NaN
-        raise ValueError(f"the average age overflows a float at threshold {float(gamma1):.3g}")
-    return aoi, k / slots
+        raise ValueError(f"the average age overflows a float at threshold {float(gamma):.3g}")
+    return aoi
 
 
 def _runs(table) -> list[tuple[float, float]]:
@@ -230,22 +223,26 @@ def _runs(table) -> list[tuple[float, float]]:
     return [*zip([b - a for a, b in zip(firsts, firsts[1:])], ps), (math.inf, ps[-1])]
 
 
-def _walk(rates: PuRates, ok: float, runs, age: int = 0):
-    """Mass, average age and state at ``age`` of a run-length policy.
+def _walk(m: tuple, runs, age: int = 0):
+    """Mass, average age and state at ``age`` of a run-length policy on the instance ``m``.
 
-    ``runs`` lists (length, p) from age 1: transmit w.p. p at the run's idle
-    ages.  The last run holds for every older age and must transmit.  From
-    unit mass at (1, idle), x = (theta_idle, theta_busy) crosses a wait run
-    (p = 0) in closed form, x P^L, each age holding the mass x enters with;
-    a finite transmit run age by age by M = [[p_II - p ok, p_IB], [p_BI,
-    p_BB]] (the package's only one is the mixed policy's boundary age, so
-    there is no repeated squaring); the last run by (I - M)^-1 from
-    :func:`_tail`.  A run costs a few roundings whatever its length.  Returns
-    the mass 1 / theta_(1,0), which is the mean renewal length, the average
-    age and the normalized state at ``age`` (None unless age >= 1).
+    ``m`` is :func:`_scalars`' tuple.  ``runs`` lists (length, p) from age
+    1: transmit w.p. p at the run's idle ages.  The last run holds for every
+    older age and must transmit.  From unit mass at (1, idle),
+    x = (theta_idle, theta_busy) crosses a wait run (p = 0) in closed form,
+    x P^L with P^L by the channel's core ``_occupancy``, each age holding
+    the mass x enters with; a finite transmit run age by age by
+    M = [[p_II - p ok, p_IB], [p_BI, p_BB]] from ``m``'s one-slot block (the
+    package's only one is the mixed policy's boundary age, so there is no
+    repeated squaring); the last run by (I - M)^-1 from :func:`_tail`.  A
+    run costs a few roundings whatever its length.  Returns the mass
+    1 / theta_(1,0), which is the mean renewal length, the average age and
+    the normalized state at ``age`` (None unless age >= 1).  A mass that is
+    no finite float, as when the last run transmits too rarely, raises; the
+    caller checks the average age, which a state read does not need.
     """
-    channel = slot_transition_matrix(rates)
-    p_ii, p_ib, p_bi, p_bb = channel
+    al, be, s, ok, _, _, _, slot, _ = m
+    p_ii, p_ib, p_bi, p_bb = slot
     x0, x1 = 1.0, 0.0
     start = 1  # first age of the current run
     mass = age_sum = 0.0
@@ -253,10 +250,10 @@ def _walk(rates: PuRates, ok: float, runs, age: int = 0):
     for length, p in runs[:-1]:
         if p == 0.0:
             if 0 <= age - start < length:
-                state = _advance(x0, x1, *transition_matrix_power(rates, age - start))
+                state = _advance(x0, x1, *_occupancy(al, be, s, age - start))
             mass += (x0 + x1) * length
             age_sum += (x0 + x1) * length * (start + 0.5 * (length - 1))
-            x0, x1 = _advance(x0, x1, *transition_matrix_power(rates, length))
+            x0, x1 = _advance(x0, x1, *_occupancy(al, be, s, length))
         else:
             for d in range(start, start + length):
                 if d == age:
@@ -270,9 +267,14 @@ def _walk(rates: PuRates, ok: float, runs, age: int = 0):
         block = np.array([[p_ii - p * ok, p_ib], [p_bi, p_bb]])
         state = (np.array((x0, x1)) @ np.linalg.matrix_power(block, age - start)).tolist()
     # the tail's mass is x v and its age sum x w + (start - 1) x v
-    _, (v0, v1), (w0, w1) = _tail(channel, p * ok)
+    _, (v0, v1), (w0, w1) = _tail(slot, p * ok)
     tail_mass = x0 * v0 + x1 * v1
     mass += tail_mass
+    if not mass < math.inf:  # an overflowing tail; 0 * inf mixes to NaN
+        raise ValueError(
+            f"the mean renewal time overflows a float: transmitting w.p. {p:.3g} from age "
+            f"{start} resets the age too rarely at success probability {ok:.3g}"
+        )
     age_sum += x0 * w0 + x1 * w1 + (start - 1) * tail_mass
     if state is not None:
         state = state[0] / mass, state[1] / mass
@@ -285,6 +287,12 @@ def _check_mu(mu: float) -> float:
     return mu
 
 
+def _check_p0(p0: float) -> float:
+    if not (0.0 < p0 <= 1.0):  # NaN fails too
+        raise ValueError(f"p0 must be in (0, 1], got {p0}")
+    return p0
+
+
 def mixed_policy_steady_state(
     params: SystemModel, gamma1: int, mu: float, delta: int
 ) -> tuple[float, float]:
@@ -295,10 +303,10 @@ def mixed_policy_steady_state(
     read, so :func:`_walk` carries the state forward through the policy's
     three runs.
     """
-    success, _ = _checked_success(params)
+    m = _scalars(params)
     # at gamma1 = 1 the wait run has no ages: P^0 is exactly the identity, and it adds 0
     runs = ((_check_gamma(gamma1) - 1, 0.0), (1, _check_mu(mu)), (math.inf, 1.0))
-    return _walk(params.rates, success, runs, _check_gamma(delta, "age"))[2]
+    return _walk(m, runs, _check_gamma(delta, "age"))[2]
 
 
 def mixed_policy_metrics(params: SystemModel, gamma1: int, mu: float) -> tuple[float, float]:
@@ -311,14 +319,14 @@ def mixed_policy_metrics(params: SystemModel, gamma1: int, mu: float) -> tuple[f
     gamma1, mu = _check_gamma(gamma1), _check_mu(mu)
     lo = _threshold_sums(m, gamma1)
     hi = lo if mu == 1.0 else _threshold_sums(m, gamma1 + 1)
-    _, _, _, success, collision, _, _, _ = m
+    _, _, _, success, collision, _, _, _, _ = m
     return _mixture(collision / success, gamma1, mu, lo, hi)
 
 
 def collision_probability(gamma: int, params: SystemModel) -> float:
     """Per-slot collision probability psi_s of the threshold policy."""
     m = _scalars(params)
-    _, _, _, success, collision, _, _, _ = m
+    _, _, _, success, collision, _, _, _, _ = m
     return collision / success / _threshold_sums(m, _check_gamma(gamma))[0]
 
 
@@ -381,7 +389,7 @@ def _thresholds(m: tuple, eta: float) -> tuple[int, int, tuple, tuple]:
     from :func:`_threshold_sums`: psi_s = (collision / success) / T verifies
     the bracket, and the sums are returned for mu and the metrics.
     """
-    al, be, s, success, collision, b_term, expm1_s, _ = m
+    al, be, s, success, collision, b_term, expm1_s, _, _ = m
     one = _threshold_sums(m, 1)
     if collision / success / one[0] <= eta:
         return 1, 1, one, one
@@ -461,7 +469,7 @@ def age_optimal_policy(params: SystemParams) -> AgeOptimalPolicy:
     m = _scalars(params)
     eta = params.eta_s
     g1, g2, lo, hi = _thresholds(m, eta)
-    _, _, _, success, collision, _, _, _ = m
+    _, _, _, success, collision, _, _, _, _ = m
     k = collision / success  # collisions per renewal
     mu = 1.0 if g1 == g2 else _mu(eta, g1, k / lo[0], k / hi[0])
     aoi, psi = _mixture(k, g1, mu, lo, hi)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .analysis import SystemModel, SystemParams, _check_gamma, _walk
+from .analysis import SystemModel, SystemParams, _check_gamma, _check_p0, _scalars, _walk
 from .channel import idle_probability
 from .policies import BernoulliAccessPolicy
 
@@ -28,11 +28,6 @@ def optimal_transmit_probability(params: SystemParams) -> BernoulliAccessPolicy:
 def collision_probability_bernoulli(params: SystemModel, p0: float) -> float:
     """Per-slot collision probability under Bernoulli access."""
     return p0 * idle_probability(params.rates) * params.collision_prob
-
-
-def _check_p0(p0: float) -> None:
-    if not (0.0 < p0 <= 1.0):
-        raise ValueError(f"p0 must be in (0, 1], got {p0}")
 
 
 def average_aoi_bernoulli(params: SystemModel, p0: float) -> float:
@@ -58,5 +53,5 @@ def bernoulli_steady_state(params: SystemModel, p0: float, delta: int) -> tuple[
     """Stationary (theta_idle, theta_busy) at the given age under Bernoulli access: one run."""
     _check_p0(p0)
     delta = _check_gamma(delta, "age")
-    return _walk(params.rates, params.success_prob, ((math.inf, p0),), delta)[2]
+    return _walk(_scalars(params), ((math.inf, p0),), delta)[2]
 

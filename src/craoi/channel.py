@@ -8,8 +8,7 @@ occupancy chain and a few derived scalars.  The occupancy formula is written
 once, in the private core ``_occupancy``, which returns a plain tuple from the
 rates' scalars; the public builder :func:`transition_matrix_power` checks its
 interval and wraps the core's tuple in the named :class:`ChannelTransition`.
-The closed form's hot loops call the core directly, and nothing caches a
-matrix.  The device's resets are not the PU's: the age chain's blocks and
+Every evaluator calls the core directly, and nothing caches a matrix.  The device's resets are not the PU's: the age chain's blocks and
 their tail sums live in ``analysis``.
 """
 

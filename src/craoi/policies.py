@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analysis import _check_gamma, _check_mu
+from .analysis import _check_gamma, _check_mu, _check_p0
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,7 @@ class BernoulliAccessPolicy:
     p0: float
 
     def __post_init__(self):
-        if not (0.0 < self.p0 <= 1.0):
-            raise ValueError(f"p0 must be in (0, 1], got {self.p0}")
+        _check_p0(self.p0)
 
     @property
     def tail_age(self) -> int:

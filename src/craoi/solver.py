@@ -10,13 +10,15 @@ A renewal holds the same expected collisions from every state, so the
 Poisson equation reduces to the expected slots and age sum to the next
 renewal, free of the multiplier, solved by one backward pass over the
 table's runs of constant action, which ``analysis._runs`` splits, as it
-does every table here.  The solve shares the closed form's steps: past the
-head ``analysis._tail`` sums the tail exactly, formed once per solve, and
-``analysis._wait_sums`` crosses each wait run.  Policy improvement reads
-the idle bias alone, on the head, so the solve forms no other; past the
-head it is affine in age, with the slope the solve returns, and the
-improvement finds the first tail age that should transmit in closed form.
-No age grid is built.  The same sums give a policy's, and by
+does every table here.  The solve shares the closed form's steps: it reads
+the instance from ``analysis._scalars``, as the walk and the multiplier
+search do, so an instance the closed form rejects raises its error here
+too; past the head ``analysis._tail`` sums the tail exactly, formed once
+per solve, and ``analysis._wait_sums`` crosses each wait run.  Policy
+improvement reads the idle bias alone, on the head, so the solve forms no
+other; past the head it is affine in age, with the slope the solve
+returns, and the improvement finds the first tail age that should transmit
+in closed form.  No age grid is built.  The same sums give a policy's, and by
 ``analysis._mixture`` a two-threshold mixture's, (average age, collision
 cost).  The greedy policies are threshold-shaped, so one deterministic loop
 on the multiplier, doubling and then bisecting, brackets the budget with
@@ -35,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SystemModel, SystemParams, _mixture, _mu, _runs, _tail, _wait_sums, _walk
-from .channel import slot_transition_matrix
+from .analysis import (
+    SystemModel, SystemParams, _finite_age, _mixture, _mu, _runs, _scalars, _tail, _wait_sums, _walk
+)  # fmt: skip
 
 MAX_EXPAND = 60  # multiplier doublings from 1 before the search gives up
 MAX_BISECT = 200  # multiplier bisections before the search gives up
@@ -95,14 +98,11 @@ def poisson_solve(
     v_idle, since A rises by v per age there and T does not change.
     """
     _require_renewal(probs)
-    al, be = model.rates.alpha, model.rates.beta
-    s = al + be
-    channel = slot_transition_matrix(model.rates)
-    _, p_ib, p_bi, p_bb = channel
-    ok = model.success_prob
+    al, be, s, ok, collision, _, _, slot, _ = _scalars(model)
+    p_ii, p_ib, p_bi, p_bb = slot
     *head, (_, p) = _runs(probs)
     n = 1 + sum(length for length, _ in head)
-    _, (ti, tb), (wi, wb) = _tail(channel, p * ok)
+    _, (ti, tb), (wi, wb) = _tail(slot, p * ok)
     slope = ti
     ai, ab = (n - 1) * ti + wi, (n - 1) * tb + wb
     # (first, end, p, (T, A)) of the ages first + 1..end: past a wait run, at a transmit age
@@ -114,12 +114,12 @@ def poisson_solve(
             runs.append((first, end, p, (ti, tb, ai, ab)))
             ti, tb, ai, ab = _wait_sums(al, be, s, length, end, (ti, tb, ai, ab))
         else:
-            stay = channel.p_II - p * ok
+            stay = p_ii - p * ok
             for d in range(end, first, -1):
                 ti, tb = 1.0 + stay * ti + p_ib * tb, 1.0 + p_bi * ti + p_bb * tb
                 ai, ab = d + stay * ai + p_ib * ab, d + p_bi * ai + p_bb * ab
                 runs.append((d - 1, d, p, (ti, tb, ai, ab)))
-    lam_k = lam * model.collision_prob / ok
+    lam_k = lam * collision / ok
     gain = (ai + lam_k) / ti
     bias = np.empty(n)
     for first, end, p, (t_i, t_b, a_i, a_b) in runs:
@@ -213,12 +213,16 @@ def policy_cost_evaluate(probs, model: SystemModel) -> tuple[float, float]:
     of constant probability for the closed form's walk, so a threshold table
     costs two runs whatever its threshold.  A table with an entry outside
     [0, 1] is rejected, and so is one whose last entry is 0: its age never
-    renews, so its average age is infinite.
+    renews, so its average age is infinite.  A last entry so small that the
+    mean renewal time or the average age is no float raises the walk's or
+    the closed form's overflow error, naming the table length as threshold.
     """
     table = np.asarray(probs)
     _require_renewal(table)
-    mass, aoi, _ = _walk(model.rates, model.success_prob, _runs(table))
-    return aoi, model.collision_prob / (model.success_prob * mass)
+    m = _scalars(model)
+    mass, aoi, _ = _walk(m, _runs(table))
+    _, _, _, success, collision, _, _, _, _ = m
+    return _finite_age(aoi, table.size), collision / (success * mass)
 
 
 @dataclass(frozen=True)
@@ -253,7 +257,8 @@ def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
     closed form's mixture mixes by mu, as it randomizes once per renewal.
     """
     eta_s = params.eta_s
-    k = params.collision_prob / params.success_prob  # collisions per renewal
+    _, _, _, success, collision, _, _, _, _ = _scalars(params)
+    k = collision / success  # collisions per renewal
     lo = hi = None  # (multiplier, policy, threshold, cost) at each end of the bracket
     lam, warm, doublings, bisections = 0.0, (True,), 0, 0
     while True:

@@ -378,18 +378,20 @@ class TestRenewalSums:
             slots = mu1 * lo[0] + (1.0 - mu1) * hi[0]
             age_sum = mu1 * lo[1] + (1.0 - mu1) * hi[1]
             runs = ((gamma1 - 1, 0.0), (1, mu1), (math.inf, 1.0))
-            mass, aoi, _ = _walk(params.rates, params.success_prob, runs)
+            mass, aoi, _ = _walk(m, runs)
             assert abs(slots / mass - 1.0) <= self.BOUND
             assert abs(age_sum / (mass * aoi) - 1.0) <= self.BOUND
 
     @settings(deadline=None)
     @given(alpha=sweep_domain("alpha"), beta=sweep_domain("beta"), phi_s=sweep_domain("phi_s"))
     def test_scalars_tail_equals_public_composition(self, alpha, beta, phi_s):
-        # the shared tail comes from the occupancy core, not the public
-        # builder; it must equal the tail of the built slot matrix exactly
+        # the slot block and the shared tail come from the occupancy core,
+        # not the public builder; they must equal the built slot matrix and
+        # its tail exactly
         params = make_params(alpha, beta, phi_s)
-        expected = _tail(slot_transition_matrix(params.rates), params.success_prob)[1:]
-        assert _scalars(params)[-1] == expected
+        slot = slot_transition_matrix(params.rates)
+        expected = _tail(slot, params.success_prob)[1:]
+        assert _scalars(params)[-2:] == (tuple(slot), expected)
 
 
 class TestAgeOptimalPolicy:

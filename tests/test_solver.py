@@ -1,6 +1,7 @@
 """CMDP solver tests: policy iteration, evaluation, and multiplier search."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from craoi import (
     SystemModel,
     SystemParams,
     age_optimal_policy,
-    collision_probability,
+    average_aoi_bernoulli,
     average_aoi_series,
+    bernoulli_steady_state,
+    collision_probability,
     extract_threshold,
     lambda_bisection,
     mixed_policy_metrics,
@@ -23,7 +26,7 @@ from craoi import (
     rvi_solve,
     slot_transition_matrix,
 )
-from craoi.analysis import _runs, _tail, _walk
+from craoi.analysis import _runs, _scalars, _tail, _walk
 from craoi.channel import BUSY, IDLE
 from craoi.solver import (
     BisectionError,
@@ -346,7 +349,7 @@ class TestPoissonEquation:
         model = SystemModel(rates=PuRates(alpha, beta), phi_s=phi_s)
         table = np.array([p for length, p in runs for _ in range(length)] + [last])
         _, _, (slots, age_sum), _ = poisson_solve(table, model, 0.0)
-        mass, aoi, _ = _walk(model.rates, model.success_prob, [*runs, (math.inf, last)])
+        mass, aoi, _ = _walk(_scalars(model), [*runs, (math.inf, last)])
         assert (slots, age_sum) == pytest.approx((mass, mass * aoi), rel=1e-12, abs=0)
 
 
@@ -427,6 +430,57 @@ class TestPolicyEvaluation:
         for probs in (np.array([]), np.ones((2, 3))):
             with pytest.raises(ValueError):
                 policy_cost_evaluate(probs, MODEL)
+
+    def test_rare_tail_age_overflows(self):
+        # the tail's age sum overflows: 0 * inf would read NaN, where the
+        # closed form reads a finite 1.3e160
+        assert average_aoi_bernoulli(MODEL, 1e-160) == pytest.approx(1.339e160, rel=1e-3)
+        with pytest.raises(ValueError, match="average age overflows a float"):
+            policy_cost_evaluate([1e-160], MODEL)
+        # the state needs only the mass, which is still a float
+        assert bernoulli_steady_state(MODEL, 1e-160, 1) == pytest.approx((7.468e-161, 0.0))
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: policy_cost_evaluate([1e-320], MODEL),
+        lambda: bernoulli_steady_state(MODEL, 1e-320, 1),
+    ], ids=["policy_cost_evaluate", "bernoulli_steady_state"])  # fmt: skip
+    def test_rare_tail_mass_overflows(self, evaluate):
+        with pytest.raises(ValueError, match="mean renewal time overflows a float"):
+            evaluate()
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        head=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), max_size=5),
+        exponent=st.floats(-320.0, 0.0),
+    )
+    def test_rare_tail_is_finite_or_rejected(self, head, exponent):
+        # a last entry log-uniform in 1e-320..1: never NaN
+        try:
+            aoi, cost = policy_cost_evaluate([*head, 10.0**exponent], MODEL)
+        except ValueError:
+            return
+        assert math.isfinite(aoi) and math.isfinite(cost)
+
+
+UNDERFLOW = SystemParams(PuRates(800.0, 1000.0), 0.2, 0.5)  # e^-800 underflows to 0
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: policy_cost_evaluate([1.0], UNDERFLOW),
+    lambda: rvi_solve(UNDERFLOW, 1.0),
+    lambda: lambda_bisection(UNDERFLOW),
+    lambda: bernoulli_steady_state(UNDERFLOW, 0.5, 1),
+    lambda: poisson_solve(np.array([True]), UNDERFLOW, 0.0),
+], ids=["policy_cost_evaluate", "rvi_solve", "lambda_bisection", "bernoulli_steady_state",
+        "poisson_solve"])  # fmt: skip
+def test_evaluators_raise_closed_form_domain_error(evaluate):
+    # every evaluator reads the instance's checked scalars, so none divides
+    # by the underflowed success; each raises the closed form's own error
+    with pytest.raises(ValueError) as closed_form:
+        age_optimal_policy(UNDERFLOW)
+    assert "success probability (1 - phi_s) e^-alpha = 0 is too small" in str(closed_form.value)
+    with pytest.raises(ValueError, match=re.escape(str(closed_form.value))):
+        evaluate()
 
 
 class TestLambdaBisection:
