@@ -7,8 +7,8 @@ slots T and age sum A from (1, idle) to the next success give the average
 age A / T, and by Wald's identity psi_s = (collision / success) / T.  At and
 above the threshold the pair (theta_idle, theta_busy) moves by one 2x2 block
 M of the transition matrix less the resets, so the tail's sums are read off
-(I - M)^-1, which :func:`_tail` forms; below it the occupancy only mixes, and
-:func:`_wait_sums` crosses the whole wait run in closed form.  The CMDP
+(I - M)^-1, which :func:`_tail` applies; below it the occupancy only mixes,
+and :func:`_wait_sums` crosses the whole wait run in closed form.  The CMDP
 solver's Poisson solve takes both steps from here.  Everything here is exact
 up to floating point: geometric tails are summed in closed form, never
 truncated, and no sum cancels.
@@ -18,18 +18,19 @@ Gamma1 and always past it; a threshold policy is the randomized one at
 mu = 1.  It randomizes once per renewal, so its renewal sums are the
 mu-mixture of those of Gamma1 and Gamma1 + 1 (renewal-reward), and the
 age-optimal policy evaluates each bracketing threshold once, for the
-bracket, mu and the metrics.  :func:`_runs`, the package's one split of a
-table into runs of constant p, feeds the solver, the replay and
-:func:`_walk`, the forward evaluator of runs and of per-age states, which
-holds the model's one-step dynamics.  Only the functions that meet the
-budget take :class:`SystemParams`; the rest take a :class:`SystemModel`,
-which has none.  The model caches nothing.  :func:`_scalars` is the one
-place that forms and checks an instance: every evaluator here, in the
-solver and in the baseline reads its success and collision probabilities
-and its one-slot occupancy block from it, so each raises the same domain
-error.  Wait runs take their P^L from the channel's private core
-``_occupancy``, as plain tuples; no evaluator builds the public, validated
-matrices.
+bracket, mu and the metrics.  :func:`_bracket_policy` is the one step from
+a bracket and its renewal sums to the policy record: the closed form and
+the solver's multiplier search both end there.  :func:`_runs`, the
+package's one split of a table into runs of constant p, feeds the solver,
+the replay and :func:`_walk`, the forward evaluator of runs and of per-age
+states, which holds the model's one-step dynamics.  Only the functions that meet the budget take
+:class:`SystemParams`; the rest take a :class:`SystemModel`, which has
+none.  The model caches nothing.  :func:`_scalars` is the one place that
+forms and checks an instance: every evaluator here, in the solver and in
+the baseline reads its success and collision probabilities and its
+one-slot occupancy block from it, so each raises the same domain error.
+Wait runs take their P^L from the channel's private core ``_occupancy``,
+as plain tuples; no evaluator builds the public, validated matrices.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _scalars(params: SystemModel) -> tuple:
             f"the mean renewal time s/(beta*success) overflows at alpha={al}, beta={be}"
         )
     slot = _occupancy(al, be, s, 1.0)
-    tail = _tail(slot, success)[1:]
+    tail = _tail(slot, success)
     return al, be, s, success, params.collision_prob, b_term, math.expm1(-s), slot, tail
 
 
@@ -136,22 +137,22 @@ def _advance(x0: float, x1: float, p_ii: float, p_ib: float, p_bi: float, p_bb: 
 
 
 def _tail(channel: tuple, reset: float):
-    """((I - M)^-1 row-major, v, w) for M = [[p_II - reset, p_IB], [p_BI, p_BB]]; reset > 0.
+    """(v, w) = ((I - M)^-1 1, (I - M)^-1 v), M = [[p_II - reset, p_IB], [p_BI, p_BB]], reset > 0.
 
     M is one age step of (theta_idle, theta_busy) when an idle-sensed slot
     resets the age with mass ``reset``.  (I - M)^-1 is the fundamental
     matrix of the transient age chain (Kemeny & Snell 1960).  Its
     determinant is exactly p_BI times reset, since both rows of the
-    occupancy matrix sum to one; forming it by products would cancel.  With
-    v = (I - M)^-1 1 and w = (I - M)^-1 v, a row vector x has sums over
-    k >= 0 of x M^k 1 = x v and of (k + 1) x M^k 1 = x w.  Every term is a
-    product of nonnegative numbers, so nothing cancels as reset -> 0.
+    occupancy matrix sum to one; forming it by products would cancel.  A
+    row vector x has sums over k >= 0 of x M^k 1 = x v and of
+    (k + 1) x M^k 1 = x w.  Every term is a product of nonnegative numbers,
+    so nothing cancels as reset -> 0.
     """
     _, p_ib, p_bi, _ = channel
     det = p_bi * reset
     m_ii, m_ib, m_bi, m_bb = p_bi / det, p_ib / det, p_bi / det, (p_ib + reset) / det
     v0, v1 = m_ii + m_ib, m_bi + m_bb
-    return (m_ii, m_ib, m_bi, m_bb), (v0, v1), (m_ii * v0 + m_ib * v1, m_bi * v0 + m_bb * v1)
+    return (v0, v1), (m_ii * v0 + m_ib * v1, m_bi * v0 + m_bb * v1)
 
 
 def _wait_sums(al: float, be: float, s: float, length: int, end: int, sums: tuple) -> tuple:
@@ -207,6 +208,16 @@ def _finite_age(aoi: float, gamma: int) -> float:
     if not aoi < math.inf:  # an overflowing age sum; 0 * inf mixes to NaN
         raise ValueError(f"the average age overflows a float at threshold {float(gamma):.3g}")
     return aoi
+
+
+def _finite_mass(mass: float, p: float, start: int, ok: float) -> float:
+    """``mass`` if it is a float; else the one error for a mean renewal time that overflows."""
+    if not mass < math.inf:  # an overflowing tail; 0 * inf mixes to NaN
+        raise ValueError(
+            f"the mean renewal time overflows a float: transmitting w.p. {p:.3g} from age "
+            f"{start} resets the age too rarely at success probability {ok:.3g}"
+        )
+    return mass
 
 
 def _runs(table) -> list[tuple[float, float]]:
@@ -267,14 +278,9 @@ def _walk(m: tuple, runs, age: int = 0):
         block = np.array([[p_ii - p * ok, p_ib], [p_bi, p_bb]])
         state = (np.array((x0, x1)) @ np.linalg.matrix_power(block, age - start)).tolist()
     # the tail's mass is x v and its age sum x w + (start - 1) x v
-    _, (v0, v1), (w0, w1) = _tail(slot, p * ok)
+    (v0, v1), (w0, w1) = _tail(slot, p * ok)
     tail_mass = x0 * v0 + x1 * v1
-    mass += tail_mass
-    if not mass < math.inf:  # an overflowing tail; 0 * inf mixes to NaN
-        raise ValueError(
-            f"the mean renewal time overflows a float: transmitting w.p. {p:.3g} from age "
-            f"{start} resets the age too rarely at success probability {ok:.3g}"
-        )
+    mass = _finite_mass(mass + tail_mass, p, start, ok)
     age_sum += x0 * w0 + x1 * w1 + (start - 1) * tail_mass
     if state is not None:
         state = state[0] / mass, state[1] / mass
@@ -447,7 +453,7 @@ def _mu(eta: float, gamma1: int, psi1: float, psi2: float) -> float:
 
 
 class AgeOptimalPolicy(NamedTuple):
-    """Closed-form age-optimal policy and its analytical performance."""
+    """The age-optimal policy and its exact performance, built by :func:`_bracket_policy`."""
 
     gamma1: int
     gamma2: int
@@ -457,21 +463,31 @@ class AgeOptimalPolicy(NamedTuple):
     constraint_binds: bool
 
 
+def _bracket_policy(
+    eta: float, k: float, gamma1: int, gamma2: int, lo: tuple, hi: tuple
+) -> AgeOptimalPolicy:
+    """The policy mixing the bracket gamma1, gamma2 by the mu that meets the budget eta.
+
+    ``lo`` and ``hi`` are the bracket's renewal sums (T, A), and
+    k = collision / success the collisions per renewal, so psi_s = k / T.
+    A single threshold (the budget is slack at threshold 1, or met exactly)
+    is the mixed policy at mu = 1, and binds only if its psi_s is eta to
+    rounding.  The closed form and the multiplier search both end here.
+    """
+    mu = 1.0 if gamma1 == gamma2 else _mu(eta, gamma1, k / lo[0], k / hi[0])
+    aoi, psi = _mixture(k, gamma1, mu, lo, hi)
+    binds = gamma1 != gamma2 or math.isclose(psi, eta, rel_tol=1e-12)
+    return AgeOptimalPolicy(gamma1, gamma2, mu, aoi, psi, binds)
+
+
 def age_optimal_policy(params: SystemParams) -> AgeOptimalPolicy:
     """Compute the age-optimal randomized threshold policy for the instance.
 
-    A single bracketing threshold (the budget is slack at threshold 1, or met
-    exactly) is the mixed policy at mu = 1.  The instance's scalars are formed
-    once, and each bracketing threshold is evaluated once: its renewal sums
-    verify the bracket, give mu by their collision probabilities, and mix by
-    mu into the policy's metrics.
+    The instance's scalars are formed once, and each bracketing threshold is
+    evaluated once: its renewal sums verify the bracket and go on to
+    :func:`_bracket_policy`, which gives mu and the policy's metrics.
     """
     m = _scalars(params)
-    eta = params.eta_s
-    g1, g2, lo, hi = _thresholds(m, eta)
+    g1, g2, lo, hi = _thresholds(m, params.eta_s)
     _, _, _, success, collision, _, _, _, _ = m
-    k = collision / success  # collisions per renewal
-    mu = 1.0 if g1 == g2 else _mu(eta, g1, k / lo[0], k / hi[0])
-    aoi, psi = _mixture(k, g1, mu, lo, hi)
-    binds = g1 != g2 or math.isclose(psi, eta, rel_tol=1e-12)
-    return AgeOptimalPolicy(g1, g2, mu, aoi, psi, binds)
+    return _bracket_policy(params.eta_s, collision / success, g1, g2, lo, hi)

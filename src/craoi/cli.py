@@ -64,7 +64,7 @@ def _cmd_solve(args, parser) -> int:
     print(f"psi_p {pol.psi_s * expected_cycle_length(params.rates):.10g}")
     print(f"constraint_binds {int(pol.constraint_binds)}")
     if args.verify:
-        sol = lambda_bisection(params)
+        rvi = lambda_bisection(params).policy
         # (gamma1, gamma2, mu) labels are not unique: (5, 6, mu=0) and
         # (6, 7, mu=1) are both the threshold-6 policy.  gamma1 - mu names the
         # policy: it transmits w.p. min(1, max(0, d - (gamma1 - mu))) at idle
@@ -76,14 +76,14 @@ def _cmd_solve(args, parser) -> int:
         table = np.zeros(pol.gamma1 + 1)
         table[-2:] = pol.mu, 1.0
         walked = policy_cost_evaluate(table, params)
-        ok = abs((sol.gamma1 - pol.gamma1) - (sol.mu - pol.mu)) <= 1e-6 and all(
-            math.isclose(sol.achieved_aoi, aoi, rel_tol=1e-12)
-            and math.isclose(sol.achieved_cost, psi, rel_tol=1e-12)
+        ok = abs((rvi.gamma1 - pol.gamma1) - (rvi.mu - pol.mu)) <= 1e-6 and all(
+            math.isclose(rvi.avg_aoi, aoi, rel_tol=1e-12)
+            and math.isclose(rvi.psi_s, psi, rel_tol=1e-12)
             for aoi, psi in ((pol.avg_aoi, pol.psi_s), walked)
         )
         print(
             f"rvi_agreement {'ok' if ok else 'MISMATCH'} "
-            f"(rvi gamma1={sol.gamma1} gamma2={sol.gamma2} mu={sol.mu:.10g})"
+            f"(rvi gamma1={rvi.gamma1} gamma2={rvi.gamma2} mu={rvi.mu:.10g})"
         )
         if not ok:
             raise RuntimeError("CMDP solution disagrees with the closed form")

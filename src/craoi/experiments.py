@@ -75,11 +75,11 @@ def run_fig3(out_dir: Path, seed: int = DEFAULT_SEED) -> Path:
                     delta,
                     bool(low[min(delta, low.size) - 1]),
                     bool(high[min(delta, high.size) - 1]),
-                    sol.gamma1,
-                    sol.gamma2,
+                    sol.policy.gamma1,
+                    sol.policy.gamma2,
                     g1_cf,
                     g2_cf,
-                    sol.mu,
+                    sol.policy.mu,
                 ]
             )
     path = out_dir / "fig3.csv"

@@ -18,12 +18,14 @@ per solve, and ``analysis._wait_sums`` crosses each wait run.  Policy
 improvement reads the idle bias alone, on the head, so the solve forms no
 other; past the head it is affine in age, with the slope the solve
 returns, and the improvement finds the first tail age that should transmit
-in closed form.  No age grid is built.  The same sums give a policy's, and by
-``analysis._mixture`` a two-threshold mixture's, (average age, collision
-cost).  The greedy policies are threshold-shaped, so one deterministic loop
-on the multiplier, doubling and then bisecting, brackets the budget with
-two consecutive thresholds, and a boundary randomization closes the gap
-exactly (Beutler & Ross 1985).  Only that search takes a budget.
+in closed form.  No age grid is built.  The same sums give a policy's
+(average age, collision cost).  The greedy policies are threshold-shaped,
+so one deterministic loop on the multiplier, doubling and then bisecting,
+brackets the budget with two consecutive thresholds, and a boundary
+randomization closes the gap exactly (Beutler & Ross 1985).  The search
+hands its bracket and the two ends' renewal sums to
+``analysis._bracket_policy``, the closed form's own last step, so both
+methods return one policy record.  Only that search takes a budget.
 ``policy_cost_evaluate`` walks any table forward with ``analysis._walk``,
 the package's forward evaluator, so it checks the backward sums of the
 solver and of the closed form independently.
@@ -38,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    SystemModel, SystemParams, _finite_age, _mixture, _mu, _runs, _scalars, _tail, _wait_sums, _walk
+    AgeOptimalPolicy, SystemModel, SystemParams, _bracket_policy, _finite_age, _finite_mass, _runs,
+    _scalars, _tail, _wait_sums, _walk,
 )  # fmt: skip
 
 MAX_EXPAND = 60  # multiplier doublings from 1 before the search gives up
@@ -92,21 +95,23 @@ def poisson_solve(
     lam is in no recursion.  One backward pass over the head's runs solves
     (T, A): at age n by ``analysis._tail``, T = v and A = (n - 1) v + w; a
     wait run in closed form by ``analysis._wait_sums``, the closed form's own
-    step; a transmit run age by age.  Returns g, the bias on the head's idle
-    ages 1..n (``bias.size == n``), the only one policy improvement reads,
-    (T, A) at (1, idle) and that bias's slope past n, h(d + 1) - h(d) =
-    v_idle, since A rises by v per age there and T does not change.
+    step; a transmit run age by age.  A T or an average age A / T that is no
+    float, as when the tail transmits too rarely, raises the walk's error.
+    Returns g, the bias on the head's idle ages 1..n (``bias.size == n``),
+    the only one policy improvement reads, (T, A) at (1, idle) and that
+    bias's slope past n, h(d + 1) - h(d) = v_idle, since A rises by v per
+    age there and T does not change.
     """
     _require_renewal(probs)
     al, be, s, ok, collision, _, _, slot, _ = _scalars(model)
     p_ii, p_ib, p_bi, p_bb = slot
-    *head, (_, p) = _runs(probs)
+    *head, (_, p_n) = _runs(probs)
     n = 1 + sum(length for length, _ in head)
-    _, (ti, tb), (wi, wb) = _tail(slot, p * ok)
+    (ti, tb), (wi, wb) = _tail(slot, p_n * ok)
     slope = ti
     ai, ab = (n - 1) * ti + wi, (n - 1) * tb + wb
     # (first, end, p, (T, A)) of the ages first + 1..end: past a wait run, at a transmit age
-    runs = [(n - 1, n, p, (ti, tb, ai, ab))]
+    runs = [(n - 1, n, p_n, (ti, tb, ai, ab))]
     first = n - 1
     for length, p in reversed(head):
         first, end = first - length, first
@@ -119,6 +124,7 @@ def poisson_solve(
                 ti, tb = 1.0 + stay * ti + p_ib * tb, 1.0 + p_bi * ti + p_bb * tb
                 ai, ab = d + stay * ai + p_ib * ab, d + p_bi * ai + p_bb * ab
                 runs.append((d - 1, d, p, (ti, tb, ai, ab)))
+    _finite_age(ai / _finite_mass(ti, p_n, n, ok), n)
     lam_k = lam * collision / ok
     gain = (ai + lam_k) / ti
     bias = np.empty(n)
@@ -227,17 +233,17 @@ def policy_cost_evaluate(probs, model: SystemModel) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ConstrainedSolution:
-    """Output of the multiplier search: bracketing policies and the mixture."""
+    """Output of the multiplier search: the closed form's policy record, and its bracket.
 
+    ``policy_low`` is the greedy policy at ``lambda_low``, whose collision
+    cost exceeds the budget, and ``policy_high`` the one at ``lambda_high``.
+    """
+
+    policy: AgeOptimalPolicy
     lambda_low: float
     lambda_high: float
     policy_low: SolvedPolicy
     policy_high: SolvedPolicy
-    gamma1: int
-    gamma2: int
-    mu: float
-    achieved_cost: float
-    achieved_aoi: float
 
 
 def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
@@ -245,16 +251,17 @@ def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
 
     One loop solves the greedy policy at a multiplier, warm-started from the
     previous multiplier's policy, and files it as the low end of the bracket
-    when its collision cost exceeds the budget ``params.eta_s`` (which
+    when its collision cost k / T exceeds the budget ``params.eta_s`` (which
     :class:`SystemParams` has already checked) and as the high end
     otherwise.  The next multiplier doubles from 1 while no end meets the
     budget, then bisects the bracket; the loop stops once the two ends have
     consecutive (or equal) thresholds.  When lambda = 0 already meets the
-    budget, the loop stops there and both ends are that policy.  The
-    boundary randomization sets the mixed policy's collision cost to the
-    budget (the reciprocal cost is linear in the mixing probability).  Costs
-    k / T and metrics come from each end's renewal sums (T, A), which the
-    closed form's mixture mixes by mu, as it randomizes once per renewal.
+    budget, the loop stops there and both ends are that policy.  The two
+    ends' thresholds and renewal sums (T, A) then go to the closed form's
+    ``analysis._bracket_policy``, which sets the mixing probability that
+    meets the budget (the reciprocal cost is linear in it) and mixes the
+    sums into the policy's metrics, as the policy randomizes once per
+    renewal.
     """
     eta_s = params.eta_s
     _, _, _, success, collision, _, _, _, _ = _scalars(params)
@@ -285,17 +292,6 @@ def lambda_bisection(params: SystemParams) -> ConstrainedSolution:
             lam = 0.5 * (lo[0] + hi[0])
             bisections += 1
     # lo is None only when lambda = 0 meets the budget: both ends are that policy
-    (lam_lo, pol_lo, gamma1, cost_lo), (lam_hi, pol_hi, gamma2, cost_hi) = lo or hi, hi
-    mu = 1.0 if gamma1 == gamma2 else _mu(eta_s, gamma1, cost_lo, cost_hi)
-    aoi, cost = _mixture(k, gamma1, mu, pol_lo.renewal, pol_hi.renewal)
-    return ConstrainedSolution(
-        lambda_low=lam_lo,
-        lambda_high=lam_hi,
-        policy_low=pol_lo,
-        policy_high=pol_hi,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        mu=mu,
-        achieved_cost=cost,
-        achieved_aoi=aoi,
-    )
+    (lam_lo, pol_lo, gamma1, _), (lam_hi, pol_hi, gamma2, _) = lo or hi, hi
+    policy = _bracket_policy(eta_s, k, gamma1, gamma2, pol_lo.renewal, pol_hi.renewal)
+    return ConstrainedSolution(policy, lam_lo, lam_hi, pol_lo, pol_hi)

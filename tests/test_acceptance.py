@@ -239,7 +239,7 @@ def test_criterion_7_constraint_binding():
         n_binding += 1
         psi_worst = max(psi_worst, abs(pol.psi_s - params.eta_s))
 
-        sol = lambda_bisection(params)
+        sol = lambda_bisection(params).policy
         assert (sol.gamma1, sol.gamma2) == (pol.gamma1, pol.gamma2)
         mu_worst = max(mu_worst, abs(sol.mu - pol.mu))
 

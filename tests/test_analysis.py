@@ -390,7 +390,7 @@ class TestRenewalSums:
         # its tail exactly
         params = make_params(alpha, beta, phi_s)
         slot = slot_transition_matrix(params.rates)
-        expected = _tail(slot, params.success_prob)[1:]
+        expected = _tail(slot, params.success_prob)
         assert _scalars(params)[-2:] == (tuple(slot), expected)
 
 

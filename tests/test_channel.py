@@ -151,12 +151,14 @@ class TestOccupancyCore:
 
 class TestResolvent:
     def test_inverts_transmit_block(self):
+        # v = (I - M)^-1 1 and w = (I - M)^-1 v
         sig = slot_transition_matrix(PuRates(0.02, 0.4))
         resets = np.array([[0.3, 0.0], [0.0, 0.0]])
         m = expm_transition(PuRates(0.02, 0.4)) - resets
         np.testing.assert_allclose(occupancy_matrix(sig) - resets, m, rtol=0, atol=1e-15)
-        inv = np.array(_tail(sig, 0.3)[0]).reshape(2, 2)
-        np.testing.assert_allclose((np.eye(2) - m) @ inv, np.eye(2), rtol=0, atol=1e-12)
+        v, w = (np.array(x) for x in _tail(sig, 0.3))
+        np.testing.assert_allclose((np.eye(2) - m) @ v, np.ones(2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose((np.eye(2) - m) @ w, v, rtol=0, atol=1e-12)
 
     def test_geometric_tail_matches_truncated_series(self):
         rates, reset, x = PuRates(0.05, 0.5), 0.2, np.array([0.3, 0.7])
@@ -167,7 +169,7 @@ class TestResolvent:
             mass += row.sum()
             weighted += (k + 1) * row.sum()
             row = row @ m
-        _, v, w = _tail(slot_transition_matrix(rates), reset)
+        v, w = _tail(slot_transition_matrix(rates), reset)
         got = x @ v, x @ w
         assert got == pytest.approx((mass, weighted), rel=1e-12)
 

@@ -150,7 +150,8 @@ class TestSolve:
 
         def skewed(model):
             sol = solve(model)
-            return dataclasses.replace(sol, achieved_aoi=sol.achieved_aoi * (1.0 + 1e-9))
+            policy = sol.policy._replace(avg_aoi=sol.policy.avg_aoi * (1.0 + 1e-9))
+            return dataclasses.replace(sol, policy=policy)
 
         monkeypatch.setattr(craoi.cli, "lambda_bisection", skewed)
         rc = craoi.cli.main(
@@ -189,7 +190,7 @@ class TestSolve:
 
         def shifted(model):
             sol = solve(model)
-            return dataclasses.replace(sol, mu=sol.mu + 2e-6)
+            return dataclasses.replace(sol, policy=sol.policy._replace(mu=sol.policy.mu + 2e-6))
 
         monkeypatch.setattr(craoi.cli, "lambda_bisection", shifted)
         rc = craoi.cli.main(

@@ -182,7 +182,7 @@ class TestRvi:
         # the same heads as rvi_solve's solves cover.
         ages = 20_000
         tx_cost = lam * MODEL.collision_prob
-        slope = _tail(slot_transition_matrix(MODEL.rates), MODEL.success_prob)[1][0]
+        slope = _tail(slot_transition_matrix(MODEL.rates), MODEL.success_prob)[0][0]
         table = np.ones(1, dtype=bool) if init is None else np.array(init)
         expected = []
         while True:
@@ -329,7 +329,7 @@ class TestPoissonEquation:
         # the slope is the tail's v_idle, and the oracle's step at the head
         channel = slot_transition_matrix(MODEL.rates)
         reset = probs[-1] * MODEL.success_prob
-        assert slope == pytest.approx(_tail(channel, reset)[1][0], rel=1e-15, abs=0)
+        assert slope == pytest.approx(_tail(channel, reset)[0][0], rel=1e-15, abs=0)
         assert slope == pytest.approx(o_idle[head] - o_idle[head - 1], rel=0, abs=1e-12 * scale)
 
     @settings(deadline=None, max_examples=100)
@@ -437,13 +437,17 @@ class TestPolicyEvaluation:
         assert average_aoi_bernoulli(MODEL, 1e-160) == pytest.approx(1.339e160, rel=1e-3)
         with pytest.raises(ValueError, match="average age overflows a float"):
             policy_cost_evaluate([1e-160], MODEL)
+        # the Poisson solve's sums overflow alike: gain inf and a NaN bias
+        with pytest.raises(ValueError, match="average age overflows a float"):
+            poisson_solve(np.array([0.0, 1e-160]), MODEL, 1.0)
         # the state needs only the mass, which is still a float
         assert bernoulli_steady_state(MODEL, 1e-160, 1) == pytest.approx((7.468e-161, 0.0))
 
     @pytest.mark.parametrize("evaluate", [
         lambda: policy_cost_evaluate([1e-320], MODEL),
         lambda: bernoulli_steady_state(MODEL, 1e-320, 1),
-    ], ids=["policy_cost_evaluate", "bernoulli_steady_state"])  # fmt: skip
+        lambda: poisson_solve(np.array([0.0, 1e-320]), MODEL, 1.0),
+    ], ids=["policy_cost_evaluate", "bernoulli_steady_state", "poisson_solve"])  # fmt: skip
     def test_rare_tail_mass_overflows(self, evaluate):
         with pytest.raises(ValueError, match="mean renewal time overflows a float"):
             evaluate()
@@ -487,11 +491,12 @@ class TestLambdaBisection:
     def test_loose_budget_threshold_one(self):
         psi1 = collision_probability(1, MODEL)
         params = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=min(0.99, 2 * psi1))
-        sol = lambda_bisection(params)
+        sol = lambda_bisection(params).policy
         assert (sol.gamma1, sol.gamma2, sol.mu) == (1, 1, 1.0)
         # the slack case evaluates its policy as every other case does, so it is the closed form
         pol = age_optimal_policy(params)
-        assert (sol.achieved_aoi, sol.achieved_cost) == (pol.avg_aoi, pol.psi_s)
+        assert (sol.avg_aoi, sol.psi_s) == (pol.avg_aoi, pol.psi_s)
+        assert sol.constraint_binds == pol.constraint_binds
 
     def test_eta_validation(self):
         # The budget travels in the params, which reject it before any search runs.
@@ -499,11 +504,11 @@ class TestLambdaBisection:
             lambda_bisection(SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=1.5))
 
     def test_canonical_matches_closed_form(self):
-        sol = lambda_bisection(CANON)
+        sol = lambda_bisection(CANON).policy
         g1, g2 = optimal_thresholds(CANON)
         assert (sol.gamma1, sol.gamma2) == (g1, g2)
         assert sol.mu == pytest.approx(age_optimal_policy(CANON).mu, abs=1e-6)
-        assert sol.achieved_cost == pytest.approx(CANON.eta_s, abs=1e-9)
+        assert sol.psi_s == pytest.approx(CANON.eta_s, abs=1e-9)
 
     def test_gives_up_doubling(self, monkeypatch):
         # the canonical budget needs a multiplier near 1e5, far past 0, 1 and 2
@@ -519,9 +524,9 @@ class TestLambdaBisection:
 
         for name in ("policy_cost_evaluate", "_walk", "mixed_policy_metrics"):
             monkeypatch.setattr(craoi.solver, name, refuse, raising=False)
-        sol = lambda_bisection(CANON)
+        sol = lambda_bisection(CANON).policy
         assert (sol.gamma1, sol.gamma2) == optimal_thresholds(CANON)
-        assert sol.achieved_cost == pytest.approx(CANON.eta_s, rel=1e-12, abs=0)
+        assert sol.psi_s == pytest.approx(CANON.eta_s, rel=1e-12, abs=0)
 
     def test_gives_up_bisecting(self, monkeypatch):
         # one bisection leaves the doubling bracket's thresholds far apart
@@ -532,11 +537,13 @@ class TestLambdaBisection:
     @pytest.mark.parametrize("alpha,beta,phi_s,fraction", BINDING_GRID[:6])
     def test_grid_matches_closed_form(self, alpha, beta, phi_s, fraction):
         params = binding_instance(alpha, beta, phi_s, fraction)
-        sol = lambda_bisection(params)
+        sol = lambda_bisection(params).policy
         g1, g2 = optimal_thresholds(params)
         assert (sol.gamma1, sol.gamma2) == (g1, g2)
+        pol = age_optimal_policy(params)
         if g1 != g2:
-            assert sol.mu == pytest.approx(age_optimal_policy(params).mu, abs=1e-6)
+            assert sol.mu == pytest.approx(pol.mu, abs=1e-6)
+        assert sol.constraint_binds == pol.constraint_binds
 
     @pytest.mark.parametrize("params", [
         binding_instance(1e-4, 3e-4, 0.2, 0.5),
@@ -548,11 +555,11 @@ class TestLambdaBisection:
     def test_slow_pu_achieved_metrics_exact(self, params):
         # a slow PU keeps old ages likely, and a tight budget on the canonical
         # channel puts the thresholds at 2524 and 2525; no age grid bounds them
-        sol = lambda_bisection(params)
+        sol = lambda_bisection(params).policy
         assert (sol.gamma1, sol.gamma2) == optimal_thresholds(params)
         aoi, psi = mixed_policy_metrics(params, sol.gamma1, sol.mu)
-        assert sol.achieved_aoi == pytest.approx(aoi, rel=1e-12)
-        assert sol.achieved_cost == pytest.approx(psi, rel=1e-12, abs=0)
+        assert sol.avg_aoi == pytest.approx(aoi, rel=1e-12)
+        assert sol.psi_s == pytest.approx(psi, rel=1e-12, abs=0)
 
 
 class TestDeepThreshold:
