@@ -18,10 +18,13 @@ one ``slot_transition_matrix``, all on the canonical instance (alpha 0.02,
 beta 0.4, phi_s 0.2, eta_s 5e-4), and on a slow PU (alpha 1e-4, beta 3e-4,
 phi_s 0.2) one ``policy_cost_evaluate`` of the threshold table at
 Gamma = 5e4 and, best of ``DEEP_REPEAT``, one ``lambda_bisection`` whose
-budget lies halfway between psi_s(5e4) and psi_s(5e4 + 1).  The closed form
-per instance is the microseconds per ``age_optimal_policy`` over the first
-``SWEEP_SAMPLE`` inputs of ``perfbench.workloads.sweep_inputs(SEED)``, best of
-``REPEAT`` passes over the sample.  Two layers time the set-up side, where
+budget lies halfway between psi_s(5e4) and psi_s(5e4 + 1), each read from
+``mixed_policy_metrics`` at mu = 1.  The closed form per instance is the
+microseconds per ``age_optimal_policy`` over the first ``SWEEP_SAMPLE``
+inputs of ``perfbench.workloads.sweep_inputs(SEED)``, best of ``REPEAT``
+passes over the sample; ``average_aoi_bernoulli_sweep_us`` is the same for
+``average_aoi_bernoulli`` at each input's ``optimal_transmit_probability``,
+as the ``sweep`` workload calls it.  Two layers time the set-up side, where
 work moved out of an op would show: ``sweep_inputs_ms``, building all of
 ``sweep_inputs(SEED)``, best of ``REPEAT``, and ``import_craoi_ms``, the
 median over ``IMPORT_RUNS`` fresh interpreters of ``import craoi`` alone.
@@ -32,7 +35,10 @@ slots), best of ``REPEAT``; the slots per second of one
 channel, best of ``REPEAT``; one replay of the dense-head table (2,000 ages at
 0.001, then 1) over 2 * 10^6 slots of the slow PU, best of ``DEEP_REPEAT``;
 and the peak RSS of a fresh interpreter that replays the randomized policy
-over 4 * 10^6 slots.  ``src_lines`` counts the lines of the tree's
+over 4 * 10^6 slots.  Two layers of the 10^6-slot randomized replay are
+timed on their own, best of ``REPEAT``: ``generate_pu_trajectory_ms``,
+drawing the trajectory ``run_config`` replays with its boundaries, and
+``slot_arrays_ms``, ``sim._slot_arrays`` on it.  ``src_lines`` counts the lines of the tree's
 ``src/craoi/*.py``: in total, and as code, the lines that are neither blank,
 comment nor docstring (docstrings found by ``ast``).
 Then the tree's
@@ -120,15 +126,18 @@ def time_layers(tree: Path) -> dict[str, float]:
         SystemParams,
         TabularPolicy,
         age_optimal_policy,
-        collision_probability,
+        average_aoi_bernoulli,
+        generate_pu_trajectory,
         lambda_bisection,
         mixed_policy_metrics,
+        optimal_transmit_probability,
         policy_cost_evaluate,
         run_config,
         rvi_solve,
         slot_transition_matrix,
     )
     from craoi.experiments import fig4_sim_configs
+    from craoi.sim import _cycles_for_slots, _slot_arrays, split_seed
     from perfbench.workloads import FIG4_SIM_SLOTS, sweep_inputs
 
     canon = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=5e-4)
@@ -136,13 +145,21 @@ def time_layers(tree: Path) -> dict[str, float]:
     slow = SystemModel(rates=PuRates(1e-4, 3e-4), phi_s=0.2)
     threshold = np.zeros(50_000)
     threshold[-1] = 1.0
-    deep_eta = 0.5 * (collision_probability(50_000, slow) + collision_probability(50_001, slow))
+    deep_eta = 0.5 * (
+        mixed_policy_metrics(slow, 50_000, 1.0)[1] + mixed_policy_metrics(slow, 50_001, 1.0)[1]
+    )
     deep = SystemParams(rates=slow.rates, phi_s=slow.phi_s, eta_s=deep_eta)
     sample = sweep_inputs(SEED)[:SWEEP_SAMPLE]
 
     def closed_forms():
         for params in sample:
             age_optimal_policy(params)
+
+    access = [(params, optimal_transmit_probability(params).p0) for params in sample]
+
+    def bernoullis():
+        for params, p0 in access:
+            average_aoi_bernoulli(params, p0)
 
     fig4 = fig4_sim_configs(sim_slots=FIG4_SIM_SLOTS).values()
     mixed = SimConfig(
@@ -151,6 +168,12 @@ def time_layers(tree: Path) -> dict[str, float]:
         seed=SEED,
         slots=MIXED_SLOTS,
     )
+    # the trajectory run_config draws for the mixed replay (the first draw covers its slots)
+    mixed_trajectory = (
+        canon.rates, _cycles_for_slots(canon.rates, MIXED_SLOTS), split_seed(SEED, 0)
+    )
+    trajectory = generate_pu_trajectory(*mixed_trajectory)
+    assert trajectory.boundaries[-1] >= MIXED_SLOTS + 1
     dense = SimConfig(
         params=slow, policy=TabularPolicy((0.001,) * 2000 + (1.0,)), seed=SEED, slots=DENSE_SLOTS
     )
@@ -170,9 +193,14 @@ def time_layers(tree: Path) -> dict[str, float]:
         "slot_transition_matrix_ms": best_ms(lambda: slot_transition_matrix(canon.rates)),
         "lambda_bisection_gamma5e4_ms": best_ms(lambda: lambda_bisection(deep), DEEP_REPEAT),
         "age_optimal_policy_sweep_us": best_ms(closed_forms) * 1e3 / SWEEP_SAMPLE,
+        "average_aoi_bernoulli_sweep_us": best_ms(bernoullis) * 1e3 / SWEEP_SAMPLE,
         "sweep_inputs_ms": best_ms(lambda: sweep_inputs(SEED)),
         "import_craoi_ms": import_ms(tree),
         "fig4_replays_ms": best_ms(fig4_replays),
+        "generate_pu_trajectory_ms": best_ms(
+            lambda: generate_pu_trajectory(*mixed_trajectory).boundaries
+        ),
+        "slot_arrays_ms": best_ms(lambda: _slot_arrays(trajectory, MIXED_SLOTS)),
         "mixed_replay_mslots_per_s": MIXED_SLOTS / best_ms(lambda: run_config(mixed)) / 1e3,
         "dense_head_replay_s": best_ms(lambda: run_config(dense), DEEP_REPEAT) / 1e3,
         "mixed_replay_4e6_peak_rss_mb": replay_peak_rss_mb(tree),

@@ -29,8 +29,12 @@ none.  The model caches nothing.  :func:`_scalars` is the one place that
 forms and checks an instance: every evaluator here, in the solver and in
 the baseline reads its success and collision probabilities and its
 one-slot occupancy block from it, so each raises the same domain error.
-Wait runs take their P^L from the channel's private core ``_occupancy``,
-as plain tuples; no evaluator builds the public, validated matrices.
+Threshold 1's two constants, its mean time between successes T1 and the
+occupancy constant c, are written once, in :func:`_threshold_one`: the
+Lambert W threshold is solved from them, and the Bernoulli baseline's
+average age is T1/p0 + c.  Wait runs take their P^L from the channel's
+private core ``_occupancy``, as plain tuples; no evaluator builds the
+public, validated matrices.
 """
 
 from __future__ import annotations
@@ -103,32 +107,46 @@ def _check_gamma(gamma: int, name: str = "threshold") -> int:
     return int(gamma)
 
 
-def _scalars(params: SystemModel) -> tuple:
-    """The model scalars of one instance, formed and checked once per public call.
+def _threshold_one(params: SystemModel) -> tuple:
+    """(alpha, beta, s, success, T1, c) with s = alpha + beta: threshold 1's two constants.
 
-    (alpha, beta, s, success, collision, s/(beta*success), expm1(-s), slot,
-    tail) with s = alpha + beta, slot the one-slot occupancy block
-    (p_II, p_IB, p_BI, p_BB) and tail the (v, w) of :func:`_tail` at reset
-    ``success``, which every threshold's renewal sums share.
-    s/(beta*success) is the mean time between successes of threshold 1, the
-    shortest any policy has; when it is no float, as when e^-alpha
-    underflows, the instance has no average age to compute, and this
-    raises.  A plain tuple that lives only for that call: nothing caches it
-    on the model, so a sweep that keeps many models alive holds no extra
-    memory.
+    T1 = s/(beta*success) is the mean time between successes of threshold 1,
+    the shortest any policy has, and c = alpha/(beta(1 - e^-s)) is the
+    occupancy constant; each is inf when it is no float.  Threshold Gamma
+    renews every Gamma - 1 + T1 + c(1 - e^(-s(Gamma - 1))) slots on average,
+    and Bernoulli access at p0, threshold 1 with its reset scaled by p0, has
+    average age T1/p0 + c.  The only place either is written.
     """
     al, be = params.rates.alpha, params.rates.beta
     s = al + be
     success = params.success_prob
-    b_term = s / (be * success) if be * success > 0.0 else math.inf
-    if b_term == math.inf:
+    t1 = s / (be * success) if be * success > 0.0 else math.inf
+    mixing = be * -math.expm1(-s)  # 1 - e^-s by expm1: no cancellation for small s
+    return al, be, s, success, t1, al / mixing if mixing > 0.0 else math.inf
+
+
+def _scalars(params: SystemModel) -> tuple:
+    """The model scalars of one instance, formed and checked once per public call.
+
+    (alpha, beta, s, success, collision, T1, c, slot, tail) with T1 and c
+    from :func:`_threshold_one`, slot the one-slot occupancy block
+    (p_II, p_IB, p_BI, p_BB) and tail the (v, w) of :func:`_tail` at reset
+    ``success``, which every threshold's renewal sums share; threshold 1's
+    (T, A) are the tail's idle entries (v_idle, w_idle).  When T1 is no
+    float, as when e^-alpha underflows, the instance has no average age to
+    compute, and this raises.  A plain tuple that lives only for that call:
+    nothing caches it on the model, so a sweep that keeps many models alive
+    holds no extra memory.
+    """
+    al, be, s, success, t1, c = _threshold_one(params)
+    if t1 == math.inf:
         raise ValueError(
             f"success probability (1 - phi_s) e^-alpha = {success:.3g} is too small: "
             f"the mean renewal time s/(beta*success) overflows at alpha={al}, beta={be}"
         )
     slot = _occupancy(al, be, s, 1.0)
     tail = _tail(slot, success)
-    return al, be, s, success, params.collision_prob, b_term, math.expm1(-s), slot, tail
+    return al, be, s, success, params.collision_prob, t1, c, slot, tail
 
 
 def _advance(x0: float, x1: float, p_ii: float, p_ib: float, p_bi: float, p_bb: float):
@@ -146,10 +164,14 @@ def _tail(channel: tuple, reset: float):
     occupancy matrix sum to one; forming it by products would cancel.  A
     row vector x has sums over k >= 0 of x M^k 1 = x v and of
     (k + 1) x M^k 1 = x w.  Every term is a product of nonnegative numbers,
-    so nothing cancels as reset -> 0.
+    so nothing cancels as reset -> 0.  A determinant that rounds to 0 gives
+    an infinite (v, w), which every caller rejects as an overflowing mean
+    renewal time or average age.
     """
     _, p_ib, p_bi, _ = channel
     det = p_bi * reset
+    if det == 0.0:
+        return (math.inf, math.inf), (math.inf, math.inf)
     m_ii, m_ib, m_bi, m_bb = p_bi / det, p_ib / det, p_bi / det, (p_ib + reset) / det
     v0, v1 = m_ii + m_ib, m_bi + m_bb
     return (v0, v1), (m_ii * v0 + m_ib * v1, m_bi * v0 + m_bb * v1)
@@ -391,19 +413,21 @@ def _lambert_w0_exp(z: float) -> float:
 def _thresholds(m: tuple, eta: float) -> tuple[int, int, tuple, tuple]:
     """(Gamma1, Gamma2, sums(Gamma1), sums(Gamma2)); see :func:`optimal_thresholds`.
 
-    Each bracketing threshold is evaluated once, as its renewal sums (T, A)
-    from :func:`_threshold_sums`: psi_s = (collision / success) / T verifies
-    the bracket, and the sums are returned for mu and the metrics.
+    Threshold 1's renewal sums (T, A) are the instance's tail (v_idle,
+    w_idle), and the Lambert W threshold is solved from the instance's T1
+    and c.  Each other bracketing threshold is evaluated once, as its
+    renewal sums from :func:`_threshold_sums`: psi_s = (collision / success)
+    / T verifies the bracket, and the sums are returned for mu and the
+    metrics.
     """
-    al, be, s, success, collision, b_term, expm1_s, _, _ = m
-    one = _threshold_sums(m, 1)
-    if collision / success / one[0] <= eta:
+    _, _, s, success, collision, t1, c, _, ((v_idle, _), (w_idle, _)) = m
+    one = v_idle, w_idle
+    if collision / success / v_idle <= eta:
         return 1, 1, one, one
-    k = al / (be * -expm1_s)
     tau = eta * success / collision  # theta_(1,0) at the budget
-    r = 1.0 / tau - b_term - k
-    # W(s k e^(-s r)) in log space: e^(-s r) overflows when alpha >> beta and eta is small
-    g_real = 1.0 + r + _lambert_w0_exp(math.log(s * k) - s * r) / s
+    r = 1.0 / tau - t1 - c
+    # W(s c e^(-s r)) in log space: e^(-s r) overflows when alpha >> beta and eta is small
+    g_real = 1.0 + r + _lambert_w0_exp(math.log(s * c) - s * r) / s
     if not g_real < math.inf:
         raise ValueError(
             f"the threshold overflows a float: success probability (1 - phi_s) e^-alpha = "

@@ -1,16 +1,21 @@
 """Throughput-optimal benchmark: Bernoulli access at idle-sensed slots.
 
 The throughput maximizer under the same collision budget transmits with a
-fixed probability p0 whenever the channel is sensed idle.  Its stationary age
-distribution has the same geometric shape as the transmit region of a
-threshold policy, valid from age 1, with the reset probability scaled by p0.
+fixed probability p0 whenever the channel is sensed idle.  That is threshold 1
+with its reset probability scaled by p0: its stationary age distribution has
+the geometric shape of a threshold policy's transmit region, valid from age 1,
+and its average age is T1/p0 + c from threshold 1's two constants
+(``analysis._threshold_one``), the mean time between successes T1 and the
+occupancy constant c.
 """
 
 from __future__ import annotations
 
 import math
 
-from .analysis import SystemModel, SystemParams, _check_gamma, _check_p0, _scalars, _walk
+from .analysis import (
+    SystemModel, SystemParams, _check_gamma, _check_p0, _scalars, _threshold_one, _walk,
+)  # fmt: skip
 from .channel import idle_probability
 from .policies import BernoulliAccessPolicy
 
@@ -31,20 +36,20 @@ def collision_probability_bernoulli(params: SystemModel, p0: float) -> float:
 
 
 def average_aoi_bernoulli(params: SystemModel, p0: float) -> float:
-    """Closed-form average age under Bernoulli access with probability p0."""
+    """Closed-form average age under Bernoulli access with probability p0: T1/p0 + c.
+
+    Bernoulli access is threshold 1 with its reset scaled by p0, so its mean
+    time between successes is threshold 1's T1 over p0; T1 and the occupancy
+    constant c come from ``analysis._threshold_one``.
+    """
     _check_p0(p0)
-    al, be = params.rates.alpha, params.rates.beta
-    s = al + be
-    try:
-        # al e^s / (be (e^s - 1)) written with expm1: no cancellation for small s
-        aoi = (s * math.exp(al)) / (be * (1.0 - params.phi_s) * p0) + al / (be * -math.expm1(-s))
-    except OverflowError:  # e^alpha itself
-        aoi = math.inf
+    al, be, _, _, t1, c = _threshold_one(params)
+    aoi = t1 / p0 + c
     if aoi == math.inf:
         raise ValueError(
             f"the average age under Bernoulli access overflows a float at alpha={al}, "
-            f"beta={be}, p0={p0}: its mean time between successes s e^alpha / "
-            "(beta (1 - phi_s) p0) is too long"
+            f"beta={be}, p0={p0}: T1/p0 + c is too long, with the mean time between "
+            "successes T1/p0 = s/(beta (1 - phi_s) e^-alpha p0)"
         )
     return aoi
 

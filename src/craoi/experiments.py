@@ -40,13 +40,14 @@ def _fmt(value) -> str:
     return f"{float(value):.6g}"
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Deterministic CSV: header line, LF endings, 6 significant digits."""
+def write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+    """Deterministic CSV at path, returned: header line, LF endings, 6 significant digits."""
     with open(path, "w", newline="\n", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    return path
 
 
 def _rates_for_idle_prob(alpha: float, p_idle: float) -> PuRates:
@@ -82,9 +83,8 @@ def run_fig3(out_dir: Path, seed: int = DEFAULT_SEED) -> Path:
                     sol.policy.mu,
                 ]
             )
-    path = out_dir / "fig3.csv"
-    write_csv(
-        path,
+    return write_csv(
+        out_dir / "fig3.csv",
         [
             "eta_s",
             "delta_slots",
@@ -98,7 +98,6 @@ def run_fig3(out_dir: Path, seed: int = DEFAULT_SEED) -> Path:
         ],
         rows,
     )
-    return path
 
 
 FIG4_SIM_GAMMAS = (1, 5, 10, 20, 40, 80)
@@ -127,13 +126,11 @@ def run_fig4(out_dir: Path, seed: int = DEFAULT_SEED, sim_slots: int = 10**6) ->
         else:
             aoi_sim = psi_sim = float("nan")
         rows.append([gamma, aoi_an, psi_an, aoi_sim, psi_sim])
-    path = out_dir / "fig4.csv"
-    write_csv(
-        path,
+    return write_csv(
+        out_dir / "fig4.csv",
         ["gamma_slots", "avg_aoi_analytic", "psi_s_analytic", "avg_aoi_sim", "psi_s_sim"],
         rows,
     )
-    return path
 
 
 def _idle_prob_sweep(out_dir: Path, budgets, budget_kind: str, filename: str) -> Path:
@@ -150,13 +147,11 @@ def _idle_prob_sweep(out_dir: Path, budgets, budget_kind: str, filename: str) ->
             rows.append(
                 [budget, p_idle, rates.beta, pol.gamma1, pol.gamma2, pol.mu, pol.avg_aoi]
             )
-    path = out_dir / filename
-    write_csv(
-        path,
+    return write_csv(
+        out_dir / filename,
         [budget_kind, "p_idle", "beta", "gamma1", "gamma2", "mu", "avg_aoi"],
         rows,
     )
-    return path
 
 
 def run_fig5(out_dir: Path, seed: int = DEFAULT_SEED) -> Path:
@@ -186,9 +181,8 @@ def run_fig6(out_dir: Path, seed: int = DEFAULT_SEED) -> Path:
         bern = optimal_transmit_probability(params02)
         aoi_bern = average_aoi_bernoulli(params02, bern.p0)
         rows.append([eta_s, aoi_opt[0.2], aoi_opt[0.3], bern.p0, aoi_bern])
-    path = out_dir / "fig6.csv"
-    write_csv(
-        path,
+    return write_csv(
+        out_dir / "fig6.csv",
         [
             "eta_s",
             "avg_aoi_age_optimal_phi02",
@@ -198,7 +192,6 @@ def run_fig6(out_dir: Path, seed: int = DEFAULT_SEED) -> Path:
         ],
         rows,
     )
-    return path
 
 
 FIG8_ALPHA_GRID = np.logspace(np.log10(0.001), np.log10(0.3), 25)
@@ -218,13 +211,11 @@ def run_fig8(out_dir: Path, seed: int = DEFAULT_SEED) -> Path:
             params = SystemParams.from_pu_budget(rates, 0.2, eta_p)
             pol = age_optimal_policy(params)
             rows.append([eta_p, alpha, rates.beta, params.eta_s, pol.gamma1, pol.mu, pol.avg_aoi])
-    path = out_dir / "fig8.csv"
-    write_csv(
-        path,
+    return write_csv(
+        out_dir / "fig8.csv",
         ["eta_p", "alpha", "beta", "eta_s", "gamma1", "mu", "avg_aoi"],
         rows,
     )
-    return path
 
 
 TABLE1_CELLS = ((0.002, 0.01), (0.01, 0.01), (0.002, 0.05), (0.01, 0.05))
@@ -241,13 +232,11 @@ def run_table1(out_dir: Path, seed: int = DEFAULT_SEED) -> Path:
             rows.append(
                 [channel, phi_s, alpha, eta_p, pol.gamma1, pol.gamma2, pol.mu, pol.avg_aoi]
             )
-    path = out_dir / "table1.csv"
-    write_csv(
-        path,
+    return write_csv(
+        out_dir / "table1.csv",
         ["channel", "phi_s", "alpha", "eta_p", "gamma1", "gamma2", "mu", "avg_aoi"],
         rows,
     )
-    return path
 
 
 _RUNNERS = {

@@ -68,6 +68,7 @@ class TestSystemParams:
         (709.0, 0.4, "success probability"),
         (746.0, 0.4, "success probability"),
         (1000.0, 0.4, "success probability"),
+        (1e-200, 1e-200, "average age overflows"),
         (math.inf, 0.4, "positive and finite"),
         (0.02, math.inf, "positive and finite"),
     ])  # fmt: skip
@@ -75,9 +76,10 @@ class TestSystemParams:
         # the threshold is past 2**53, where its floor and ceiling coincide
         # (30 to 700), the threshold itself overflows (702), the mean renewal
         # time s/(beta*success) overflows (709) or e^-alpha underflows to 0
-        # (746, 1000), or a rate is not finite: a ValueError that says so, not
-        # an unchecked bracket, an infinite age, an OverflowError, NaN or a
-        # ZeroDivisionError
+        # (746, 1000), beta (1 - e^-s) underflows to 0 (1e-200), so threshold
+        # 1's tail never ends in a float, or a rate is not finite: a
+        # ValueError that says so, not an unchecked bracket, an infinite age,
+        # an OverflowError, NaN or a ZeroDivisionError
         with pytest.raises(ValueError, match=re.escape(message)):
             age_optimal_policy(make_params(alpha, beta, 0.2, eta_s=0.0005))
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from craoi import (
     BernoulliAccessPolicy,
@@ -14,12 +16,13 @@ from craoi import (
     average_aoi_bernoulli,
     bernoulli_steady_state,
     idle_probability,
+    mixed_policy_metrics,
     optimal_transmit_probability,
     policy_cost_evaluate,
 )
 from craoi.baseline import collision_probability_bernoulli
 
-from .conftest import oracle_stationary
+from .conftest import oracle_stationary, sweep_domain
 
 CANON = SystemParams(rates=PuRates(0.02, 0.4), phi_s=0.2, eta_s=0.0005)
 
@@ -84,12 +87,22 @@ class TestAverageAoi:
 
     @pytest.mark.parametrize("alpha", [704.0, 709.5, 709.9, 720.0])
     def test_overflow_is_domain_error(self, alpha):
-        # the average age is past the largest float (704, 709.5) or e^alpha
-        # itself is (709.9, 720): a ValueError that says so, not inf or an
-        # OverflowError.  The access probability itself is finite.
+        # the average age is past the largest float (704, 709.5) or T1, the
+        # mean time between threshold 1's successes, is (709.9, 720): a
+        # ValueError that says so, not inf or an OverflowError.  The access
+        # probability itself is finite.
         params = SystemParams(rates=PuRates(alpha, 0.4), phi_s=0.2, eta_s=0.0005)
         p0 = optimal_transmit_probability(params).p0
         assert 0.0 < p0 < 1.0
+        with pytest.raises(ValueError, match="average age under Bernoulli access overflows"):
+            average_aoi_bernoulli(params, p0)
+
+    @pytest.mark.parametrize("alpha,beta,p0", [(0.02, 0.4, 5e-324), (1e-200, 1e-200, 1.0)])
+    def test_underflow_is_domain_error(self, alpha, beta, p0):
+        # T1 / p0 overflows at the smallest subnormal p0, and the occupancy
+        # constant alpha / (beta (1 - e^-s)) when beta (1 - e^-s) underflows
+        # to 0: a ValueError, not a ZeroDivisionError
+        params = SystemModel(rates=PuRates(alpha, beta), phi_s=0.2)
         with pytest.raises(ValueError, match="average age under Bernoulli access overflows"):
             average_aoi_bernoulli(params, p0)
 
@@ -139,3 +152,19 @@ class TestDominance:
         params = SystemParams(rates=PuRates(alpha, beta), phi_s=phi_s, eta_s=eta_s)
         pol = age_optimal_policy(params)
         assert pol.avg_aoi == pytest.approx(average_aoi_bernoulli(params, 1.0), rel=1e-13)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        alpha=sweep_domain("alpha"),
+        beta=sweep_domain("beta"),
+        phi_s=sweep_domain("phi_s"),
+        p0=st.floats(math.log(1e-3), 0.0).map(math.exp),
+    )
+    def test_threshold_one_is_full_access_on_the_domain(self, alpha, beta, phi_s, p0):
+        # Bernoulli access at p0 is threshold 1 with its reset scaled by p0:
+        # at p0 = 1 it is threshold 1, and at any p0 the one-entry table [p0]
+        model = SystemModel(rates=PuRates(alpha, beta), phi_s=phi_s)
+        full = average_aoi_bernoulli(model, 1.0)
+        assert full == pytest.approx(mixed_policy_metrics(model, 1, 1.0)[0], rel=1e-13, abs=0)
+        aoi = average_aoi_bernoulli(model, p0)
+        assert aoi == pytest.approx(policy_cost_evaluate([p0], model)[0], rel=1e-13, abs=0)

@@ -447,7 +447,13 @@ class TestPolicyEvaluation:
         lambda: policy_cost_evaluate([1e-320], MODEL),
         lambda: bernoulli_steady_state(MODEL, 1e-320, 1),
         lambda: poisson_solve(np.array([0.0, 1e-320]), MODEL, 1.0),
-    ], ids=["policy_cost_evaluate", "bernoulli_steady_state", "poisson_solve"])  # fmt: skip
+        # the smallest subnormal: the tail's determinant p_BI * reset rounds to 0
+        lambda: policy_cost_evaluate([5e-324], MODEL),
+        lambda: bernoulli_steady_state(MODEL, 5e-324, 1),
+        lambda: poisson_solve(np.array([0.0, 5e-324]), MODEL, 1.0),
+    ], ids=["policy_cost_evaluate", "bernoulli_steady_state", "poisson_solve",
+            "policy_cost_evaluate_subnormal", "bernoulli_steady_state_subnormal",
+            "poisson_solve_subnormal"])  # fmt: skip
     def test_rare_tail_mass_overflows(self, evaluate):
         with pytest.raises(ValueError, match="mean renewal time overflows a float"):
             evaluate()
@@ -455,10 +461,11 @@ class TestPolicyEvaluation:
     @settings(deadline=None, max_examples=200)
     @given(
         head=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), max_size=5),
-        exponent=st.floats(-320.0, 0.0),
+        exponent=st.floats(-324.0, 0.0),
     )
     def test_rare_tail_is_finite_or_rejected(self, head, exponent):
-        # a last entry log-uniform in 1e-320..1: never NaN
+        # a last entry log-uniform in 1e-324..1 (below 5e-324 it is 0, a
+        # table that never renews): never NaN
         try:
             aoi, cost = policy_cost_evaluate([*head, 10.0**exponent], MODEL)
         except ValueError:
